@@ -40,13 +40,25 @@ def _models():
     return split, concat
 
 
-def _time_inference(model, g, x, repeats=3):
+def _time_inference_pair(split, concat, g, x, rounds=9):
+    """Forward times of both models, shape ``(rounds, 2)``, timed alternately.
+
+    On a two-vCPU host the speed drifts within one test by more than the gap
+    between the two models (17 ms against 17.5 ms at the largest batch), so
+    back-to-back means of each model compared the host's two states as often
+    as the two models.  Alternating puts each pair in the same stretch.
+    """
+
+    times = np.empty((rounds, 2))
     with no_grad():
-        model(g, x)  # warm-up
-        tic = time.perf_counter()
-        for _ in range(repeats):
-            model(g, x)
-    return (time.perf_counter() - tic) / repeats
+        split(g, x)  # warm-up
+        concat(g, x)
+        for r in range(rounds):
+            for m, model in enumerate((split, concat)):
+                tic = time.perf_counter()
+                model(g, x)
+                times[r, m] = time.perf_counter() - tic
+    return times
 
 
 def _time_training_step(model, g, x, u, x_coll, repeats=2):
@@ -70,15 +82,14 @@ def test_fig5a_inference_throughput_vs_batch_size(benchmark):
     g = Tensor(rng.normal(size=(1, BOUNDARY_SIZE)))
 
     rows = []
-    series = {"split": [], "concat": []}
+    speedups = []
     for q in INFERENCE_BATCHES:
         x = Tensor(rng.uniform(size=(1, q, 2)) * 0.5)
-        t_split = _time_inference(split, g, x)
-        t_concat = _time_inference(concat, g, x)
-        series["split"].append(t_split)
-        series["concat"].append(t_concat)
+        times = _time_inference_pair(split, concat, g, x)
+        t_split, t_concat = np.median(times, axis=0)
+        speedups.append(float(np.median(times[:, 1] / times[:, 0])))
         rows.append([q, f"{t_split*1e3:.2f} ms", f"{t_concat*1e3:.2f} ms",
-                     f"{t_concat / t_split:.2f}x"])
+                     f"{speedups[-1]:.2f}x"])
 
     # Register the largest-batch optimized inference as the benchmark kernel.
     x_large = Tensor(rng.uniform(size=(1, INFERENCE_BATCHES[-1], 2)) * 0.5)
@@ -105,17 +116,17 @@ def test_fig5a_inference_throughput_vs_batch_size(benchmark):
     print_table("Figure 5a — input memory per batch at paper scale (eq. 5 vs eq. 8)",
                 ["points", "input-concat", "split-layer", "ratio"], oom_rows)
 
-    # Shape assertions: the optimized model is faster at large batch sizes and
-    # the advantage grows with the batch size (Figure 5a's separation).
-    assert series["concat"][-1] > series["split"][-1]
-    speedups = np.array(series["concat"]) / np.array(series["split"])
+    # Shape assertions, on the median over rounds of the paired time ratio:
+    # the optimized model is faster at large batch sizes and the advantage
+    # grows with the batch size (Figure 5a's separation).
+    assert speedups[-1] > 1.0
     assert speedups[-1] > speedups[0] * 0.8
     # The paper's memory story: the baseline's input at its 10k-point OOM
     # limit is already larger than the optimized input at 50k points, so the
     # same device budget that OOMs the baseline at 10k admits 50k for the
     # optimized model.
     assert 10_000 * (PAPER_BOUNDARY + 2) > (PAPER_BOUNDARY + 2 * 50_000)
-    benchmark.extra_info["speedup_at_largest_batch"] = float(speedups[-1])
+    benchmark.extra_info["speedup_at_largest_batch"] = speedups[-1]
 
 
 def test_fig5b_training_step_time_vs_batch_size(benchmark):

@@ -75,7 +75,7 @@ def test_fig9a_strong_scaling_and_table4(benchmark, bench_geometry, gp_boundary_
         ])
         fig9a_rows.append([
             world_size,
-            f"{inference:.2f} s",
+            f"{inference:.3f} s",
             f"{sendrecv:.3f} s",
             f"{allgather:.3f} s",
             f"{io:.3f} s",

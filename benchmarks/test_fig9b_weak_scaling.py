@@ -72,7 +72,7 @@ def test_fig9b_weak_scaling(benchmark):
         send_counts = max(r.comm_stats["sends"] for r in results)
         rows.append([
             world_size,
-            f"{comp:.2f} s",
+            f"{comp:.3f} s",
             f"{comm:.3f} s",
             halo_bytes[world_size],
             send_counts,

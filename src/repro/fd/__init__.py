@@ -11,7 +11,7 @@ from .krylov import conjugate_gradient
 from .masked import assemble_poisson_masked, solve_laplace_masked, solve_poisson_masked
 from .multigrid import GeometricMultigrid, prolongation_1d
 from .smoothers import gauss_seidel, get_smoother, sor, weighted_jacobi
-from .solve import solve_laplace, solve_laplace_from_loop, solve_poisson
+from .solve import laplace_loop_operator, solve_laplace, solve_laplace_from_loop, solve_poisson
 
 __all__ = [
     "Grid2D",
@@ -33,4 +33,5 @@ __all__ = [
     "solve_poisson",
     "solve_laplace",
     "solve_laplace_from_loop",
+    "laplace_loop_operator",
 ]

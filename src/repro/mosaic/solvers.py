@@ -9,12 +9,14 @@ points.  Two implementations are provided:
   paper's configuration, where the subdomain solve is a single batched
   network inference.
 * :class:`FDSubdomainSolver` — solves each subdomain exactly with the finite
-  difference substrate.  With this solver the Mosaic Flow predictor becomes a
-  classical overlapping Schwarz iteration, which is used to validate the
-  predictor's convergence independently of training quality and to isolate
-  communication behaviour in the scaling benchmarks.
+  difference substrate, as one contraction of the boundary rows with the
+  grid's cached boundary-to-field operator.  With this solver the Mosaic Flow
+  predictor becomes a classical overlapping Schwarz iteration, which is used
+  to validate the predictor's convergence independently of training quality
+  and to isolate communication behaviour in the scaling benchmarks.
 
-Both share the same interface so they are interchangeable everywhere.
+Both share the same interface so they are interchangeable everywhere, and
+both make a row's prediction independent of the rows it shares a call with.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from ..autodiff import no_grad
 from ..autodiff.tensor import Tensor
 from ..fd.grid import Grid2D
-from ..fd.solve import solve_laplace_from_loop
+from ..fd.solve import laplace_loop_operator
 from ..models.base import NeuralSolver
 
 __all__ = [
@@ -45,6 +47,13 @@ __all__ = [
 #: prediction a pure function of (row, points) — the invariant that lets
 #: cross-request mega-batching (:mod:`repro.serving.megabatch`) concatenate
 #: calls while staying bitwise identical to per-request execution.
+#:
+#: The window is a measurement on the SDNet layer shapes (hidden widths of
+#: 24 to 256 columns), not a property of BLAS.  The same rule (chunks of at
+#: most 32 rows, singletons padded to two) applied to the FD backend's
+#: ``(rows, 32) @ (32, q)`` product left 7 of 16 served solutions bitwise
+#: different from their standalone runs, which is why
+#: :class:`FDSubdomainSolver` does not call a GEMM at all.
 GEMM_STABLE_ROWS = 32
 
 
@@ -141,18 +150,29 @@ class SDNetSubdomainSolver:
 class FDSubdomainSolver:
     """Exact finite-difference subdomain solver (classical-Schwarz reference).
 
+    The discrete Laplace solution is linear in the Dirichlet loop, so a call
+    is one contraction of the boundary rows with the cached boundary-to-field
+    operator of the grid (:func:`repro.fd.solve.laplace_loop_operator`, built
+    once per grid and method and shared by every solver instance); nothing is
+    assembled or factorised per row.  The contraction accumulates the
+    boundary columns in a fixed order with elementwise operations, which
+    makes a row's prediction a pure function of ``(row, points)`` however
+    rows are grouped into calls.
+
     Parameters
     ----------
     subdomain_grid:
         The local grid of one atomic subdomain.
     method:
-        Solver method forwarded to :func:`repro.fd.solve.solve_laplace_from_loop`.
+        Solver method forwarded to :func:`repro.fd.solve.solve_laplace_from_loop`
+        when the operator is built.
     """
 
     def __init__(self, subdomain_grid: Grid2D, method: str = "direct"):
         self.grid = subdomain_grid
         self.method = method
         self.boundary_size = subdomain_grid.boundary_size
+        #: boundary rows solved (one per row, however rows share calls)
         self.inference_calls = 0
         self.points_evaluated = 0
 
@@ -163,16 +183,13 @@ class FDSubdomainSolver:
         rows = points[:, 1] / self.grid.hy
         col_idx = np.rint(cols).astype(int)
         row_idx = np.rint(rows).astype(int)
-        if (
-            np.max(np.abs(cols - col_idx)) > 1e-6
-            or np.max(np.abs(rows - row_idx)) > 1e-6
-        ):
+        if np.any(np.abs(cols - col_idx) > 1e-6) or np.any(np.abs(rows - row_idx) > 1e-6):
             raise ValueError("FDSubdomainSolver only supports queries at grid points")
         if (
-            col_idx.min() < 0
-            or col_idx.max() >= self.grid.nx
-            or row_idx.min() < 0
-            or row_idx.max() >= self.grid.ny
+            np.any(col_idx < 0)
+            or np.any(col_idx >= self.grid.nx)
+            or np.any(row_idx < 0)
+            or np.any(row_idx >= self.grid.ny)
         ):
             raise ValueError("query point outside the subdomain grid")
         return row_idx, col_idx
@@ -184,11 +201,15 @@ class FDSubdomainSolver:
             raise ValueError(
                 f"boundaries must have shape (B, {self.boundary_size}), got {boundaries.shape}"
             )
+        if points.ndim != 2 or points.shape[1] != 2:
+            raise ValueError("points must have shape (q, 2)")
         rows, cols = self._point_indices(points)
-        out = np.empty((boundaries.shape[0], points.shape[0]))
-        for i in range(boundaries.shape[0]):
-            field = solve_laplace_from_loop(self.grid, boundaries[i], method=self.method)
-            out[i] = field[rows, cols]
-            self.inference_calls += 1
-            self.points_evaluated += points.shape[0]
+        weights = laplace_loop_operator(self.grid, self.method)[:, rows, cols]
+        # Not ``boundaries @ weights``: BLAS picks its kernel, and with it the
+        # summation order, from the row count (see GEMM_STABLE_ROWS).
+        out = np.zeros((boundaries.shape[0], points.shape[0]))
+        for k in range(self.boundary_size):
+            out += boundaries[:, k : k + 1] * weights[k]
+        self.inference_calls += boundaries.shape[0]
+        self.points_evaluated += out.size
         return out

@@ -19,10 +19,11 @@ pending ``(boundaries, points)`` call, concatenates the boundary rows, runs
 the solver once (chunked to a perfmodel-sized row cap when one is
 configured), and scatters the prediction rows back to their sessions.  Row
 order within each session's call is untouched and solvers are row-batch
-invariant (the repo-wide precedent: ``SDNetSubdomainSolver.max_batch`` splits
-batches internally and ``FDSubdomainSolver`` loops per row), so every session
-receives bitwise-identical predictions to its sequential run — the
-per-request path stays the test oracle.
+invariant (``SDNetSubdomainSolver`` runs every call as fixed chunks of at most
+``GEMM_STABLE_ROWS`` rows, ``FDSubdomainSolver`` contracts the rows with its
+cached boundary-to-field operator in a fixed column order with elementwise
+operations only), so every session receives bitwise-identical predictions to
+its sequential run — the per-request path stays the test oracle.
 
 Fusion compatibility is decided by :func:`solver_fusion_key` plus the
 subdomain grid parameters; unknown solver types conservatively never fuse.

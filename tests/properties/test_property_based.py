@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.autodiff import Tensor, grad, ops
 from repro.distributed import ProcessGrid, block_range, choose_grid_dims, shard_anchors
 from repro.domains import CompositeDomain, CompositeMosaicGeometry
 from repro.fd import Grid2D, apply_laplacian, solve_laplace
-from repro.mosaic import MosaicGeometry
+from repro.mosaic import FDSubdomainSolver, MosaicGeometry
 
 # Keep hypothesis fast and deterministic for CI-style runs.
 COMMON_SETTINGS = settings(max_examples=25, deadline=None)
@@ -303,3 +304,36 @@ class TestCompositeDomainProperties:
         assert sorted(merged) == sorted(anchors)
         sizes = [len(s) for s in shards]
         assert max(sizes) - min(sizes) <= 1
+
+
+class TestFDSubdomainSolverProperties:
+    """A row's prediction is a pure function of (row, points).
+
+    This is the invariant cross-request mega-batching rests on: it
+    concatenates rows of different requests into one call and expects each
+    request's rows back bit for bit.
+    """
+
+    GRID = Grid2D(6, 5, (0.5, 0.4))
+
+    @COMMON_SETTINGS
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(0, 40), st.just(GRID.boundary_size)),
+            elements=st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True),
+        ),
+        st.data(),
+    )
+    def test_any_regrouping_of_rows_gives_identical_bytes(self, loops, data):
+        solver = FDSubdomainSolver(self.GRID)
+        points = self.GRID.points()
+        batch = loops.shape[0]
+        together = solver.predict(loops, points)
+
+        order = np.asarray(data.draw(st.permutations(range(batch))), dtype=int)
+        cuts = sorted(data.draw(st.lists(st.integers(0, batch), max_size=4)))
+        regrouped = np.empty_like(together)
+        for group in np.split(order, cuts):
+            regrouped[group] = solver.predict(loops[group], points)
+        assert regrouped.tobytes() == together.tobytes()
