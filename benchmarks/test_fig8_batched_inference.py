@@ -82,13 +82,9 @@ def test_fig8_batched_vs_unbatched_time_per_iteration(benchmark, bench_trained_s
     predictor = MosaicFlowPredictor(
         geometry, SDNetSubdomainSolver(bench_trained_sdnet), batched=True
     )
-    field = None
 
     def one_iteration():
-        from repro.mosaic.predictor import initialize_lattice_field
-
-        state = initialize_lattice_field(geometry, loop, "mean")
-        predictor.step(state, phase=0, timings={})
+        predictor.run(loop, max_iterations=1, tol=0.0, assemble=False)
 
     benchmark.pedantic(one_iteration, rounds=3, iterations=1)
 

@@ -2,16 +2,18 @@
 
 After the interface-lattice iteration converges, every atomic subdomain's
 interior is predicted densely from its final boundary values and the
-overlapping predictions are averaged (Algorithm 2, lines 10-12).  The same
-routine serves the sequential, batched and distributed predictors — the
-distributed variant simply runs it on each rank's local anchors and merges
-the per-rank accumulators after the allgather.
+overlapping predictions are averaged (Algorithm 2, lines 10-12).  The
+accumulation itself is :func:`repro.mosaic.core.accumulate`, shared with the
+predictors and the serving layer; the functions here apply it to one 2-D
+field and an arbitrary anchor list (what the sharded assembly of
+:mod:`repro.domains.sharded` needs).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .core import accumulate, build_plan, overlap_average
 from .geometry import MosaicGeometry
 from .solvers import SubdomainSolver
 
@@ -53,45 +55,25 @@ def accumulate_dense_predictions(
     """
 
     if accumulator is None:
-        accumulator = np.zeros_like(field)
+        accumulator = np.zeros(field.shape)
     if counts is None:
         counts = np.zeros(field.shape)
     if not anchors:
         return accumulator, counts
-
-    brow, bcol = geometry.boundary_loop_local_indices()
-    irow, icol = geometry.interior_local_indices()
-    interior_coords = geometry.interior_local_coordinates()
-    anchor_array = np.asarray(anchors, dtype=int)
-    windows_r = anchor_array[:, 0] * geometry.half
-    windows_c = anchor_array[:, 1] * geometry.half
-
-    for start in range(0, len(anchors), batch_size):
-        stop = min(start + batch_size, len(anchors))
-        r0 = windows_r[start:stop]
-        c0 = windows_c[start:stop]
-        loops = field[r0[:, None] + brow[None, :], c0[:, None] + bcol[None, :]]
-        predictions = solver.predict(loops, interior_coords)
-        rows = r0[:, None] + irow[None, :]
-        cols = c0[:, None] + icol[None, :]
-        np.add.at(accumulator, (rows, cols), predictions)
-        np.add.at(counts, (rows, cols), 1.0)
-        # Boundary-loop values of each subdomain also contribute (they are
-        # part of the subdomain solution and exact on the lattice).
-        rows_b = r0[:, None] + brow[None, :]
-        cols_b = c0[:, None] + bcol[None, :]
-        np.add.at(accumulator, (rows_b, cols_b), loops)
-        np.add.at(counts, (rows_b, cols_b), 1.0)
+    # Only the plan's assembly half is used: no point of ``field`` is marked
+    # as lattice, and the phase split of ``anchors`` goes unread.
+    plan = build_plan(
+        geometry, anchors, shape=field.shape, lattice_mask=np.zeros(field.shape, dtype=bool)
+    )
+    total = np.zeros(field.size)
+    accumulate(
+        np.ascontiguousarray(field, dtype=float).reshape(-1), total,
+        [(plan, np.zeros(1, dtype=np.intp), batch_size)],
+        lambda boundaries, points, _sessions: solver.predict(boundaries, points),
+    )
+    accumulator += total.reshape(field.shape)
+    counts += plan.counts
     return accumulator, counts
-
-
-def overlap_average(accumulator: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Average accumulated predictions where subdomains overlap."""
-
-    result = np.zeros_like(accumulator)
-    mask = counts > 0
-    result[mask] = accumulator[mask] / counts[mask]
-    return result
 
 
 def assemble_solution(

@@ -36,9 +36,15 @@ from ..distributed.comm import Communicator, ReduceOp
 from ..distributed.simulated import run_spmd
 from ..obs.trace import span
 from ..utils.timer import Timings
-from .assembly import accumulate_dense_predictions, overlap_average
-from .geometry import PHASE_OFFSETS, MosaicGeometry
-from .predictor import initialize_lattice_field
+from .core import (
+    ASSEMBLY_CHUNK,
+    PHASES,
+    accumulate,
+    build_plan,
+    initialize_lattice_field,
+    overlap_average,
+)
+from .geometry import MosaicGeometry
 from .solvers import SubdomainSolver
 
 __all__ = [
@@ -415,72 +421,58 @@ class DistributedMosaicFlowPredictor:
         local_reference = None if reference is None else np.asarray(reference)[rows, cols]
         timings["boundaries_io"] = time.perf_counter() - tic
 
-        # Pre-computed per-anchor index sets (local coordinates).
-        brow, bcol = geometry.boundary_loop_local_indices()
-        crow, ccol = geometry.center_line_local_indices()
-        center_coords = geometry.center_line_local_coordinates()
-        half = geometry.half
-        local_anchors = layout.local_anchors()
-        phase_windows = {}
-        for phase in range(len(PHASE_OFFSETS)):
-            dr, dc = PHASE_OFFSETS[phase]
-            selected = [
-                (r, c)
-                for (r, c) in local_anchors
-                if (r + layout.part.row_start) % 2 == dr
-                and (c + layout.part.col_start) % 2 == dc
-            ]
-            if selected:
-                arr = np.asarray(selected, dtype=int)
-                phase_windows[phase] = (arr[:, 0] * half, arr[:, 1] * half)
-            else:
-                phase_windows[phase] = (np.empty(0, dtype=int), np.empty(0, dtype=int))
-
         # Owned (exclusive) region of the local field, for global reductions.
         owned_r = layout.owned_row_range(geometry)
         owned_c = layout.owned_col_range(geometry)
         owned_rows = slice(owned_r[0] - layout.row_offset, owned_r[1] - layout.row_offset)
         owned_cols = slice(owned_c[0] - layout.col_offset, owned_c[1] - layout.col_offset)
+        half = geometry.half
         lattice_mask_local = np.zeros(layout.local_shape, dtype=bool)
         lattice_mask_local[(np.arange(layout.local_shape[0]) + layout.row_offset) % half == 0, :] = True
         lattice_mask_local[:, (np.arange(layout.local_shape[1]) + layout.col_offset) % half == 0] = True
         owned_lattice = np.zeros_like(lattice_mask_local)
         owned_lattice[owned_rows, owned_cols] = lattice_mask_local[owned_rows, owned_cols]
 
-        # Phases with no anchors anywhere (thin lattices) leave the global
-        # field unchanged; precomputed once so convergence checks stay cheap.
-        phase_has_anchors = [
-            bool(geometry.anchors_for_phase(phase)) for phase in range(len(PHASE_OFFSETS))
-        ]
+        # The rank's share of the index plan: its own anchors by global phase
+        # over the local field, the owned lattice points as convergence
+        # vector.  ``flat`` aliases ``local``.
+        indices = build_plan(
+            geometry, layout.local_anchors(),
+            origin=(layout.part.row_start, layout.part.col_start),
+            shape=layout.local_shape, lattice_mask=owned_lattice,
+        )
+        flat = local.reshape(-1)
+        if local_reference is not None:
+            local_reference = np.ascontiguousarray(local_reference).reshape(-1)[indices.lattice]
 
-        previous = local[owned_lattice].copy()
+        previous = flat[indices.lattice]
         deltas: list[float] = []
         mae_history: list[tuple[int, float]] = []
         converged = False
         iterations = 0
 
         for iteration in range(1, max_iterations + 1):
-            phase = (iteration - 1) % len(PHASE_OFFSETS)
-            r0, c0 = phase_windows[phase]
+            phase = (iteration - 1) % PHASES
+            reads, writes = indices.reads[phase], indices.writes[phase]
             iterations = iteration
 
             # (1) local subdomain inference and immediate updates
-            if r0.size:
+            if reads.size:
                 tic = time.perf_counter()
-                loops = local[r0[:, None] + brow[None, :], c0[:, None] + bcol[None, :]]
+                loops = flat[reads]
                 timings["boundaries_io"] = timings.get("boundaries_io", 0.0) + time.perf_counter() - tic
 
                 tic = time.perf_counter()
                 if self.batched:
-                    predictions = solver.predict(loops, center_coords)
+                    predictions = solver.predict(loops, indices.center_coords)
                 else:
-                    predictions = np.empty((loops.shape[0], center_coords.shape[0]))
+                    predictions = np.empty((loops.shape[0], indices.center_coords.shape[0]))
                     for i in range(loops.shape[0]):
-                        predictions[i] = solver.predict(loops[i: i + 1], center_coords)[0]
+                        predictions[i] = solver.predict(loops[i: i + 1], indices.center_coords)[0]
                 timings["inference"] = timings.get("inference", 0.0) + time.perf_counter() - tic
 
                 tic = time.perf_counter()
-                local[r0[:, None] + crow[None, :], c0[:, None] + ccol[None, :]] = predictions
+                flat[writes] = predictions
                 timings["boundaries_io"] = timings.get("boundaries_io", 0.0) + time.perf_counter() - tic
 
             # (2) halo exchange: communicate_new_boundaries
@@ -497,17 +489,17 @@ class DistributedMosaicFlowPredictor:
             # (3) convergence checks
             if iteration % check_interval == 0:
                 tic = time.perf_counter()
-                current = local[owned_lattice]
+                current = flat[indices.lattice]
                 local_stats = np.array(
                     [
                         float(np.sum((current - previous) ** 2)),
                         float(np.sum(previous ** 2)),
-                        float(np.sum(np.abs(current - (local_reference[owned_lattice] if local_reference is not None else 0.0)))),
+                        float(np.sum(np.abs(current - (local_reference if local_reference is not None else 0.0)))),
                         float(current.size),
                     ]
                 )
                 global_stats = comm.allreduce(local_stats, op=ReduceOp.SUM)
-                previous = current.copy()
+                previous = current
                 denom = np.sqrt(global_stats[1]) if global_stats[1] > 0 else 1.0
                 delta = float(np.sqrt(global_stats[0]) / denom)
                 deltas.append(delta)
@@ -520,10 +512,10 @@ class DistributedMosaicFlowPredictor:
                 # a phase that processed anchors (globally) since the last
                 # check, so all-empty windows never fake convergence.
                 window_active = any(
-                    phase_has_anchors[(it - 1) % len(PHASE_OFFSETS)]
+                    indices.phase_has_anchors[(it - 1) % PHASES]
                     for it in range(iteration - check_interval + 1, iteration + 1)
                 )
-                if delta < tol and iteration >= len(PHASE_OFFSETS) and window_active:
+                if delta < tol and iteration >= PHASES and window_active:
                     converged = True
                 timings["convergence_check"] = (
                     timings.get("convergence_check", 0.0) + time.perf_counter() - tic
@@ -533,8 +525,11 @@ class DistributedMosaicFlowPredictor:
 
         # (4) dense assembly of the local anchors
         with timings.measure("inference"):
-            accumulator, counts = accumulate_dense_predictions(
-                local, geometry, solver, local_anchors
+            accumulator = np.zeros(layout.local_shape)
+            accumulate(
+                flat, accumulator.reshape(-1),
+                [(indices, np.zeros(1, dtype=np.intp), ASSEMBLY_CHUNK)],
+                lambda boundaries, points, _sessions: solver.predict(boundaries, points),
             )
 
         # (5) allgather and overlap averaging
@@ -543,7 +538,7 @@ class DistributedMosaicFlowPredictor:
                 layout.row_offset,
                 layout.col_offset,
                 accumulator,
-                counts,
+                indices.counts,
             )
             gathered = comm.allgather(payload)
 

@@ -10,95 +10,36 @@ two device-level execution modes of Section 4.1 are both implemented:
   iteration are stacked into a single solver call, which raises device
   utilisation by orders of magnitude without changing the results, because a
   phase's subdomains neither overlap nor read what the phase writes.
+
+The iteration itself is :class:`repro.mosaic.core.LatticeRun`; this class is
+its one-request driver.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..utils.timer import Timings
-from .assembly import assemble_solution
-from .geometry import PHASE_OFFSETS, MosaicGeometry
+from .core import LatticeOutcome, LatticeRun, Session, checked_solver, initialize_lattice_field
+from .geometry import MosaicGeometry
 from .solvers import SubdomainSolver
 
 __all__ = ["MFPResult", "MosaicFlowPredictor", "initialize_lattice_field"]
 
 
-def initialize_lattice_field(
-    geometry: MosaicGeometry,
-    boundary_loop: np.ndarray,
-    mode: str = "mean",
-) -> np.ndarray:
-    """Initial global field: exact Dirichlet data, interior filled by ``mode``.
-
-    ``mode`` is ``"mean"`` (interior set to the boundary mean, the default),
-    ``"zero"``, or ``"linear"`` (bilinear blend of the four edges — a cheap
-    but effective warm start, rectangular domains only).
-
-    ``geometry`` may be a rectangular :class:`MosaicGeometry` or a
-    :class:`~repro.domains.geometry.CompositeMosaicGeometry`; for composite
-    domains the Dirichlet data follows the re-entrant boundary loop and only
-    grid points inside the domain are filled (the rest stay zero).
-    """
-
-    boundary_loop = np.asarray(boundary_loop, dtype=float)
-    field_array = geometry.insert_global_boundary(boundary_loop)
-    if mode == "zero":
-        pass  # insert_global_boundary starts from zeros
-    elif mode == "mean":
-        field_array[geometry.interior_mask()] = float(boundary_loop.mean())
-    elif mode == "linear":
-        if not geometry.is_rectangular:
-            raise ValueError(
-                "init mode 'linear' (Coons patch of the four edges) is only "
-                "defined on rectangular domains; use 'mean' or 'zero' for "
-                "composite domains"
-            )
-        # Transfinite (Coons) interpolation of the four edges.
-        bottom = field_array[0, :]
-        top = field_array[-1, :]
-        left = field_array[:, 0]
-        right = field_array[:, -1]
-        ny, nx = geometry.global_ny, geometry.global_nx
-        s = np.linspace(0.0, 1.0, nx)[None, :]
-        t = np.linspace(0.0, 1.0, ny)[:, None]
-        blend = (
-            (1 - t) * bottom[None, :]
-            + t * top[None, :]
-            + (1 - s) * left[:, None]
-            + s * right[:, None]
-            - (1 - s) * (1 - t) * field_array[0, 0]
-            - s * (1 - t) * field_array[0, -1]
-            - (1 - s) * t * field_array[-1, 0]
-            - s * t * field_array[-1, -1]
-        )
-        field_array[1:-1, 1:-1] = blend[1:-1, 1:-1]
-    else:
-        raise ValueError("mode must be 'mean', 'zero' or 'linear'")
-    return field_array
-
-
 @dataclass
-class MFPResult:
+class MFPResult(LatticeOutcome):
     """Result of a Mosaic Flow predictor run."""
 
-    solution: np.ndarray
-    lattice_field: np.ndarray
-    iterations: int
-    converged: bool
-    deltas: list = field(default_factory=list)
     mae_history: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
 
     @property
     def time_per_iteration(self) -> float:
-        iteration_time = self.timings.get("inference", 0.0) + self.timings.get(
-            "boundaries_io", 0.0
-        )
-        return iteration_time / max(self.iterations, 1)
+        busy = self.timings.get("inference", 0.0) + self.timings.get("boundaries_io", 0.0)
+        return busy / max(self.iterations, 1)
 
 
 class MosaicFlowPredictor:
@@ -135,74 +76,15 @@ class MosaicFlowPredictor:
         init_mode: str = "mean",
         engine: bool = False,
     ):
-        expected = geometry.subdomain_grid().boundary_size
-        if solver.boundary_size != expected:
-            raise ValueError(
-                f"solver boundary size {solver.boundary_size} does not match the "
-                f"geometry's subdomain boundary size {expected}"
-            )
-        if engine:
-            from ..engine import compile_solver
-
-            solver = compile_solver(solver)
         self.geometry = geometry
-        self.solver = solver
+        self.solver = checked_solver(geometry, solver, engine)
         self.batched = bool(batched)
         self.init_mode = init_mode
-        # Pre-computed local index sets shared by every anchor.
-        self._brow, self._bcol = geometry.boundary_loop_local_indices()
-        self._crow, self._ccol = geometry.center_line_local_indices()
-        self._center_coords = geometry.center_line_local_coordinates()
-        # Phases that process no anchors (possible on composite domains and
-        # thin lattices) leave the field unchanged; their zero delta must not
-        # count as convergence.
-        self._phase_has_anchors = [
-            bool(geometry.anchors_for_phase(phase)) for phase in range(len(PHASE_OFFSETS))
-        ]
 
-    # -- one iteration -----------------------------------------------------------
-
-    def _phase_anchor_windows(self, phase: int) -> tuple[np.ndarray, np.ndarray]:
-        anchors = self.geometry.anchors_for_phase(phase)
-        if not anchors:
-            return np.empty(0, dtype=int), np.empty(0, dtype=int)
-        anchor_array = np.asarray(anchors, dtype=int)
-        return anchor_array[:, 0] * self.geometry.half, anchor_array[:, 1] * self.geometry.half
-
-    def step(self, field_array: np.ndarray, phase: int, timings) -> np.ndarray:
-        """Run one iteration (one phase) in place and return the field.
-
-        ``timings`` is a mutable mapping of section name to accumulated
-        seconds — a plain dict or a thread-safe
-        :class:`~repro.utils.timer.Timings` (what :meth:`run` passes).
-        """
-
-        r0, c0 = self._phase_anchor_windows(phase)
-        if r0.size == 0:
-            return field_array
-        tic = time.perf_counter()
-        loops = field_array[
-            r0[:, None] + self._brow[None, :], c0[:, None] + self._bcol[None, :]
-        ]
-        timings["boundaries_io"] = timings.get("boundaries_io", 0.0) + time.perf_counter() - tic
-
-        tic = time.perf_counter()
-        if self.batched:
-            predictions = self.solver.predict(loops, self._center_coords)
-        else:
-            predictions = np.empty((loops.shape[0], self._center_coords.shape[0]))
-            for i in range(loops.shape[0]):
-                predictions[i] = self.solver.predict(loops[i: i + 1], self._center_coords)[0]
-        timings["inference"] = timings.get("inference", 0.0) + time.perf_counter() - tic
-
-        tic = time.perf_counter()
-        field_array[
-            r0[:, None] + self._crow[None, :], c0[:, None] + self._ccol[None, :]
-        ] = predictions
-        timings["boundaries_io"] = timings.get("boundaries_io", 0.0) + time.perf_counter() - tic
-        return field_array
-
-    # -- full run -----------------------------------------------------------------
+    def _one_by_one(self, boundaries: np.ndarray, points: np.ndarray, _sessions=1) -> np.ndarray:
+        return np.concatenate(
+            [self.solver.predict(boundaries[i: i + 1], points) for i in range(len(boundaries))]
+        )
 
     def run(
         self,
@@ -239,71 +121,30 @@ class MosaicFlowPredictor:
             Skip the final dense assembly when only lattice values are needed.
         """
 
-        geometry = self.geometry
+        # The loop's length is checked where it is written into the field.
         boundary_loop = np.asarray(boundary_loop, dtype=float)
-        if boundary_loop.shape != (geometry.global_boundary_size,):
-            raise ValueError(
-                f"boundary loop must have length {geometry.global_boundary_size}, "
-                f"got {boundary_loop.shape}"
-            )
-        field_array = initialize_lattice_field(geometry, boundary_loop, self.init_mode)
-        lattice_mask = geometry.lattice_mask()
-        previous = field_array[lattice_mask].copy()
-
-        timings = Timings()
-        deltas: list[float] = []
+        run = LatticeRun([Session(
+            self.geometry, boundary_loop[None], [tol], [max_iterations],
+            self.init_mode, check_interval,
+        )])
         mae_history: list[tuple[int, float]] = []
-        converged = False
-        iterations = 0
+        on_check = None
+        if reference is not None:
+            lattice_reference = np.asarray(reference).reshape(-1)[run.plans[0].lattice]
 
-        for iteration in range(1, max_iterations + 1):
-            phase = (iteration - 1) % len(PHASE_OFFSETS)
-            self.step(field_array, phase, timings)
-            iterations = iteration
+            def on_check(_request, iteration, lattice_values):
+                mae = float(np.mean(np.abs(lattice_values - lattice_reference)))
+                mae_history.append((iteration, mae))
+                return target_mae is not None and mae < target_mae
 
-            if iteration % check_interval == 0:
-                tic = time.perf_counter()
-                current = field_array[lattice_mask]
-                denom = np.linalg.norm(previous)
-                delta = float(
-                    np.linalg.norm(current - previous) / (denom if denom > 0 else 1.0)
-                )
-                deltas.append(delta)
-                previous = current.copy()
-                if reference is not None:
-                    mae = float(np.mean(np.abs(field_array[lattice_mask] - reference[lattice_mask])))
-                    mae_history.append((iteration, mae))
-                    if target_mae is not None and mae < target_mae:
-                        converged = True
-                timings["convergence_check"] = (
-                    timings.get("convergence_check", 0.0) + time.perf_counter() - tic
-                )
-                # A tolerance stop requires that some phase since the last
-                # check actually processed anchors — an all-empty window has
-                # delta exactly 0 without any progress being made.
-                window_active = any(
-                    self._phase_has_anchors[(it - 1) % len(PHASE_OFFSETS)]
-                    for it in range(iteration - check_interval + 1, iteration + 1)
-                )
-                if delta < tol and iteration >= len(PHASE_OFFSETS) and window_active:
-                    converged = True
-                if converged:
-                    break
+        def solve(boundaries, points, _sessions=1):
+            return self.solver.predict(boundaries, points)
 
+        run.iterate(solve if self.batched else self._one_by_one, on_check)
+        timings = Timings()
         with timings.measure("assembly"):
-            if assemble:
-                solution = assemble_solution(
-                    field_array, geometry, self.solver, boundary_loop=boundary_loop
-                )
-            else:
-                solution = field_array.copy()
-
+            outcome = run.outcomes(solve if assemble else None)[0][0]
         return MFPResult(
-            solution=solution,
-            lattice_field=field_array,
-            iterations=iterations,
-            converged=converged,
-            deltas=deltas,
-            mae_history=mae_history,
-            timings=timings.as_dict(),
+            **vars(outcome), mae_history=mae_history,
+            timings={**run.timings, **timings.as_dict()},
         )

@@ -56,6 +56,11 @@ __all__ = [
 #: :class:`FDSubdomainSolver` does not call a GEMM at all.
 GEMM_STABLE_ROWS = 32
 
+#: distinct query-point sets whose operator columns an
+#: :class:`FDSubdomainSolver` keeps before starting over (the predictors use
+#: two: centre lines and interior)
+QUERY_SETS_KEPT = 8
+
 
 @runtime_checkable
 class SubdomainSolver(Protocol):
@@ -157,7 +162,10 @@ class FDSubdomainSolver:
     assembled or factorised per row.  The contraction accumulates the
     boundary columns in a fixed order with elementwise operations, which
     makes a row's prediction a pure function of ``(row, points)`` however
-    rows are grouped into calls.
+    rows are grouped into calls.  The operator columns of a query-point set
+    are kept per distinct set (keyed by the points' bytes, so a caller that
+    rewrites its array gets the new contents' answer); the points are
+    validated whenever a set is not in that small cache.
 
     Parameters
     ----------
@@ -175,6 +183,7 @@ class FDSubdomainSolver:
         #: boundary rows solved (one per row, however rows share calls)
         self.inference_calls = 0
         self.points_evaluated = 0
+        self._weights: dict[bytes, np.ndarray] = {}
 
     def _point_indices(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Map local physical coordinates to grid indices (must lie on grid points)."""
@@ -203,8 +212,16 @@ class FDSubdomainSolver:
             )
         if points.ndim != 2 or points.shape[1] != 2:
             raise ValueError("points must have shape (q, 2)")
-        rows, cols = self._point_indices(points)
-        weights = laplace_loop_operator(self.grid, self.method)[:, rows, cols]
+        key = points.tobytes()
+        weights = self._weights.get(key)
+        if weights is None:
+            rows, cols = self._point_indices(points)
+            weights = laplace_loop_operator(self.grid, self.method)[:, rows, cols]
+            # Single dict operations, so threads sharing the solver need no
+            # lock: a reader hits or misses, and a miss only recomputes.
+            if len(self._weights) >= QUERY_SETS_KEPT:
+                self._weights.clear()
+            self._weights[key] = weights
         # Not ``boundaries @ weights``: BLAS picks its kernel, and with it the
         # summation order, from the row count (see GEMM_STABLE_ROWS).
         out = np.zeros((boundaries.shape[0], points.shape[0]))

@@ -5,7 +5,7 @@ compiled-plan buffers (:class:`~repro.engine.runtime.ExecutionPlan` /
 :class:`~repro.engine.bucketing.BucketedPlan` entries of a
 :class:`~repro.engine.runtime.PlanCache`), LRU solution-cache entries,
 settled request-store results, per-request boundary payloads, mega-batch
-concatenation scratch.  ``psutil``-style RSS numbers cannot attribute any of
+chunking scratch, cached lattice index plans.  ``psutil``-style RSS numbers cannot attribute any of
 it; this module does, with explicit instrumentation:
 
     from ..obs import memory as obs_memory
@@ -35,6 +35,7 @@ __all__ = [
     "REQUEST_STORE",
     "REQUEST_PAYLOADS",
     "MEGA_SCRATCH",
+    "LATTICE_PLANS",
     "OwnerStats",
     "MemoryAccountant",
     "add",
@@ -50,6 +51,7 @@ SOLUTION_CACHE = "serving.solution_cache"
 REQUEST_STORE = "serving.request_store"
 REQUEST_PAYLOADS = "serving.request_payloads"
 MEGA_SCRATCH = "serving.mega_batch_scratch"
+LATTICE_PLANS = "mosaic.lattice_plans"
 
 
 class OwnerStats:

@@ -50,7 +50,7 @@ from .faults import (
     InjectedFault,
     WorkerDeath,
 )
-from .fused import FusedBatchRunner, FusedOutcome, FusedState
+from .fused import FusedBatchRunner, FusedOutcome
 from .futures import (
     CircuitOpenError,
     DeadlineExceededError,
@@ -62,7 +62,7 @@ from .futures import (
     SolveFuture,
 )
 from .journal import JournalCorruptError, RecoveryReport, RequestJournal
-from .megabatch import MegaBatchExecutor, MegaSession, solver_fusion_key
+from .megabatch import MegaBatchExecutor, solver_fusion_key
 from .server import Server, default_solver_factory
 from .stats import ServingStats
 from .store import AdmissionController, RequestStore, TenantQuota
@@ -86,10 +86,8 @@ __all__ = [
     "ServingEstimator",
     "FusedBatchRunner",
     "FusedOutcome",
-    "FusedState",
     # cross-request mega-batching
     "MegaBatchExecutor",
-    "MegaSession",
     "solver_fusion_key",
     "Server",
     "default_solver_factory",

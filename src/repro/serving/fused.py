@@ -10,93 +10,31 @@ problems, so fusing them changes only the shape of the solver call, never the
 numbers fed to (or read from) the solver.
 
 Per-request semantics are kept *identical* to running
-``MosaicFlowPredictor.run(loop, max_iterations, tol)`` on each request alone:
-all requests of a batch start at iteration 1 together, each request performs
-exactly the same phase sequence, its convergence is checked on the same
-cadence with its own tolerance, and once it converges (or exhausts its own
-iteration budget) its field is frozen and it simply stops contributing rows
-to the fused calls.  The final dense assembly is fused the same way.
-
-Generator core
---------------
-The runner's solver traffic is factored into two *generators* —
-:meth:`~FusedBatchRunner.iterate_calls` and
-:meth:`~FusedBatchRunner.assembly_calls` — that yield ``(boundaries, points)``
-solver calls and receive the predictions back through ``send()``.  Driving
-both generators sequentially against ``self.solver`` (what :meth:`run` does)
-reproduces the classic fused run exactly.  Driving several runners' generators
-*in lockstep* and concatenating their pending rows into one solver call is
-cross-request mega-batching (:mod:`repro.serving.megabatch`): each runner
-still sees exactly the rows and predictions of its sequential run, so results
-are bitwise identical.  The generators deliberately hold no tracing spans
-open across yields — interleaved generators on one thread would otherwise
-corrupt the tracer's per-thread span stack — spans belong to the drivers.
+``MosaicFlowPredictor.run(loop, max_iterations, tol)`` on each request alone,
+down to the bits of the convergence deltas, because both are the same code:
+:class:`FusedBatchRunner` validates a batch into a
+:class:`~repro.mosaic.core.Session` and drives
+:class:`~repro.mosaic.core.LatticeRun` over that one session (see there for
+how a request keeps its own tolerance, budget and check cadence and retires
+alone).  The runner owns the ``fused.iterate`` / ``fused.assembly`` spans and
+the call counters.  Several sessions in one run is cross-request
+mega-batching (:mod:`repro.serving.megabatch`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from ..mosaic.assembly import overlap_average
-from ..mosaic.geometry import PHASE_OFFSETS, MosaicGeometry
-from ..mosaic.predictor import initialize_lattice_field
+from ..mosaic.core import ASSEMBLY_CHUNK, LatticeOutcome, LatticeRun, Session, checked_solver
+from ..mosaic.geometry import MosaicGeometry
 from ..mosaic.solvers import SubdomainSolver
 from ..obs.trace import span
 
-__all__ = ["FusedOutcome", "FusedBatchRunner", "FusedState", "drive"]
+__all__ = ["FusedOutcome", "FusedBatchRunner"]
 
 
-@dataclass
-class FusedOutcome:
-    """Per-request outcome of a fused batch run."""
-
-    solution: np.ndarray
-    lattice_field: np.ndarray
-    iterations: int
-    converged: bool
-    deltas: list = field(default_factory=list)
-
-
-@dataclass
-class FusedState:
-    """Mutable per-batch state threaded through the runner's generators.
-
-    Built by :meth:`FusedBatchRunner.begin`; consumed by
-    :meth:`~FusedBatchRunner.iterate_calls`,
-    :meth:`~FusedBatchRunner.assembly_calls` and
-    :meth:`~FusedBatchRunner.outcomes`.  One state per batch per attempt —
-    a partially-driven state is not restartable.
-    """
-
-    loops: np.ndarray
-    tols: np.ndarray
-    budgets: np.ndarray
-    fields: np.ndarray
-    previous: np.ndarray
-    active: np.ndarray
-    iterations: np.ndarray
-    converged: np.ndarray
-    deltas: list
-    num_requests: int
-    solutions: list | None = None
-
-
-def drive(generator, solver) -> None:
-    """Run one call generator to exhaustion against ``solver``.
-
-    The sequential driver: every yielded ``(boundaries, points)`` call is
-    answered immediately by ``solver.predict``.  This is the oracle execution
-    order that mega-batching must (and does) reproduce per runner.
-    """
-
-    try:
-        boundaries, points = next(generator)
-        while True:
-            boundaries, points = generator.send(solver.predict(boundaries, points))
-    except StopIteration:
-        pass
+#: per-request outcome of a fused batch run (the core's outcome type)
+FusedOutcome = LatticeOutcome
 
 
 class FusedBatchRunner:
@@ -115,7 +53,7 @@ class FusedBatchRunner:
         Shared lattice initialization and convergence-check cadence (these
         are part of the batcher's group key).
     assembly_batch:
-        Anchor chunk size of the dense assembly, mirroring
+        Anchors per request carried by one dense-assembly call, as in
         :func:`~repro.mosaic.assembly.accumulate_dense_predictions`.
     engine:
         Run neural subdomain solves through the :mod:`repro.engine`
@@ -130,103 +68,49 @@ class FusedBatchRunner:
         solver: SubdomainSolver,
         init_mode: str = "mean",
         check_interval: int = 1,
-        assembly_batch: int = 256,
+        assembly_batch: int = ASSEMBLY_CHUNK,
         engine: bool = False,
     ):
-        expected = geometry.subdomain_grid().boundary_size
-        if solver.boundary_size != expected:
-            raise ValueError(
-                f"solver boundary size {solver.boundary_size} does not match the "
-                f"geometry's subdomain boundary size {expected}"
-            )
         if check_interval < 1:
             raise ValueError("check_interval must be at least 1")
-        if engine:
-            from ..engine import compile_solver
-
-            solver = compile_solver(solver)
         self.geometry = geometry
-        self.solver = solver
+        self.solver = checked_solver(geometry, solver, engine)
         self.init_mode = init_mode
         self.check_interval = int(check_interval)
         self.assembly_batch = int(assembly_batch)
-        self._brow, self._bcol = geometry.boundary_loop_local_indices()
-        self._crow, self._ccol = geometry.center_line_local_indices()
-        self._center_coords = geometry.center_line_local_coordinates()
-        self._lattice_mask = geometry.lattice_mask()
-        # (rows, cols) matrices per phase: (subdomains_in_phase, points).
-        self._phase_reads: list[tuple[np.ndarray, np.ndarray]] = []
-        self._phase_writes: list[tuple[np.ndarray, np.ndarray]] = []
-        for phase in range(len(PHASE_OFFSETS)):
-            anchors = geometry.anchors_for_phase(phase)
-            if anchors:
-                arr = np.asarray(anchors, dtype=int)
-                r0 = arr[:, 0] * geometry.half
-                c0 = arr[:, 1] * geometry.half
-                self._phase_reads.append(
-                    (r0[:, None] + self._brow[None, :], c0[:, None] + self._bcol[None, :])
-                )
-                self._phase_writes.append(
-                    (r0[:, None] + self._crow[None, :], c0[:, None] + self._ccol[None, :])
-                )
-            else:
-                empty = np.empty((0, 0), dtype=int)
-                self._phase_reads.append((empty, empty))
-                self._phase_writes.append((empty, empty))
-        # Phases with no anchors (composite domains, thin lattices) leave the
-        # fields unchanged; their zero delta must not count as convergence —
-        # mirrored from MosaicFlowPredictor to keep per-request parity.
-        self._phase_has_anchors = [rows.size > 0 for rows, _ in self._phase_reads]
         #: number of fused solver calls issued (iteration + assembly)
         self.predict_calls = 0
         #: total subdomain solves carried by those calls
         self.subdomains_solved = 0
 
-    # -- state construction ------------------------------------------------------
-
-    def begin(
+    def session(
         self,
         boundary_loops: np.ndarray,
         tols: np.ndarray | float = 1e-6,
         max_iterations: np.ndarray | int = 400,
-    ) -> FusedState:
-        """Validate inputs and initialize the per-batch iteration state."""
+    ) -> Session:
+        """Validate one batch's inputs into a core session."""
 
-        geometry = self.geometry
         loops = np.asarray(boundary_loops, dtype=float)
-        if loops.ndim != 2 or loops.shape[1] != geometry.global_boundary_size:
+        if loops.ndim != 2 or loops.shape[1] != self.geometry.global_boundary_size:
             raise ValueError(
-                f"boundary_loops must have shape (B, {geometry.global_boundary_size}), "
+                f"boundary_loops must have shape (B, {self.geometry.global_boundary_size}), "
                 f"got {loops.shape}"
             )
         num_requests = loops.shape[0]
-        tols = np.broadcast_to(np.asarray(tols, dtype=float), (num_requests,)).copy()
-        budgets = np.broadcast_to(
-            np.asarray(max_iterations, dtype=int), (num_requests,)
-        ).copy()
+        budgets = np.broadcast_to(np.asarray(max_iterations, dtype=int), (num_requests,))
         if np.any(budgets < 1):
             raise ValueError("max_iterations must be at least 1")
-
-        fields = np.stack(
-            [
-                initialize_lattice_field(geometry, loops[i], self.init_mode)
-                for i in range(num_requests)
-            ]
-        )
-        return FusedState(
-            loops=loops,
-            tols=tols,
-            budgets=budgets,
-            fields=fields,
-            previous=fields[:, self._lattice_mask].copy(),
-            active=np.ones(num_requests, dtype=bool),
-            iterations=np.zeros(num_requests, dtype=int),
-            converged=np.zeros(num_requests, dtype=bool),
-            deltas=[[] for _ in range(num_requests)],
-            num_requests=num_requests,
+        return Session(
+            self.geometry, loops,
+            np.broadcast_to(np.asarray(tols, dtype=float), (num_requests,)), budgets,
+            self.init_mode, self.check_interval, self.assembly_batch,
         )
 
-    # -- iteration ---------------------------------------------------------------
+    def _predict(self, boundaries: np.ndarray, points: np.ndarray, _sessions=1) -> np.ndarray:
+        self.predict_calls += 1
+        self.subdomains_solved += boundaries.shape[0]
+        return self.solver.predict(boundaries, points)
 
     def run(
         self,
@@ -240,133 +124,10 @@ class FusedBatchRunner:
         vectors — per-request values do not break fusion.
         """
 
-        state = self.begin(boundary_loops, tols, max_iterations)
-        with span("fused.iterate", requests=state.num_requests) as iterate_span:
-            drive(self.iterate_calls(state), self.solver)
-            iterate_span.set_attr("iterations", int(state.iterations.max(initial=0)))
-        with span("fused.assembly", requests=state.num_requests):
-            drive(self.assembly_calls(state), self.solver)
-        return self.outcomes(state)
-
-    def iterate_calls(self, state: FusedState):
-        """Generator of the lattice-iteration solver calls of one batch.
-
-        Yields ``(boundaries, points)`` for each fused call and expects the
-        ``(rows, q)`` prediction array back through ``send()``.  Iterations
-        whose phase has no anchors issue no call.
-        """
-
-        fields, tols, budgets = state.fields, state.tols, state.budgets
-        previous, active = state.previous, state.active
-        iterations, converged = state.iterations, state.converged
-        deltas, mask = state.deltas, self._lattice_mask
-        for iteration in range(1, int(budgets.max()) + 1):
-            if not active.any():
-                break
-            phase = (iteration - 1) % len(PHASE_OFFSETS)
-            idx = np.nonzero(active)[0]
-            read_r, read_c = self._phase_reads[phase]
-            if read_r.size:
-                stacked = fields[idx[:, None, None], read_r[None], read_c[None]]
-                batch, subs, loop_len = stacked.shape
-                predictions = yield (
-                    stacked.reshape(batch * subs, loop_len), self._center_coords
-                )
-                predictions = predictions.reshape(batch, subs, -1)
-                self.predict_calls += 1
-                self.subdomains_solved += batch * subs
-                write_r, write_c = self._phase_writes[phase]
-                fields[idx[:, None, None], write_r[None], write_c[None]] = predictions
-            iterations[idx] = iteration
-
-            if iteration % self.check_interval == 0:
-                current = fields[idx][:, mask]
-                diff = np.linalg.norm(current - previous[idx], axis=1)
-                denom = np.linalg.norm(previous[idx], axis=1)
-                denom = np.where(denom > 0, denom, 1.0)
-                step_deltas = diff / denom
-                previous[idx] = current
-                for pos, i in enumerate(idx):
-                    deltas[i].append(float(step_deltas[pos]))
-                window_active = any(
-                    self._phase_has_anchors[(it - 1) % len(PHASE_OFFSETS)]
-                    for it in range(iteration - self.check_interval + 1, iteration + 1)
-                )
-                if iteration >= len(PHASE_OFFSETS) and window_active:
-                    newly = idx[step_deltas < tols[idx]]
-                    converged[newly] = True
-                    active[newly] = False
-            active &= iterations < budgets
-
-    def outcomes(self, state: FusedState) -> list[FusedOutcome]:
-        """Package a fully-driven state into per-request outcomes."""
-
-        if state.solutions is None:
-            raise RuntimeError(
-                "assembly_calls has not been driven to completion for this state"
-            )
-        return [
-            FusedOutcome(
-                solution=state.solutions[i],
-                lattice_field=state.fields[i],
-                iterations=int(state.iterations[i]),
-                converged=bool(state.converged[i]),
-                deltas=state.deltas[i],
-            )
-            for i in range(state.num_requests)
-        ]
-
-    # -- fused dense assembly ----------------------------------------------------
-
-    def assembly_calls(self, state: FusedState):
-        """Generator of the dense-assembly solver calls of one batch.
-
-        Mirrors :func:`~repro.mosaic.assembly.accumulate_dense_predictions`
-        per request (same anchor order, same chunking, same accumulation), so
-        results match ``assemble_solution`` for each request individually.
-        Fills ``state.solutions`` on completion.
-        """
-
-        geometry = self.geometry
-        fields, loops = state.fields, state.loops
-        num_requests = state.num_requests
-        accumulator = np.zeros_like(fields)
-        # The contribution counts depend only on the geometry (how many
-        # subdomains cover each grid point), so one count field serves every
-        # request of the batch.
-        counts = np.zeros(fields.shape[1:])
-        batch_index = np.arange(num_requests)[:, None, None]
-
-        irow, icol = geometry.interior_local_indices()
-        interior_coords = geometry.interior_local_coordinates()
-        anchor_array = np.asarray(geometry.anchors(), dtype=int)
-        windows_r = anchor_array[:, 0] * geometry.half
-        windows_c = anchor_array[:, 1] * geometry.half
-
-        for start in range(0, len(anchor_array), self.assembly_batch):
-            stop = min(start + self.assembly_batch, len(anchor_array))
-            r0 = windows_r[start:stop]
-            c0 = windows_c[start:stop]
-            rows_b = r0[:, None] + self._brow[None, :]
-            cols_b = c0[:, None] + self._bcol[None, :]
-            rows_i = r0[:, None] + irow[None, :]
-            cols_i = c0[:, None] + icol[None, :]
-            stacked = fields[:, rows_b, cols_b]
-            batch, subs, loop_len = stacked.shape
-            predictions = yield (
-                stacked.reshape(batch * subs, loop_len), interior_coords
-            )
-            predictions = predictions.reshape(batch, subs, -1)
-            self.predict_calls += 1
-            self.subdomains_solved += batch * subs
-            np.add.at(accumulator, (batch_index, rows_i[None], cols_i[None]), predictions)
-            np.add.at(accumulator, (batch_index, rows_b[None], cols_b[None]), stacked)
-            np.add.at(counts, (rows_i, cols_i), 1.0)
-            np.add.at(counts, (rows_b, cols_b), 1.0)
-
-        state.solutions = [
-            geometry.insert_global_boundary(
-                loops[i], overlap_average(accumulator[i], counts)
-            )
-            for i in range(num_requests)
-        ]
+        run = LatticeRun([self.session(boundary_loops, tols, max_iterations)])
+        requests = len(run.plans)
+        with span("fused.iterate", requests=requests) as iterate_span:
+            run.iterate(self._predict)
+            iterate_span.set_attr("iterations", max((r.iterations for r in run.results), default=0))
+        with span("fused.assembly", requests=requests):
+            return run.outcomes(self._predict)[0]

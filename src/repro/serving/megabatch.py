@@ -12,18 +12,15 @@ domain shape (a 4x4 rectangle and an L-shaped composite fuse fine), which is
 exactly the paper's throughput lever: SDNet calls as close to the
 memory-feasible maximum batch as the traffic allows.
 
-:class:`MegaBatchExecutor` drives several runners' call generators
-(:meth:`~repro.serving.fused.FusedBatchRunner.iterate_calls` /
-``assembly_calls``) in lockstep.  Each round it collects every session's
-pending ``(boundaries, points)`` call, concatenates the boundary rows, runs
-the solver once (chunked to a perfmodel-sized row cap when one is
-configured), and scatters the prediction rows back to their sessions.  Row
-order within each session's call is untouched and solvers are row-batch
-invariant (``SDNetSubdomainSolver`` runs every call as fixed chunks of at most
-``GEMM_STABLE_ROWS`` rows, ``FDSubdomainSolver`` contracts the rows with its
-cached boundary-to-field operator in a fixed column order with elementwise
-operations only), so every session receives bitwise-identical predictions to
-its sequential run — the per-request path stays the test oracle.
+:class:`MegaBatchExecutor` hands all its sessions to one
+:class:`~repro.mosaic.core.LatticeRun`: every iteration and every assembly
+chunk is one gather and one solver call over the requests of all of them,
+split into consecutive chunks when a perfmodel-sized row cap is configured.
+Solvers are row-batch invariant (``SDNetSubdomainSolver`` runs every call as
+fixed chunks of at most ``GEMM_STABLE_ROWS`` rows, ``FDSubdomainSolver``
+accumulates its cached operator's columns in a fixed order, elementwise) and
+the core checks convergence on each request's own lattice vector, so every
+request gets the bits of its standalone run, which stays the test oracle.
 
 Fusion compatibility is decided by :func:`solver_fusion_key` plus the
 subdomain grid parameters; unknown solver types conservatively never fuse.
@@ -31,14 +28,13 @@ subdomain grid parameters; unknown solver types conservatively never fuse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ..mosaic.core import LatticeRun, Session
 from ..obs import memory as obs_memory
-from .fused import FusedBatchRunner, FusedOutcome, FusedState
+from .fused import FusedOutcome
 
-__all__ = ["solver_fusion_key", "MegaSession", "MegaBatchExecutor"]
+__all__ = ["solver_fusion_key", "MegaBatchExecutor"]
 
 
 def solver_fusion_key(solver) -> tuple | None:
@@ -59,18 +55,6 @@ def solver_fusion_key(solver) -> tuple | None:
     if isinstance(solver, SDNetSubdomainSolver):
         return ("sdnet", id(solver.model), solver.max_batch)
     return None
-
-
-@dataclass
-class MegaSession:
-    """One request batch's runner + iteration state inside a mega run."""
-
-    runner: FusedBatchRunner
-    state: FusedState
-
-    @classmethod
-    def begin(cls, runner: FusedBatchRunner, loops, tols, budgets) -> "MegaSession":
-        return cls(runner=runner, state=runner.begin(loops, tols, budgets))
 
 
 class MegaBatchExecutor:
@@ -104,77 +88,36 @@ class MegaBatchExecutor:
         self.calls = 0
         self.rows = 0
 
-    def run(self, sessions: list[MegaSession]) -> list[list[FusedOutcome]]:
-        """Run every session to completion; returns per-session outcomes."""
+    def run(self, sessions: list[Session]) -> list[list[FusedOutcome]]:
+        """Run every session (see :meth:`FusedBatchRunner.session
+        <repro.serving.fused.FusedBatchRunner.session>`) to completion."""
 
-        self._drive([s.runner.iterate_calls(s.state) for s in sessions])
-        self._drive([s.runner.assembly_calls(s.state) for s in sessions])
-        return [s.runner.outcomes(s.state) for s in sessions]
-
-    # -- lockstep driver ---------------------------------------------------------
-
-    def _drive(self, generators) -> None:
-        pending = []
-        for generator in generators:
-            try:
-                pending.append((generator, next(generator)))
-            except StopIteration:
-                continue
-        while pending:
-            points = pending[0][1][1]
-            for _, (_, other) in pending[1:]:
-                if other is not points and not np.array_equal(other, points):
-                    raise ValueError(
-                        "mega-batched sessions disagree on query coordinates; "
-                        "their geometries are not fusion-compatible"
-                    )
-            boundaries = [call[0] for _, call in pending]
-            counts = [b.shape[0] for b in boundaries]
-            scratch_bytes = 0
-            if len(boundaries) > 1:
-                stacked = np.concatenate(boundaries, axis=0)
-                # Concatenation scratch is the mega path's only allocation
-                # beyond the solver's own; account it so bytes-per-request
-                # reflects occupancy.
-                scratch_bytes = int(stacked.nbytes)
-                obs_memory.add(obs_memory.MEGA_SCRATCH, scratch_bytes)
-            else:
-                stacked = boundaries[0]
-            try:
-                predictions = self._predict(stacked, points, sessions=len(pending))
-            finally:
-                if scratch_bytes:
-                    obs_memory.sub(obs_memory.MEGA_SCRATCH, scratch_bytes)
-            advanced = []
-            offset = 0
-            for (generator, _), count in zip(pending, counts):
-                part = predictions[offset:offset + count]
-                offset += count
-                try:
-                    advanced.append((generator, generator.send(part)))
-                except StopIteration:
-                    continue
-            pending = advanced
+        if not sessions:
+            return []
+        run = LatticeRun(sessions)
+        run.iterate(self._predict)
+        return run.outcomes(self._predict)
 
     def _predict(self, stacked, points, sessions: int) -> np.ndarray:
         total = stacked.shape[0]
         cap = None if self.max_rows_for is None else int(self.max_rows_for(points.shape[0]))
-        if cap is None or cap < 1 or total <= cap:
-            self.calls += 1
-            self.rows += total
-            if self.on_call is not None:
-                self.on_call(total, sessions)
-            return self.solver.predict(stacked, points)
-        out = np.empty((total, points.shape[0]), dtype=float)
-        obs_memory.add(obs_memory.MEGA_SCRATCH, out.nbytes)
+        if cap is None or cap < 1:
+            cap = total
+        # The joined output of a split call is the mega path's only allocation
+        # beyond the solver's own and the gather every run makes.
+        scratch = 8 * total * points.shape[0] if total > cap else 0
+        if scratch:
+            obs_memory.add(obs_memory.MEGA_SCRATCH, scratch)
         try:
+            parts = []
             for start in range(0, total, cap):
-                stop = min(start + cap, total)
-                out[start:stop] = self.solver.predict(stacked[start:stop], points)
+                rows = stacked[start:start + cap]
                 self.calls += 1
-                self.rows += stop - start
+                self.rows += rows.shape[0]
                 if self.on_call is not None:
-                    self.on_call(stop - start, sessions)
-            return out
+                    self.on_call(rows.shape[0], sessions)
+                parts.append(self.solver.predict(rows, points))
+            return parts[0] if len(parts) == 1 else np.concatenate(parts)
         finally:
-            obs_memory.sub(obs_memory.MEGA_SCRATCH, out.nbytes)
+            if scratch:
+                obs_memory.sub(obs_memory.MEGA_SCRATCH, scratch)

@@ -91,7 +91,7 @@ from .futures import (
     SolveFuture,
 )
 from .journal import RequestJournal
-from .megabatch import MegaBatchExecutor, MegaSession, solver_fusion_key
+from .megabatch import MegaBatchExecutor, solver_fusion_key
 from .stats import ServingStats
 from .store import AdmissionController, RequestStore, TenantQuota, Waiter
 from .supervisor import BreakerBoard, WorkerSupervisor
@@ -1318,17 +1318,12 @@ class Server:
                     if self.faults is not None:
                         self.faults.fire(WORKER_SOLVE, rank=0)
                     sessions = [
-                        MegaSession.begin(
-                            FusedBatchRunner(
-                                p.geometry,
-                                solver,
-                                init_mode=p.init_mode,
-                                check_interval=p.check_interval,
-                            ),
-                            p.loops,
-                            p.tols,
-                            p.budgets,
-                        )
+                        FusedBatchRunner(
+                            p.geometry,
+                            solver,
+                            init_mode=p.init_mode,
+                            check_interval=p.check_interval,
+                        ).session(p.loops, p.tols, p.budgets)
                         for p in prepared
                     ]
                     executor = MegaBatchExecutor(

@@ -15,7 +15,12 @@ from hypothesis import given, settings, strategies as st
 from repro.domains import CompositeDomain, CompositeMosaicGeometry
 from repro.fd import Grid2D
 from repro.models import SDNet
-from repro.mosaic import FDSubdomainSolver, MosaicGeometry, SDNetSubdomainSolver
+from repro.mosaic import (
+    FDSubdomainSolver,
+    MosaicFlowPredictor,
+    MosaicGeometry,
+    SDNetSubdomainSolver,
+)
 from repro.pde import HARMONIC_FUNCTIONS
 from repro.serving import (
     CRASH,
@@ -26,14 +31,13 @@ from repro.serving import (
     FaultSpec,
     FusedBatchRunner,
     MegaBatchExecutor,
-    MegaSession,
     Server,
     ServingEstimator,
     SolutionCache,
     SolveRequest,
+    WorkerPool,
     solver_fusion_key,
 )
-from repro.serving.fused import drive
 from repro.utils import seeded_rng
 
 RECT = MosaicGeometry(subdomain_points=9, subdomain_extent=0.5, steps_x=4, steps_y=4)
@@ -345,25 +349,28 @@ class TestQueueWaitStats:
         assert float(waits.values()[0]) == pytest.approx(3.0)
 
 
+#: one anchor row: the phases with row parity 1 have no anchors at all
+THIN = MosaicGeometry(subdomain_points=9, subdomain_extent=0.5, steps_x=4, steps_y=2)
+
+
+def _digest(outcome):
+    return (
+        outcome.solution.tobytes(), outcome.lattice_field.tobytes(),
+        outcome.iterations, outcome.converged, tuple(outcome.deltas),
+    )
+
+
+def _standalone(geometry, loop, tol, budget, init_mode="mean", check_interval=1):
+    """The oracle: one request alone through ``MosaicFlowPredictor.run``."""
+
+    solver = FDSubdomainSolver(geometry.subdomain_grid(), method="direct")
+    return MosaicFlowPredictor(geometry, solver, init_mode=init_mode).run(
+        loop, max_iterations=int(budget), tol=float(tol), check_interval=check_interval
+    )
+
+
 class TestMegaExecutorProperty:
-    """Hypothesis: the lockstep executor is bitwise-equal to sequential runs."""
-
-    @staticmethod
-    def _outcomes_sequential(geometry, loops):
-        solver = FDSubdomainSolver(geometry.subdomain_grid(), method="direct")
-        runner = FusedBatchRunner(geometry, solver)
-        return runner.run(
-            np.stack(loops),
-            np.full(len(loops), 1e-6),
-            np.full(len(loops), 12),
-        )
-
-    @staticmethod
-    def _digest(outcomes):
-        return [
-            (o.solution.tobytes(), o.iterations, o.converged, tuple(o.deltas))
-            for o in outcomes
-        ]
+    """Hypothesis: N sessions in one run == each session alone == each request alone."""
 
     @given(
         counts=st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
@@ -372,6 +379,8 @@ class TestMegaExecutorProperty:
     )
     @settings(max_examples=20, deadline=None)
     def test_lockstep_execution_is_bitwise_identical(self, counts, cap, seed):
+        # (Name kept from the generator-lockstep executor this test was
+        # written against; the oracle is the same and one step wider.)
         solver = FDSubdomainSolver(RECT.subdomain_grid(), method="direct")
         populated = [
             (geometry, _loops(geometry, count, seed=seed * 7 + index))
@@ -379,8 +388,7 @@ class TestMegaExecutorProperty:
             if count > 0
         ]
         sessions = [
-            MegaSession.begin(
-                FusedBatchRunner(geometry, solver),
+            FusedBatchRunner(geometry, solver).session(
                 np.stack(loops),
                 np.full(len(loops), 1e-6),
                 np.full(len(loops), 12),
@@ -395,6 +403,115 @@ class TestMegaExecutorProperty:
         if populated:
             assert executor.calls > 0 and executor.rows > 0
         for (geometry, loops), outcomes in zip(populated, mega):
-            assert self._digest(outcomes) == self._digest(
-                self._outcomes_sequential(geometry, loops)
+            alone = FusedBatchRunner(
+                geometry, FDSubdomainSolver(geometry.subdomain_grid(), method="direct")
+            ).run(np.stack(loops), np.full(len(loops), 1e-6), np.full(len(loops), 12))
+            assert [_digest(o) for o in outcomes] == [_digest(o) for o in alone]
+            assert [_digest(o) for o in outcomes] == [
+                _digest(_standalone(geometry, loop, 1e-6, 12)) for loop in loops
+            ]
+
+    # The path no benchmarked request takes: requests that stop at different
+    # iterations, so the active set (and its index arrays) is rebuilt mid-run.
+    @given(
+        sessions=st.lists(
+            st.tuples(
+                st.sampled_from([RECT, WIDE, L_SHAPE, THIN]),
+                st.lists(
+                    st.tuples(
+                        st.sampled_from([3e-2, 1e-2, 3e-3, 1e-3, 0.0]),  # tol
+                        st.integers(1, 24),                              # budget
+                    ),
+                    min_size=1, max_size=3,
+                ),
+                st.sampled_from([1, 2, 3]),          # check_interval
+                st.sampled_from(["mean", "zero"]),   # init_mode
+            ),
+            min_size=1, max_size=4,
+        ),
+        cap=st.sampled_from([None, 2, 5]),
+        seed=st.integers(0, 5),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_retiring_requests_keep_their_standalone_bytes(self, sessions, cap, seed):
+        solver = FDSubdomainSolver(RECT.subdomain_grid(), method="direct")
+        built, expected = [], []
+        for index, (geometry, requests, check_interval, init_mode) in enumerate(sessions):
+            loops = _loops(geometry, len(requests), seed=seed * 11 + index)
+            tols = np.array([tol for tol, _ in requests])
+            budgets = np.array([budget for _, budget in requests])
+            built.append(
+                FusedBatchRunner(
+                    geometry, solver, init_mode=init_mode, check_interval=check_interval
+                ).session(np.stack(loops), tols, budgets)
             )
+            expected.append([
+                _digest(_standalone(geometry, loop, tol, budget, init_mode, check_interval))
+                for loop, tol, budget in zip(loops, tols, budgets)
+            ])
+        executor = MegaBatchExecutor(
+            solver, max_rows_for=None if cap is None else (lambda q: cap)
+        )
+        mega = executor.run(built)
+        assert [[_digest(o) for o in outcomes] for outcomes in mega] == expected
+
+    def test_requests_do_retire_at_different_iterations(self):
+        # Pins the scenario the property explores: the loose request leaves
+        # first, the tight one runs on alone, the third runs out of budget;
+        # on THIN half of the phases process nothing.
+        solver = FDSubdomainSolver(RECT.subdomain_grid(), method="direct")
+        tols, budgets = np.array([1e-2, 1e-3, 0.0]), np.array([30, 30, 9])
+        geometries = (RECT, WIDE, L_SHAPE, THIN)
+        mega = MegaBatchExecutor(solver).run([
+            FusedBatchRunner(geometry, solver).session(
+                np.stack(_loops(geometry, 3, seed=5 + index)), tols, budgets)
+            for index, geometry in enumerate(geometries)
+        ])
+        iterations = [[o.iterations for o in outcomes] for outcomes in mega]
+        assert iterations[:3] == [[9, 7, 9], [11, 25, 9], [6, 15, 9]]
+        assert len({count for counts in iterations for count in counts}) >= 5
+        assert [o.converged for o in mega[1]] == [True, True, False]
+        for geometry, outcomes, index in zip(geometries, mega, range(4)):
+            loops = _loops(geometry, 3, seed=5 + index)
+            assert [_digest(o) for o in outcomes] == [
+                _digest(_standalone(geometry, loop, tol, budget))
+                for loop, tol, budget in zip(loops, tols, budgets)
+            ]
+
+
+class TestCounters:
+    """The call/row counters read what they read before the one-core refactor."""
+
+    TOLS, BUDGETS = np.array([1e-2, 1e-3, 0.0]), np.array([30, 30, 9])
+
+    def test_fused_runner_and_worker_pool_totals(self):
+        loops = np.stack(_loops(WIDE, 3, seed=5))
+        runner = FusedBatchRunner(WIDE, FDSubdomainSolver(WIDE.subdomain_grid()))
+        runner.run(loops, self.TOLS, self.BUDGETS)
+        # 25 iterations of the longest request + 1 assembly chunk; rows drop
+        # as requests retire (values recorded at the parent commit).
+        assert (runner.predict_calls, runner.subdomains_solved) == (26, 219)
+        pool = WorkerPool(
+            WIDE, lambda g: FDSubdomainSolver(g.subdomain_grid()), world_size=2
+        )
+        pool.solve(loops, self.TOLS, self.BUDGETS)
+        assert (pool.predict_calls, pool.subdomains_solved) == (36, 219)
+
+    @pytest.mark.parametrize("cap, calls", [(None, 26), (7, 79)])
+    def test_mega_executor_calls_rows_and_on_call(self, cap, calls):
+        solver = FDSubdomainSolver(RECT.subdomain_grid(), method="direct")
+        seen = []
+        executor = MegaBatchExecutor(
+            solver,
+            max_rows_for=None if cap is None else (lambda q: cap),
+            on_call=lambda rows, sessions: seen.append((rows, sessions)),
+        )
+        executor.run([
+            FusedBatchRunner(geometry, solver).session(
+                np.stack(_loops(geometry, 3, seed=5 + index)), self.TOLS, self.BUDGETS)
+            for index, geometry in enumerate((RECT, WIDE, L_SHAPE))
+        ])
+        assert (executor.calls, executor.rows) == (calls, 475)
+        assert len(seen) == calls and sum(rows for rows, _ in seen) == 475
+        assert max(sessions for _, sessions in seen) == 3
+        assert min(sessions for _, sessions in seen) == 1  # WIDE's tight request, alone
