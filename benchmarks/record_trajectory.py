@@ -57,16 +57,6 @@ DEFAULT_TOLERANCE = 0.20
 SERVING_TOLERANCE = 0.35
 
 
-def _ratio_rect(report: dict) -> float:
-    case = report["rect_2x2"]
-    return float(case["eager_seconds"]) / float(case["engine_seconds"])
-
-
-def _ratio_l_shape(report: dict) -> float:
-    case = report["l_shape"]
-    return float(case["eager_seconds"]) / float(case["engine_seconds"])
-
-
 @dataclass(frozen=True)
 class TrackedMetric:
     """One gated metric: where it comes from and how much it may move."""
@@ -100,18 +90,6 @@ TRACKED_METRICS = [
         name="taylor_physics_loss_geomean_speedup",
         artifact="taylor_engine.json",
         extract=lambda payload: payload["geomean_speedup"],
-    ),
-    TrackedMetric(
-        name="serving_engine_speedup_rect_2x2",
-        artifact="engine_serving.json",
-        extract=_ratio_rect,
-        tolerance=SERVING_TOLERANCE,
-    ),
-    TrackedMetric(
-        name="serving_engine_speedup_l_shape",
-        artifact="engine_serving.json",
-        extract=_ratio_l_shape,
-        tolerance=SERVING_TOLERANCE,
     ),
     TrackedMetric(
         name="serving_megabatch_speedup",

@@ -36,6 +36,18 @@ def test_fig8_batched_vs_unbatched_time_per_iteration(benchmark, bench_trained_s
     batched_times = []
     sizes = []
 
+    # The first forward on a model traces its inference program and builds
+    # this thread's plan.  That one-off is timed and reported on its own line
+    # instead of inside the smallest domain's batched figure; the sweep below
+    # is then time per iteration in the steady state, as in the paper.
+    geometry = MosaicGeometry(subdomain_points=9, subdomain_extent=0.5, steps_x=2, steps_y=4)
+    loop = geometry.global_grid().boundary_from_function(lambda x, y: np.sin(2 * np.pi * x))
+    tic = time.perf_counter()
+    MosaicFlowPredictor(geometry, SDNetSubdomainSolver(bench_trained_sdnet)).run(
+        loop, max_iterations=1, tol=0.0, assemble=False
+    )
+    first_iteration = time.perf_counter() - tic
+
     for steps_x, steps_y in DOMAIN_SWEEP:
         geometry = MosaicGeometry(subdomain_points=9, subdomain_extent=0.5,
                                   steps_x=steps_x, steps_y=steps_y)
@@ -93,6 +105,7 @@ def test_fig8_batched_vs_unbatched_time_per_iteration(benchmark, bench_trained_s
         ["resolution", "subdomains", "batched", "unbatched", "speedup"],
         rows,
     )
+    print(f"first iteration on the model (program traces + plan): {first_iteration*1e3:.2f} ms")
     print_table(
         "Figure 8 — projected batched per-iteration inference time (Table 2 GPUs, largest domain)",
         ["GPU", "time"],
@@ -113,3 +126,4 @@ def test_fig8_batched_vs_unbatched_time_per_iteration(benchmark, bench_trained_s
         flops_per_iteration, GPU_SPECS["V100"]
     )
     benchmark.extra_info["speedups"] = [float(s) for s in speedups]
+    benchmark.extra_info["first_iteration_seconds"] = first_iteration

@@ -106,7 +106,6 @@ def _serve(model, loops, geometry, tracing: bool):
     server = Server(
         solver_factory=lambda geom: SDNetSubdomainSolver(model),
         world_size=2,
-        engine=True,
     )
     tic = time.perf_counter()
     for loop in loops:

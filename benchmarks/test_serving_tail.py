@@ -76,7 +76,6 @@ def _serve(stream, model, flight=None):
     server = Server(
         solver_factory=lambda geometry: SDNetSubdomainSolver(model),
         world_size=2,
-        engine=True,
         flight=flight,
     )
     tic = time.perf_counter()

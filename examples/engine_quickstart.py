@@ -6,9 +6,10 @@ Walks the whole ``repro.engine`` pipeline on a small SDNet:
 2. run the compiler passes (constant folding, gather lowering, elementwise
    fusion, dead-code elimination) and print the optimized graph,
 3. verify bitwise parity and measure the per-call speedup over eager mode,
-4. run a full compiled Mosaic Flow solve on the L-shape composite domain
-   from the composite-geometry work (``engine=True`` on the predictor) and
-   confirm it reproduces the eager solve bit for bit.
+4. run a full Mosaic Flow solve on the L-shape composite domain from the
+   composite-geometry work — the solver's only inference path is the
+   model's compiled program, one per query-point set — and show what it
+   cost: three traces and one plan per point set, whatever the row counts.
 
 Run with::
 
@@ -22,14 +23,13 @@ import os
 import sys
 import time
 
-import numpy as np
-
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.domains import CompositeDomain, CompositeMosaicGeometry
 from repro.engine import compile_module, optimize, trace
 from repro.models import SDNet
 from repro.mosaic import MosaicFlowPredictor, SDNetSubdomainSolver
+from repro.mosaic.solvers import inference_program
 from repro.utils import seeded_rng
 
 
@@ -94,22 +94,19 @@ def main() -> None:
         lambda px, py: weights[0] * (px * px - py * py)
         + weights[1] * px * py + weights[2] * (px - 2.0 * py)
     )
-    print("\n[4/4] Compiled Mosaic Flow solve on the L-shape composite domain ...")
-    runs = {}
-    for label, engine in (("eager", False), ("engine", True)):
-        predictor = MosaicFlowPredictor(
-            geometry, SDNetSubdomainSolver(model), batched=True, engine=engine
-        )
-        tic = time.perf_counter()
-        result = predictor.run(loop, max_iterations=200, tol=1e-6)
-        runs[label] = (result, time.perf_counter() - tic)
-        print(f"  {label:>6}: {result.iterations} iterations, "
-              f"converged={result.converged}, {runs[label][1]:.2f}s")
-    eager_solution = runs["eager"][0].solution
-    engine_solution = runs["engine"][0].solution
-    assert eager_solution.tobytes() == engine_solution.tobytes()
-    print(f"  solutions bitwise identical; solve speedup "
-          f"{runs['eager'][1] / runs['engine'][1]:.2f}x")
+    print("\n[4/4] Mosaic Flow solve on the L-shape composite domain ...")
+    solver = SDNetSubdomainSolver(model)
+    predictor = MosaicFlowPredictor(geometry, solver, batched=True)
+    tic = time.perf_counter()
+    result = predictor.run(loop, max_iterations=200, tol=1e-6)
+    print(f"  {result.iterations} iterations, converged={result.converged}, "
+          f"{time.perf_counter() - tic:.2f}s, {solver.inference_calls} forwards")
+    for name, points in (("centre lines", geometry.center_line_local_coordinates()),
+                         ("interior", geometry.interior_local_coordinates())):
+        stats = inference_program(model, points).stats
+        print(f"  {name:>12} program ({len(points)} points): {stats.calls} calls, "
+              f"{stats.specializations + 1} row counts, {stats.traces} traces, "
+              f"{stats.plan_builds} plan, {stats.plan_bytes / 1e6:.2f} MB")
 
 
 if __name__ == "__main__":

@@ -2,8 +2,8 @@
 
 The demo drives ``repro.obs`` across every layer it instruments:
 
-1. enable tracing, stand up a :class:`repro.serving.Server` with the
-   inference engine *and* per-kernel profiling on, and submit a stream of
+1. enable tracing, stand up a :class:`repro.serving.Server` with per-kernel
+   profiling of the compiled inference programs on, and submit a stream of
    boundary value problems (with deliberate repeats so the cache
    participates),
 2. print the hierarchical span tree of the served requests — queue wait,
@@ -107,7 +107,8 @@ def main() -> None:
     )
     loops = request_stream(geometry, args.requests, args.seed)
 
-    # 1. tracing + memory accounting on; engine + per-kernel profiling on;
+    # 1. tracing + memory accounting on; per-kernel profiling of the model's
+    #    compiled inference programs on;
     #    flight recorder tail-samples above the rolling median so a quiet
     #    demo run still retains a few "slow" traces to show.
     tracer = enable_tracing()
@@ -115,7 +116,6 @@ def main() -> None:
     server = Server(
         solver_factory=lambda geom: SDNetSubdomainSolver(model),
         world_size=2,
-        engine=True,
         engine_profile=True,
         flight=FlightRecorder(min_samples=8, latency_quantile=50.0),
     )

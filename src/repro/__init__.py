@@ -72,7 +72,6 @@ _ENGINE_EXPORTS = (
     "CompiledModule",
     "CompiledValueAndGrad",
     "compile_module",
-    "compile_solver",
     "compile_value_and_grad",
 )
 

@@ -18,13 +18,13 @@ training path, the way production inference stacks do:
 
 The resulting :class:`CompiledModule` exposes the same ``__call__`` contract
 as the source module with **bitwise-identical outputs** (fusion removes
-dispatch, never reorders floating-point math), and is threaded through every
-layer that does repeated inference via ``engine=`` configuration:
-:class:`~repro.mosaic.predictor.MosaicFlowPredictor`,
-:class:`~repro.serving.fused.FusedBatchRunner`,
-:class:`~repro.serving.server.Server` (with per-geometry
-:class:`ModuleCache` reuse) and
-:class:`~repro.mosaic.distributed.DistributedMosaicFlowPredictor` workers.
+dispatch, never reorders floating-point math).  It is the only inference
+path of the neural subdomain solver: every
+:class:`~repro.mosaic.solvers.SDNetSubdomainSolver` — under the predictors,
+the fused runner, the distributed ranks and the server alike — executes one
+compiled program per ``(model, point set)``, whose bucketed plan
+(:mod:`.bucketing`) serves every row count of the solver's chunks from one
+set of per-thread buffers.
 
 The engine also covers the *training* hot path: :mod:`.jet` traces the
 Taylor-mode physics loss **and** its parameter reverse sweep into one
@@ -57,12 +57,11 @@ from .passes import (
     register_fusion_rule,
 )
 from .runtime import (
+    BUCKET_ROWS,
     CompiledModule,
     ExecutionPlan,
-    ModuleCache,
     PlanCache,
     compile_module,
-    compile_solver,
 )
 from .trace import TraceError, trace, trace_program
 
@@ -92,14 +91,13 @@ __all__ = [
     "lower_gathers",
     "optimize",
     "register_fusion_rule",
+    "BUCKET_ROWS",
     "CompiledModule",
     "ExecutionPlan",
     "ParallelExecutionPlan",
     "schedule_waves",
-    "ModuleCache",
     "PlanCache",
     "compile_module",
-    "compile_solver",
     "TraceError",
     "trace",
     "trace_program",

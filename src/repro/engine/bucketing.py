@@ -11,7 +11,8 @@ re-tracing and unbounded buffer memory.
 This module makes plans polymorphic over the batch dimension instead:
 
 1. A program is traced **twice** per bucket, at the bucket capacity ``C``
-   and at a second probe size, and the two optimized graphs are unified
+   and at a second probe size (:func:`probe_template`; a third trace at
+   ``C - 1`` verifies the fit), and the two optimized graphs are unified
    into a :class:`ProgramTemplate`: structurally identical nodes whose
    shapes, integer attributes and slice bounds are fit as **affine
    functions of the batch size** (``dim = base + slope * b``), solved
@@ -46,7 +47,10 @@ from ..obs import memory as obs_memory
 from .graph import Graph, Node
 from .kernels import build_step, step_bytes
 
-__all__ = ["BucketingError", "ProgramTemplate", "BucketedPlan", "build_template", "bucket_capacity"]
+__all__ = [
+    "BucketingError", "ProgramTemplate", "BucketedPlan", "build_template",
+    "probe_template", "bucket_capacity",
+]
 
 
 class BucketingError(RuntimeError):
@@ -321,33 +325,6 @@ class ProgramTemplate:
         self.order: list[int] = order          # execution order of node ids
         self.inputs: list[int] = inputs
         self.outputs: list[int] = outputs
-        #: (input position, axis, affine) triples usable to infer the batch
-        self.batch_dims: list[tuple] = []
-        for position, node_id in enumerate(inputs):
-            for axis, dim in enumerate(nodes[node_id].shape_template):
-                if isinstance(dim, _Affine) and dim.slope > 0:
-                    self.batch_dims.append((position, axis, dim))
-
-    def batch_for(self, shapes: "list[tuple]") -> int | None:
-        """Infer the batch size from call shapes; ``None`` when they don't fit."""
-
-        if len(shapes) != len(self.inputs):
-            return None
-        if not self.batch_dims:
-            return None
-        position, axis, dim = self.batch_dims[0]
-        if axis >= len(shapes[position]):
-            return None
-        extent = shapes[position][axis] - dim.base
-        if extent < 0 or extent % dim.slope:
-            return None
-        b = extent // dim.slope
-        if b > self.capacity:
-            return None
-        for node_id, shape in zip(self.inputs, shapes):
-            if _shape_at(self.nodes[node_id].shape_template, b) != tuple(shape):
-                return None
-        return b
 
 
 def _attrs_equal(a, b) -> bool:
@@ -488,6 +465,28 @@ def build_template(
         capacity=cap_batch, nodes=templates, order=order,
         inputs=list(graph_cap.inputs), outputs=list(graph_cap.outputs),
     )
+
+
+def probe_template(trace, arrays: "list[np.ndarray]", capacity: int) -> ProgramTemplate:
+    """Trace a program at three batch sizes and unify the traces.
+
+    ``trace(arrays) -> Graph`` records and optimizes the program; ``arrays``
+    are the inputs of a real call, whose rows are repeated cyclically (or
+    cut) to the probe sizes: ``capacity`` and ``capacity // 2`` determine
+    every affine fit, ``capacity - 1`` verifies them and picks between the
+    fill-constant laws two probes cannot tell apart.  A capacity-2 bucket
+    only ever serves its two probe sizes and skips the third trace.
+    """
+
+    def probe(rows: int) -> Graph:
+        return trace([np.resize(a, (rows,) + a.shape[1:]) for a in arrays])
+
+    small = capacity // 2
+    if small < 1:
+        raise BucketingError("a capacity-1 bucket has no second probe size")
+    graph_cap, graph_small = probe(capacity), probe(small)
+    check = (probe(capacity - 1), capacity - 1) if capacity - 1 > small else None
+    return build_template(graph_cap, capacity, graph_small, small, check=check)
 
 
 # ---------------------------------------------------------------------------

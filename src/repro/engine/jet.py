@@ -33,58 +33,24 @@ happens between training steps.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..autodiff import functional
 from ..autodiff.tensor import DEFAULT_DTYPE, Tensor, enable_grad
 from ..nn.module import Module
-from .bucketing import BucketedPlan, BucketingError, bucket_capacity, build_template
+from .bucketing import bucket_capacity
 from .graph import Graph
 from .passes import TRAINING_PASSES, optimize
-from .runtime import ExecutionPlan, PlanCache
+from .runtime import CompiledProgram, EngineStats
 from .trace import TraceError, trace_program
 
 __all__ = ["JetStats", "CompiledValueAndGrad", "compile_value_and_grad"]
 
-
-@dataclass
-class JetStats:
-    """Counters of one :class:`CompiledValueAndGrad` (diagnostics and tests)."""
-
-    calls: int = 0
-    #: eager traces taken (three per bucket template — two fit probes and a
-    #: verification probe; capacity-2 buckets need only the two fit probes —
-    #: plus one per exact-shape signature)
-    traces: int = 0
-    #: plans built (bucketed or exact; one per thread per cache key)
-    plan_builds: int = 0
-    #: bucket templates successfully unified
-    bucket_templates: int = 0
-    #: signatures that fell back to exact-shape plans
-    bucket_fallbacks: int = 0
-    #: per-batch-size specializations built inside bucketed plans
-    specializations: int = 0
-    plan_evictions: int = 0
-    plan_bytes: int = 0
-    plan_bytes_evicted: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "calls": self.calls, "traces": self.traces,
-            "plan_builds": self.plan_builds,
-            "bucket_templates": self.bucket_templates,
-            "bucket_fallbacks": self.bucket_fallbacks,
-            "specializations": self.specializations,
-            "plan_evictions": self.plan_evictions,
-            "plan_bytes": self.plan_bytes,
-            "plan_bytes_evicted": self.plan_bytes_evicted,
-        }
+#: the counters of a :class:`CompiledValueAndGrad` are the engine's
+JetStats = EngineStats
 
 
-class CompiledValueAndGrad:
+class CompiledValueAndGrad(CompiledProgram):
     """Compile ``fn`` plus its parameter gradients into one static program.
 
     Parameters
@@ -142,27 +108,15 @@ class CompiledValueAndGrad:
         copy_outputs: bool = True,
         profile: bool = False,
     ):
+        super().__init__(
+            TRAINING_PASSES if passes is None else passes,
+            max_plan_bytes, validate, copy_outputs, profile,
+        )
         self.fn = fn
         self.module = module
         self.grad_transform = grad_transform
-        self.passes = TRAINING_PASSES if passes is None else passes
         self.bucketing = bool(bucketing)
-        self.max_plan_bytes = max_plan_bytes
-        self.validate = bool(validate)
-        self.copy_outputs = bool(copy_outputs)
-        self.profiler = None
-        if profile:
-            from ..obs.profile import KernelProfiler
-
-            self.profiler = KernelProfiler()
         self.params = module.parameters()
-        self.stats = JetStats()
-        self._templates: dict = {}
-        self._graphs: dict = {}
-        self._lock = threading.Lock()
-        self._generation = 0
-        self._tls = threading.local()
-        self._validated: set = set()
 
     # -- the traced program ------------------------------------------------------
 
@@ -178,8 +132,6 @@ class CompiledValueAndGrad:
 
     def _trace(self, arrays) -> Graph:
         graph = trace_program(self._program, arrays, params=self.module, grad=True)
-        with self._lock:
-            self.stats.traces += 1
         return optimize(graph, self.passes)
 
     # -- eager reference (validation and tests) ----------------------------------
@@ -195,175 +147,25 @@ class CompiledValueAndGrad:
             outputs = self._program(*tensors)
         return outputs[0].data, [g.data for g in outputs[1:]]
 
-    # -- plan resolution ---------------------------------------------------------
+    _divergence = "compiled loss program diverges from the eager tape"
 
-    def _record_eviction(self, key, nbytes: int) -> None:
-        with self._lock:
-            self.stats.plan_evictions += 1
-            self.stats.plan_bytes_evicted += nbytes
-            self.stats.plan_bytes -= nbytes
-        if self.profiler is not None:
-            self.profiler.count("plan_eviction")
+    def _capacity(self, rows: int) -> int | None:
+        return bucket_capacity(rows) if self.bucketing else None
 
-    def _plans(self) -> PlanCache:
-        tls = self._tls
-        if getattr(tls, "generation", None) != self._generation:
-            # Retire this thread's stale-generation plans explicitly so the
-            # memory accountant sees their buffers released.
-            stale = getattr(tls, "plans", None)
-            if stale is not None:
-                stale.clear()
-            tls.plans = PlanCache(self.max_plan_bytes, on_evict=self._record_eviction)
-            tls.generation = self._generation
-        return tls.plans
-
-    def _probe_arrays(self, arrays, probe_batch: int):
-        """Build probe inputs of a given batch size from real call arrays."""
-
-        probes = []
-        for array in arrays:
-            batch = array.shape[0]
-            if probe_batch <= batch:
-                probes.append(array[:probe_batch])
-            else:
-                probes.append(
-                    np.concatenate([array, array[: probe_batch - batch]], axis=0)
-                )
-        return probes
-
-    def _template_for(self, key, capacity: int, arrays):
-        with self._lock:
-            if key in self._templates:
-                return self._templates[key]
-        small = capacity // 2
-        template = None
-        if small >= 1:
-            try:
-                graph_cap = self._trace(self._probe_arrays(arrays, capacity))
-                graph_small = self._trace(self._probe_arrays(arrays, small))
-                # Third probe: verifies every affine fit and disambiguates
-                # fill-constant laws (two probes fit both candidate laws).
-                # Capacity-2 buckets only ever serve their probe sizes, so
-                # they need no verification probe.
-                check = None
-                if capacity - 1 > small:
-                    check_batch = capacity - 1
-                    check = (
-                        self._trace(self._probe_arrays(arrays, check_batch)),
-                        check_batch,
-                    )
-                template = build_template(
-                    graph_cap, capacity, graph_small, small, check=check
-                )
-            except BucketingError:
-                template = None
-        with self._lock:
-            if key not in self._templates:
-                self._templates[key] = template
-                if template is not None:
-                    self.stats.bucket_templates += 1
-                else:
-                    self.stats.bucket_fallbacks += 1
-            return self._templates[key]
-
-    def _graph_for(self, signature, arrays) -> Graph:
-        with self._lock:
-            graph = self._graphs.get(signature)
-        if graph is not None:
-            return graph
-        graph = self._trace(arrays)
-        with self._lock:
-            self._graphs.setdefault(signature, graph)
-            return self._graphs[signature]
-
-    def _check(self, tag, arrays, outputs) -> None:
-        if not self.validate or tag in self._validated:
-            return
+    def _eager_outputs(self, arrays) -> list[np.ndarray]:
         loss, grads = self.eager(*arrays)
-        reference = [loss, *grads]
-        for ours, theirs in zip(outputs, reference):
-            if ours.shape != theirs.shape or ours.tobytes() != theirs.tobytes():
-                raise TraceError(
-                    "compiled loss program diverges from the eager tape; the "
-                    "loss callable is outside the traceable subset (math "
-                    "outside repro.autodiff.ops, or value-dependent control "
-                    "flow)"
-                )
-        self._validated.add(tag)
+        return [loss, *grads]
 
     # -- execution ---------------------------------------------------------------
 
     def __call__(self, *inputs):
-        arrays = [
-            np.asarray(x.data if isinstance(x, Tensor) else x, dtype=DEFAULT_DTYPE)
-            for x in inputs
-        ]
-        signature = tuple(a.shape for a in arrays)
-        outputs = self._run(signature, arrays)
+        outputs = self._run(self._as_arrays(inputs))
         if self.copy_outputs:
             outputs = [out.copy() for out in outputs]
-        with self._lock:
-            self.stats.calls += 1
+        self._counters.count(calls=1)
         return outputs[0], outputs[1:]
 
-    def _run(self, signature, arrays):
-        plans = self._plans()
-        batch = signature[0][0] if signature and len(signature[0]) else None
-        if self.bucketing and batch is not None and batch >= 1:
-            capacity = bucket_capacity(batch)
-            key = ("bucket", capacity, tuple(s[1:] for s in signature))
-            template = self._template_for(key, capacity, arrays)
-            if template is not None:
-                template_batch = template.batch_for(list(signature))
-                if template_batch is not None:
-                    plan = plans.get(key)
-                    if plan is None:
-                        plan = BucketedPlan(template, profiler=self.profiler)
-                        plans.put(key, plan)
-                        with self._lock:
-                            self.stats.plan_builds += 1
-                            self.stats.plan_bytes += plan.buffer_bytes
-                        if self.profiler is not None:
-                            self.profiler.count("plan_build")
-                    new_spec = not plan.has_specialization(template_batch)
-                    before_bytes = plan.buffer_bytes if new_spec else 0
-                    outputs = plan.run(arrays, template_batch)
-                    if new_spec:
-                        with self._lock:
-                            self.stats.specializations += 1
-                            # fill constants materialized by the new
-                            # specialization count toward plan memory
-                            self.stats.plan_bytes += plan.buffer_bytes - before_bytes
-                    self._check((key, template_batch), arrays, outputs)
-                    return outputs
-        # exact-shape path (bucketing off, batch 0, or template failure)
-        key = ("exact", signature)
-        plan = plans.get(key)
-        if plan is None:
-            plan = ExecutionPlan(
-                self._graph_for(signature, arrays), profiler=self.profiler
-            )
-            plans.put(key, plan)
-            with self._lock:
-                self.stats.plan_builds += 1
-                self.stats.plan_bytes += plan.buffer_bytes
-            if self.profiler is not None:
-                self.profiler.count("plan_build")
-        outputs = plan.run(arrays)
-        self._check(key, arrays, outputs)
-        return outputs
-
     # -- management --------------------------------------------------------------
-
-    def kernel_report(self, n: int = 10) -> str:
-        """Top-kernels table of the attached profiler (requires ``profile=True``)."""
-
-        if self.profiler is None:
-            raise RuntimeError(
-                "per-kernel profiling is off; build with "
-                "compile_value_and_grad(..., profile=True)"
-            )
-        return self.profiler.report(n)
 
     def retrace(self) -> None:
         """Drop every template, graph and plan (after parameter replacement)."""
@@ -373,11 +175,7 @@ class CompiledValueAndGrad:
             # Parameter objects would otherwise leave gradients taken with
             # respect to the old, unreferenced tensors (all zeros).
             self.params = self.module.parameters()
-            self._templates.clear()
-            self._graphs.clear()
-            self._validated.clear()
-            self._generation += 1
-            self.stats.plan_bytes = 0
+            self._drop_traces()
 
 
 def compile_value_and_grad(fn, module: Module, **options) -> CompiledValueAndGrad:

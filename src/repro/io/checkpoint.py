@@ -36,13 +36,11 @@ __all__ = [
 
 
 def _unwrap_compiled(model):
-    """Return ``(source_module, compiled_or_None)`` for any model argument."""
+    """The source module of a compiled module; any other model as it is."""
 
     from ..engine import CompiledModule
 
-    if isinstance(model, CompiledModule):
-        return model.module, model
-    return model, None
+    return model.module if isinstance(model, CompiledModule) else model
 
 _CONFIG_KEY = "__config_json__"
 _CLASS_KEY = "__model_class__"
@@ -69,7 +67,7 @@ def save_checkpoint(model: Module, path: str | Path, config: dict | None = None)
     The path actually written.
     """
 
-    model, _ = _unwrap_compiled(model)
+    model = _unwrap_compiled(model)
     path = Path(path)
     if path.suffix != ".npz":
         path = path.with_suffix(".npz")
@@ -111,15 +109,12 @@ def load_model(path: str | Path, model: Module) -> Module:
     """Load checkpoint parameters into an already-constructed ``model``.
 
     ``model`` may be a :class:`repro.engine.CompiledModule`: the state loads
-    into its source module and the compiled graphs are invalidated so the
-    next call re-traces against the restored parameters.
+    into its source module, and ``load_state_dict`` announces the change, so
+    the next compiled call re-traces against the restored parameters.
     """
 
-    target, compiled = _unwrap_compiled(model)
     state, _, _ = load_state(path)
-    target.load_state_dict(state)
-    if compiled is not None:
-        compiled.retrace()
+    _unwrap_compiled(model).load_state_dict(state)
     return model
 
 

@@ -105,8 +105,8 @@ def overlap_average(accumulator: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return result
 
 
-def checked_solver(geometry, solver, engine: bool = False):
-    """``solver`` if it fits ``geometry``'s subdomains, engine-compiled on request."""
+def checked_solver(geometry, solver):
+    """``solver`` if it fits ``geometry``'s subdomains."""
 
     expected = geometry.subdomain_grid().boundary_size
     if solver.boundary_size != expected:
@@ -114,10 +114,6 @@ def checked_solver(geometry, solver, engine: bool = False):
             f"solver boundary size {solver.boundary_size} does not match the "
             f"geometry's subdomain boundary size {expected}"
         )
-    if engine:
-        from ..engine import compile_solver
-
-        solver = compile_solver(solver)
     return solver
 
 

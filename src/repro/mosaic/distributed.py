@@ -292,12 +292,6 @@ class DistributedMosaicFlowPredictor:
         Batch each phase's subdomains into one solver call per rank.
     init_mode:
         Lattice initialization mode.
-    engine:
-        Run each rank's neural subdomain solves through the
-        :mod:`repro.engine` inference compiler.  Ranks wrapping the same
-        model share one compiled module (traced once, with per-thread
-        execution buffers); solvers with nothing to compile pass through
-        unchanged.  Results are bitwise identical to the eager path.
     """
 
     def __init__(
@@ -307,19 +301,12 @@ class DistributedMosaicFlowPredictor:
         ordering: str = "row",
         batched: bool = True,
         init_mode: str = "mean",
-        engine: bool = False,
     ):
         self.geometry = geometry
         self.solver_factory = solver_factory
         self.ordering = ordering
         self.batched = bool(batched)
         self.init_mode = init_mode
-        self.engine = bool(engine)
-        self._engine_cache = None
-        if self.engine:
-            from ..engine import ModuleCache
-
-            self._engine_cache = ModuleCache()
 
     # -- driver ----------------------------------------------------------------
 
@@ -401,10 +388,6 @@ class DistributedMosaicFlowPredictor:
         layout = layouts[comm.rank]
         plan = HaloExchangePlan.build(geometry, grid, layouts, comm.rank)
         solver = self.solver_factory()
-        if self.engine:
-            from ..engine import compile_solver
-
-            solver = compile_solver(solver, cache=self._engine_cache)
         expected = geometry.subdomain_grid().boundary_size
         if solver.boundary_size != expected:
             raise ValueError(

@@ -60,12 +60,6 @@ class MosaicFlowPredictor:
         solver call (Section 4.1).  Results are identical either way.
     init_mode:
         Lattice initialization passed to :func:`initialize_lattice_field`.
-    engine:
-        Run neural subdomain solves through the :mod:`repro.engine`
-        inference compiler: the solver is replaced with an engine-backed
-        clone via :func:`repro.engine.compile_solver` (a no-op for solvers
-        with nothing to compile, e.g. :class:`FDSubdomainSolver`).  Results
-        are bitwise identical to the eager path.
     """
 
     def __init__(
@@ -74,10 +68,9 @@ class MosaicFlowPredictor:
         solver: SubdomainSolver,
         batched: bool = True,
         init_mode: str = "mean",
-        engine: bool = False,
     ):
         self.geometry = geometry
-        self.solver = checked_solver(geometry, solver, engine)
+        self.solver = checked_solver(geometry, solver)
         self.batched = bool(batched)
         self.init_mode = init_mode
 

@@ -7,7 +7,8 @@ points.  Two implementations are provided:
 * :class:`SDNetSubdomainSolver` — wraps a trained
   :class:`~repro.models.sdnet.SDNet` (or the concat baseline); this is the
   paper's configuration, where the subdomain solve is a single batched
-  network inference.
+  network inference — here one compiled program per model and point set
+  (:func:`inference_program`), shared by every solver wrapping the model.
 * :class:`FDSubdomainSolver` — solves each subdomain exactly with the finite
   difference substrate, as one contraction of the boundary rows with the
   grid's cached boundary-to-field operator.  With this solver the Mosaic Flow
@@ -21,32 +22,45 @@ both make a row's prediction independent of the rows it shares a call with.
 
 from __future__ import annotations
 
+import threading
+import weakref
+from collections import OrderedDict
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from ..autodiff import no_grad
 from ..autodiff.tensor import Tensor
+from ..engine.runtime import CompiledModule
 from ..fd.grid import Grid2D
 from ..fd.solve import laplace_loop_operator
 from ..models.base import NeuralSolver
+from ..nn.module import Module
+from ..obs.profile import KernelProfiler
 
 __all__ = [
     "SubdomainSolver",
     "SDNetSubdomainSolver",
     "FDSubdomainSolver",
     "GEMM_STABLE_ROWS",
+    "inference_program",
 ]
 
 #: rows per internal forward chunk of :class:`SDNetSubdomainSolver`.  BLAS
 #: matmul kernels change regime with the row count (a gemv path at one row,
 #: multithreaded blocking past a few dozen), and each regime accumulates in
 #: a different order, so the same boundary row can get different low-order
-#: bits depending on how many rows share its call.  Executing every call as
-#: fixed-size chunks inside the grouping-invariant window makes a row's
-#: prediction a pure function of (row, points) — the invariant that lets
-#: cross-request mega-batching (:mod:`repro.serving.megabatch`) concatenate
-#: calls while staying bitwise identical to per-request execution.
+#: bits depending on how many rows share its call.  The products whose row
+#: count is the chunk's are the boundary embedding's and the split layer's
+#: ``(rows, ·) @ (·, d)`` GEMMs; the point path never sees it — every trunk
+#: layer is one ``(q, d) @ (d, d)`` product per row, and the coordinate
+#: projection of the (shared) points is a constant of the compiled program.
+#: Executing every call as fixed-size chunks inside the grouping-invariant
+#: window makes a row's prediction a pure function of (row, points) — the
+#: invariant that lets cross-request mega-batching
+#: (:mod:`repro.serving.megabatch`) concatenate calls while staying bitwise
+#: identical to per-request execution.  It is also the capacity of the
+#: compiled programs' bucketed plans, so one plan per thread and point set
+#: serves every chunk, whatever its row count.
 #:
 #: The window is a measurement on the SDNet layer shapes (hidden widths of
 #: 24 to 256 columns), not a property of BLAS.  The same rule (chunks of at
@@ -56,9 +70,10 @@ __all__ = [
 #: :class:`FDSubdomainSolver` does not call a GEMM at all.
 GEMM_STABLE_ROWS = 32
 
-#: distinct query-point sets whose operator columns an
-#: :class:`FDSubdomainSolver` keeps before starting over (the predictors use
-#: two: centre lines and interior)
+#: distinct query-point sets a solver backend keeps state for — the operator
+#: columns of an :class:`FDSubdomainSolver`, the compiled programs of a model
+#: — before dropping the oldest (the predictors use two: centre lines and
+#: interior)
 QUERY_SETS_KEPT = 8
 
 
@@ -79,8 +94,92 @@ class SubdomainSolver(Protocol):
         ...
 
 
+class _SharedPointsForward(Module):
+    """``g -> model(g, x)`` for one point set ``x`` shared by every row of ``g``.
+
+    The points are a constant of the traced program, so the compiler folds
+    what depends on them alone: for an SDNet the coordinate projection
+    ``X @ W2^T`` of eq. 8, computed once per point set instead of once per
+    boundary row.  The model is held weakly — the programs live exactly as
+    long as their model (:func:`inference_program`).
+    """
+
+    def __init__(self, model: NeuralSolver, points: np.ndarray):
+        super().__init__()
+        self._model = weakref.ref(model)
+        self._points = Tensor(points[None].copy())
+
+    def named_parameters(self, prefix: str = ""):
+        return self._model().named_parameters(prefix)
+
+    def forward(self, g: Tensor) -> Tensor:
+        model = self._model()
+        if hasattr(model, "forward_from_embedding"):
+            # No broadcast of the points over the rows: ``(rows, 1, d)`` plus
+            # the folded ``(1, q, d)`` is the same sum, element by element.
+            return model.forward_from_embedding(model.embed_boundary(g), self._points)
+        return model(g, self._points)
+
+
+class _Programs:
+    """Compiled inference programs by point set, oldest dropped first."""
+
+    def __init__(self, profiler: KernelProfiler | None = None):
+        self.profiler = profiler
+        self.by_points: "OrderedDict[bytes, CompiledModule]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, model: NeuralSolver, points: np.ndarray) -> CompiledModule:
+        key = points.tobytes()
+        program = self.by_points.get(key)
+        if program is None:
+            with self._lock:
+                program = self.by_points.get(key)
+                if program is None:
+                    while len(self.by_points) >= QUERY_SETS_KEPT:
+                        self.by_points.popitem(last=False)
+                    # Strict: a forward the bucket templates cannot express
+                    # is an error here, not a plan per row count.
+                    program = self.by_points[key] = CompiledModule(
+                        _SharedPointsForward(model, points),
+                        copy_outputs=False, profile=self.profiler,
+                        bucket_rows=GEMM_STABLE_ROWS, strict_buckets=True,
+                    )
+        return program
+
+
+_PROGRAMS: "weakref.WeakKeyDictionary[NeuralSolver, _Programs]" = (
+    weakref.WeakKeyDictionary()
+)
+_PROGRAMS_LOCK = threading.Lock()
+
+
+def inference_program(model: NeuralSolver, points: np.ndarray) -> CompiledModule:
+    """The compiled ``(rows, 4N) -> (rows, q)`` forward of ``model`` at ``points``.
+
+    One program per model and point set (keyed by the points' bytes, so a
+    caller that rewrites its array gets the new contents' answer), owned by
+    the model and shared by every solver, worker thread and server wrapping
+    it; at most :data:`QUERY_SETS_KEPT` per model, oldest dropped first.  A
+    program is traced three times on first use and never again, whatever row
+    counts it meets (see :class:`~repro.engine.runtime.CompiledModule`); its
+    outputs alias per-thread plan buffers until the thread's next call.
+    """
+
+    programs = _PROGRAMS.get(model)
+    if programs is None:
+        with _PROGRAMS_LOCK:
+            programs = _PROGRAMS.setdefault(model, _Programs())
+    return programs.get(model, points)
+
+
 class SDNetSubdomainSolver:
     """Neural subdomain solver backed by a trained model.
+
+    Every forward pass runs through the model's compiled inference program
+    for the query points (:func:`inference_program`); the predictions are
+    bitwise those of the eager ``model(g, x)`` forward with the points
+    repeated for every row, which is the oracle the tests keep.
 
     Parameters
     ----------
@@ -91,28 +190,26 @@ class SDNetSubdomainSolver:
         Optional cap on the number of subdomains evaluated per forward call;
         larger batches are split internally.  This mirrors the memory limit
         that determines the maximum feasible batch size in Figure 5.
-    engine:
-        Run forward passes through the :mod:`repro.engine` inference
-        compiler instead of the eager autodiff layer.  ``True`` compiles the
-        model on first use; an existing
-        :class:`~repro.engine.runtime.CompiledModule` of the same model can
-        be passed directly (how the serving layer shares per-geometry
-        compiled modules across worker ranks).  Predictions are bitwise
-        identical either way; see the engine's parity contract.
     """
 
-    def __init__(self, model: NeuralSolver, max_batch: int | None = None, engine=False):
+    def __init__(self, model: NeuralSolver, max_batch: int | None = None):
         self.model = model
         self.boundary_size = int(model.boundary_size)
         self.max_batch = max_batch
         self.inference_calls = 0
         self.points_evaluated = 0
-        #: the CompiledModule executing forward passes, or ``None`` for eager
-        self.engine = None
-        if engine is not False and engine is not None:
-            from ..engine import CompiledModule, compile_module
+        self._profiled: _Programs | None = None
 
-            self.engine = engine if isinstance(engine, CompiledModule) else compile_module(model)
+    def profile_kernels(self, profiler: KernelProfiler) -> None:
+        """Time every kernel of this solver's forwards into ``profiler`` from now on.
+
+        The solver then runs programs of its own, compiled with the profiler,
+        instead of the model's shared ones: other solvers, servers and
+        threads on the model are neither clocked nor re-traced.  Profiled
+        plans run the identical kernels, so predictions do not change.
+        """
+
+        self._profiled = _Programs(profiler)
 
     def predict(self, boundaries: np.ndarray, points: np.ndarray) -> np.ndarray:
         boundaries = np.asarray(boundaries, dtype=float)
@@ -128,27 +225,27 @@ class SDNetSubdomainSolver:
         out = np.empty((batch, q))
         step = batch if self.max_batch is None else max(int(self.max_batch), 1)
         step = min(max(step, 1), GEMM_STABLE_ROWS)
-        forward = self.model if self.engine is None else self.engine
-        with no_grad():
-            for start in range(0, batch, step):
-                stop = min(start + step, batch)
-                rows = boundaries[start:stop]
-                # BLAS dispatches single-row matmuls to a gemv kernel whose
-                # summation order differs from the batched gemm path, so a
-                # row's bits would depend on how many rows share its call.
-                # Pad singleton chunks to two rows so every row takes the
-                # gemm path regardless of batch size -- the invariant that
-                # lets cross-request mega-batching stay bitwise identical to
-                # per-request execution.
-                padded = rows.shape[0] == 1
-                if padded:
-                    rows = np.concatenate([rows, rows], axis=0)
-                g = Tensor(rows)
-                x = Tensor(np.broadcast_to(points, (rows.shape[0], q, 2)).copy())
-                data = forward(g, x).data
-                out[start:stop] = data[:1] if padded else data
-                self.inference_calls += 1
-                self.points_evaluated += (stop - start) * q
+        if self._profiled is None:
+            forward = inference_program(self.model, points).predict
+        else:
+            forward = self._profiled.get(self.model, points).predict
+        for start in range(0, batch, step):
+            stop = min(start + step, batch)
+            rows = boundaries[start:stop]
+            # BLAS dispatches single-row matmuls to a gemv kernel whose
+            # summation order differs from the batched gemm path, so a
+            # row's bits would depend on how many rows share its call.
+            # Pad singleton chunks to two rows so every row takes the
+            # gemm path regardless of batch size -- the invariant that
+            # lets cross-request mega-batching stay bitwise identical to
+            # per-request execution.
+            padded = rows.shape[0] == 1
+            if padded:
+                rows = np.concatenate([rows, rows], axis=0)
+            data = forward(rows)
+            out[start:stop] = data[:1] if padded else data
+            self.inference_calls += 1
+            self.points_evaluated += (stop - start) * q
         return out
 
 

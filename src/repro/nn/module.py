@@ -13,10 +13,18 @@ __all__ = ["Parameter", "Module"]
 
 
 class Parameter(Tensor):
-    """A tensor that is registered as a trainable parameter of a module."""
+    """A tensor that is registered as a trainable parameter of a module.
+
+    ``version`` counts the in-place updates of ``data`` that were announced
+    (:meth:`Module.parameters_changed`, ``load_state_dict``, an optimizer
+    step).  Compiled inference programs fold parameter-derived values into
+    constants (``X @ W2^T`` of the split layer); they compare the versions of
+    their own module's parameters on every call and re-trace when one moved.
+    """
 
     def __init__(self, data, requires_grad: bool = True):
         super().__init__(data, requires_grad=requires_grad)
+        self.version = 0
 
 
 class Module:
@@ -122,6 +130,18 @@ class Module:
                     f"{value.shape} vs {params[name].data.shape}"
                 )
             params[name].data[...] = value
+        self.parameters_changed()
+
+    def parameters_changed(self) -> None:
+        """Announce in-place writes to this module's parameters, after the last one.
+
+        ``load_state_dict`` (and with it checkpoint loading and the
+        data-parallel parameter broadcast) does this itself, as does every
+        optimizer step; code that writes ``param.data`` by hand calls it.
+        """
+
+        for p in self.parameters():
+            p.version += 1
 
     # -- forward ----------------------------------------------------------------
 

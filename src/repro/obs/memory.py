@@ -57,12 +57,13 @@ LATTICE_PLANS = "mosaic.lattice_plans"
 class OwnerStats:
     """Byte accounting of one owner (mutated under the accountant's lock)."""
 
-    __slots__ = ("live", "peak", "allocated", "allocs", "frees")
+    __slots__ = ("live", "peak", "allocated", "freed", "allocs", "frees")
 
     def __init__(self):
         self.live = 0        #: bytes currently held
         self.peak = 0        #: high-water mark of ``live``
         self.allocated = 0   #: cumulative bytes ever added
+        self.freed = 0       #: cumulative bytes released (``allocated - freed == live``)
         self.allocs = 0      #: number of add() events
         self.frees = 0       #: number of sub() events
 
@@ -71,6 +72,7 @@ class OwnerStats:
             "live_bytes": self.live,
             "peak_bytes": self.peak,
             "allocated_bytes": self.allocated,
+            "freed_bytes": self.freed,
             "allocs": self.allocs,
             "frees": self.frees,
         }
@@ -125,7 +127,9 @@ class MemoryAccountant:
             stats = self._owners.get(owner)
             if stats is None:
                 stats = self._owners[owner] = OwnerStats()
-            stats.live = max(0, stats.live - nbytes)
+            released = min(nbytes, stats.live)
+            stats.live -= released
+            stats.freed += released
             stats.frees += 1
 
     # -- reads --------------------------------------------------------------------

@@ -49,8 +49,7 @@ class Adam(Optimizer):
         v_hat = v / (1.0 - self.beta2 ** self._step_count)
         return m_hat / (np.sqrt(v_hat) + self.eps)
 
-    def step(self) -> None:
-        self._step_count += 1
+    def _update(self) -> None:
         for i, p in enumerate(self.params):
             g = self._grad(p)
             if self.weight_decay:
@@ -65,8 +64,7 @@ class AdamW(Adam):
     switching to LAMB at large batch sizes.
     """
 
-    def step(self) -> None:
-        self._step_count += 1
+    def _update(self) -> None:
         for i, p in enumerate(self.params):
             g = self._grad(p)
             direction = self._adam_direction(i, g)

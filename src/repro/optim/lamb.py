@@ -39,8 +39,7 @@ class LAMB(Adam):
         super().__init__(params, lr=lr, betas=betas, eps=eps, weight_decay=weight_decay)
         self.max_trust_ratio = float(max_trust_ratio)
 
-    def step(self) -> None:
-        self._step_count += 1
+    def _update(self) -> None:
         for i, p in enumerate(self.params):
             g = self._grad(p)
             direction = self._adam_direction(i, g)

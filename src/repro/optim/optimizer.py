@@ -14,9 +14,11 @@ __all__ = ["Optimizer"]
 class Optimizer:
     """Base class for gradient-based optimizers.
 
-    Sub-classes implement :meth:`step`, which reads ``param.grad`` (set by
+    Sub-classes implement :meth:`_update`, which reads ``param.grad`` (set by
     ``backward`` or by the data-parallel trainer after the allreduce) and
-    updates ``param.data`` in place.
+    updates ``param.data`` in place; :meth:`step` counts the step, runs it
+    and moves every managed parameter's ``version``, so compiled inference
+    programs stop serving constants folded from the old values.
     """
 
     def __init__(self, params: Iterable[Parameter], lr: float):
@@ -39,7 +41,13 @@ class Optimizer:
             return np.zeros_like(p.data)
         return p.grad.data
 
-    def step(self) -> None:  # pragma: no cover - abstract
+    def step(self) -> None:
+        self._step_count += 1
+        self._update()
+        for p in self.params:
+            p.version += 1
+
+    def _update(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
     @property

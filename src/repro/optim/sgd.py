@@ -35,8 +35,7 @@ class SGD(Optimizer):
         self.weight_decay = float(weight_decay)
         self._velocity = [np.zeros_like(p.data) for p in self.params]
 
-    def step(self) -> None:
-        self._step_count += 1
+    def _update(self) -> None:
         for p, v in zip(self.params, self._velocity):
             g = self._grad(p)
             if self.weight_decay:

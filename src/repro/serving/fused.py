@@ -55,11 +55,6 @@ class FusedBatchRunner:
     assembly_batch:
         Anchors per request carried by one dense-assembly call, as in
         :func:`~repro.mosaic.assembly.accumulate_dense_predictions`.
-    engine:
-        Run neural subdomain solves through the :mod:`repro.engine`
-        inference compiler (see
-        :class:`~repro.mosaic.predictor.MosaicFlowPredictor`); fused
-        results stay bitwise identical.
     """
 
     def __init__(
@@ -69,12 +64,11 @@ class FusedBatchRunner:
         init_mode: str = "mean",
         check_interval: int = 1,
         assembly_batch: int = ASSEMBLY_CHUNK,
-        engine: bool = False,
     ):
         if check_interval < 1:
             raise ValueError("check_interval must be at least 1")
         self.geometry = geometry
-        self.solver = checked_solver(geometry, solver, engine)
+        self.solver = checked_solver(geometry, solver)
         self.init_mode = init_mode
         self.check_interval = int(check_interval)
         self.assembly_batch = int(assembly_batch)

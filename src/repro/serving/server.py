@@ -60,9 +60,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..mosaic.geometry import MosaicGeometry
-from ..mosaic.solvers import FDSubdomainSolver
+from ..mosaic.solvers import FDSubdomainSolver, SDNetSubdomainSolver
 from ..obs import memory as obs_memory
 from ..obs.flight import FlightRecord, FlightRecorder
+from ..obs.profile import KernelProfiler
 from ..obs.slo import SLOTracker
 from ..obs.trace import get_tracer, span
 from .api import SolveRequest, SolveResult
@@ -160,11 +161,18 @@ class Server:
         Ranks of the worker pool each fused batch is sharded across.
     clock:
         Monotonic time source (injectable for deterministic tests).
-    engine, engine_cache_size, engine_max_plan_bytes, engine_profile:
-        Inference-compiler knobs (see :mod:`repro.engine`): run neural
-        subdomain solves through per-geometry compiled modules with a
-        byte-budgeted plan cache and optional per-kernel profiling.  Served
-        results are bitwise identical with the engine on or off.
+    engine:
+        Accepted and ignored: the compiled forward is the only inference
+        path of :class:`~repro.mosaic.solvers.SDNetSubdomainSolver`, so there
+        is nothing left to switch.  Kept until the benchmark, which passes
+        it, is next revised.
+    engine_profile:
+        Time every kernel of this server's neural solvers' forwards: the
+        solvers it builds run programs of their own, compiled with the
+        server's profiler
+        (:meth:`~repro.mosaic.solvers.SDNetSubdomainSolver.profile_kernels`),
+        so nothing else on the same model is clocked; see
+        :meth:`kernel_report`.  Served results are bitwise identical either way.
     store:
         The idempotent :class:`RequestStore`; a default one (exact keys,
         2048 settled entries) is created when omitted.  Duplicate
@@ -209,10 +217,6 @@ class Server:
         per-batch path.  Compatible groups with queued requests are
         co-released to ride a mega run instead of waiting out their own
         deadline.  ``False`` restores strict per-group execution.
-    engine_parallel:
-        Execute independent regions of compiled engine plans on a shared
-        thread pool (:class:`repro.engine.ParallelExecutionPlan`); only
-        meaningful with ``engine=True``.  Results stay bitwise identical.
     flight:
         Optional :class:`~repro.obs.flight.FlightRecorder` enabling
         tail-sampling flight records: requests that finish slow (rolling
@@ -284,8 +288,6 @@ class Server:
         world_size: int = 1,
         clock=time.monotonic,
         engine: bool = False,
-        engine_cache_size: int = 8,
-        engine_max_plan_bytes: int | None = None,
         engine_profile: bool = False,
         store: RequestStore | None = None,
         faults: FaultInjector | None = None,
@@ -297,7 +299,6 @@ class Server:
         async_workers: int = 0,
         poll_interval_seconds: float = 0.01,
         mega_batch: bool = True,
-        engine_parallel: bool = False,
         flight: FlightRecorder | None = None,
         slo: SLOTracker | None = None,
         journal=None,
@@ -311,22 +312,12 @@ class Server:
         self.latency_budget_seconds = latency_budget_seconds
         self.world_size = int(world_size)
         self.clock = clock
-        self.engine = bool(engine)
-        self.engine_max_plan_bytes = engine_max_plan_bytes
         self.engine_profile = bool(engine_profile)
-        self.engine_modules = None
-        engine_stats_provider = None
-        kernel_profile_provider = None
-        if self.engine:
-            from ..engine import ModuleCache
-
-            self.engine_modules = ModuleCache(engine_cache_size)
-            engine_stats_provider = self.engine_modules.engine_stats
-            if self.engine_profile:
-                kernel_profile_provider = self.engine_modules.kernel_profile
+        self._kernel_profiler = KernelProfiler() if self.engine_profile else None
         self.stats = ServingStats(
-            engine_stats_provider=engine_stats_provider,
-            kernel_profile_provider=kernel_profile_provider,
+            kernel_profile_provider=(
+                (lambda: self._kernel_profiler) if self.engine_profile else None
+            ),
         )
         self.store = store if store is not None else RequestStore()
         self.faults = faults
@@ -363,7 +354,6 @@ class Server:
         self.poll_interval_seconds = float(poll_interval_seconds)
 
         self.mega_batch = bool(mega_batch)
-        self.engine_parallel = bool(engine_parallel)
         self.flight = flight
         self.slo = slo if slo is not None else SLOTracker(clock=clock)
 
@@ -770,7 +760,7 @@ class Server:
         geometry = group_key[0]
         key = None
         try:
-            solver = self._engine_solver_factory(geometry)(geometry)
+            solver = self._make_solver(geometry)
             fusion = solver_fusion_key(solver)
         except Exception:
             solver, fusion = None, None
@@ -977,7 +967,7 @@ class Server:
             if pool is None:
                 pool = WorkerPool(
                     request.geometry,
-                    self._engine_solver_factory(request.geometry),
+                    self._make_solver,
                     world_size=self.world_size,
                     init_mode=request.init_mode,
                     check_interval=request.check_interval,
@@ -986,48 +976,22 @@ class Server:
                 self._pools[key] = pool
         return pool
 
-    def _engine_solver_factory(self, geometry):
-        """Solver factory handed to worker pools (engine-wrapped when enabled).
+    def _make_solver(self, geometry):
+        """``solver_factory(geometry)``, with kernel profiling switched on if asked."""
 
-        With ``engine=True`` every per-rank solver is cloned onto a compiled
-        module fetched from the per-geometry :class:`ModuleCache`, so ranks
-        and successive batches of one geometry group share a single traced
-        graph while keeping their own execution buffers (plans are
-        per-thread).
-        """
-
-        if not self.engine:
-            return self.solver_factory
-        base = self.solver_factory
-        modules = self.engine_modules
-
-        max_plan_bytes = self.engine_max_plan_bytes
-        profile = self.engine_profile
-        parallel = self.engine_parallel
-
-        def factory(geom):
-            from ..engine import compile_solver
-
-            return compile_solver(
-                base(geom), cache=modules, cache_key=geometry,
-                max_plan_bytes=max_plan_bytes, profile=profile,
-                parallel=parallel,
-            )
-
-        return factory
+        solver = self.solver_factory(geometry)
+        if self.engine_profile and isinstance(solver, SDNetSubdomainSolver):
+            solver.profile_kernels(self._kernel_profiler)
+        return solver
 
     def kernel_report(self, n: int = 10) -> str:
-        """Top-kernels table over every compiled module (``engine_profile=True``)."""
+        """Top-kernels table of this server's solvers (``engine_profile=True``)."""
 
-        if self.engine_modules is None or not self.engine_profile:
+        if not self.engine_profile:
             raise RuntimeError(
-                "per-kernel profiling is off; build the server with "
-                "engine=True, engine_profile=True"
+                "per-kernel profiling is off; build the server with engine_profile=True"
             )
-        profiler = self.engine_modules.kernel_profile()
-        if profiler is None:
-            return "=== top kernels ===\n(no compiled module has executed yet)"
-        return profiler.report(n)
+        return self._kernel_profiler.report(n)
 
     def _execute(self, batch: Batch) -> None:
         with span("serving.batch", size=len(batch)) as batch_span:

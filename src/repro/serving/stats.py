@@ -33,14 +33,10 @@ class ServingStats:
     """Counters of one server instance, with a formatted report.
 
     The instance is also *callable*: ``server.stats()`` returns the snapshot
-    dict of :meth:`as_dict` — including the inference-engine plan-cache
-    section when the server runs with ``engine=True``.
+    dict of :meth:`as_dict`.
 
     Parameters
     ----------
-    engine_stats_provider:
-        Zero-argument callable returning the engine's counter dict (traces,
-        plan builds, plan bytes, plan evictions), or ``None``.
     registry:
         The :class:`~repro.obs.metrics.MetricsRegistry` to record into; a
         private one is created when omitted.  Passing a shared registry lets
@@ -56,7 +52,6 @@ class ServingStats:
 
     def __init__(
         self,
-        engine_stats_provider=None,
         registry: MetricsRegistry | None = None,
         window: int = 4096,
         kernel_profile_provider=None,
@@ -90,9 +85,6 @@ class ServingStats:
         )
         self._memory_sheds = self.registry.counter("serving.memory_sheds")
         self._requeues = self.registry.counter("serving.requeues")
-        #: zero-argument callable returning the engine's counter dict
-        #: (traces, plan builds, plan bytes, plan evictions), or ``None``
-        self.engine_stats_provider = engine_stats_provider
         self.kernel_profile_provider = kernel_profile_provider
 
     def __call__(self) -> dict:
@@ -327,8 +319,6 @@ class ServingStats:
             "latency_p99": self.latency_percentile(99),
             "obs": self.registry.snapshot(),
         }
-        if self.engine_stats_provider is not None:
-            report["engine"] = self.engine_stats_provider()
         if self.kernel_profile_provider is not None:
             profiler = self.kernel_profile_provider()
             if profiler is not None:
@@ -358,14 +348,6 @@ class ServingStats:
             f"{d['latency_mean']*1e3:.2f} / {d['latency_p50']*1e3:.2f} / "
             f"{d['latency_p99']*1e3:.2f} ms",
         ]
-        engine = d.get("engine")
-        if engine is not None:
-            lines.append(
-                f"engine plans      : {engine['plan_builds']} built, "
-                f"{engine['plan_evictions']} evicted, "
-                f"{engine['plan_bytes'] / 1e6:.2f} MB in use "
-                f"({engine['traces']} traces, {engine['modules']} modules)"
-            )
         kernels = d.get("kernels")
         if kernels is not None and kernels["kernels"]:
             top = kernels["kernels"][0]

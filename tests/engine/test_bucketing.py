@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.engine import (
+    BUCKET_ROWS,
     CompiledValueAndGrad,
     ExecutionPlan,
     PlanCache,
@@ -186,14 +187,16 @@ class TestPlanCache:
 
 
 class TestCompiledModulePlanBudget:
+    """Exact-shape plans (row counts over BUCKET_ROWS) under a byte budget."""
+
     def test_eviction_counters_and_bounded_memory(self):
         mlp = MLP([3, 8, 1], rng=np.random.default_rng(0))
-        probe = ExecutionPlan(compile_module(mlp).graph_for(np.zeros((4, 3))))
+        probe = ExecutionPlan(compile_module(mlp).graph_for(np.zeros((40, 3))))
         budget = int(probe.buffer_bytes * 2.5)
         compiled = compile_module(mlp, max_plan_bytes=budget)
         rng = seeded_rng(7)
         expected = {}
-        for batch in range(2, 10):
+        for batch in range(BUCKET_ROWS + 1, BUCKET_ROWS + 9):
             x = rng.normal(size=(batch, 3))
             with no_grad():
                 eager_out = mlp(Tensor(x)).data.copy()
@@ -210,7 +213,7 @@ class TestCompiledModulePlanBudget:
         mlp = MLP([2, 4, 1], rng=np.random.default_rng(1))
         compiled = compile_module(mlp, max_plan_bytes=1)  # evict almost always
         rng = seeded_rng(8)
-        a, b = rng.normal(size=(3, 2)), rng.normal(size=(5, 2))
+        a, b = rng.normal(size=(BUCKET_ROWS + 3, 2)), rng.normal(size=(BUCKET_ROWS + 5, 2))
         with no_grad():
             expected_a = mlp(Tensor(a)).data.copy()
             expected_b = mlp(Tensor(b)).data.copy()

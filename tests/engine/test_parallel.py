@@ -64,6 +64,31 @@ class TestScheduleWaves:
         assert any(len(wave) > 1 for wave in schedule_waves(graph))
 
 
+    def test_served_inference_program_has_nothing_to_overlap(self):
+        """Why ``Server(engine_parallel=)`` is gone: with the points folded in,
+        the served graph is one chain.  Its only wider wave holds the two
+        slices of the boundary convolution's circular pad (views of a few
+        hundred bytes), so no wave ever has two steps worth a pool thread —
+        a parallel plan of it would run exactly the sequential schedule."""
+
+        from repro.mosaic import MosaicGeometry
+        from repro.mosaic.solvers import inference_program
+
+        geometry = MosaicGeometry(subdomain_points=9, subdomain_extent=0.5,
+                                  steps_x=4, steps_y=4)
+        rows = seeded_rng(0).normal(size=(32, 32))
+        model = _sdnet()  # the programs live as long as their model
+        for points in (geometry.center_line_local_coordinates(),
+                       geometry.interior_local_coordinates()):
+            graph = inference_program(model, points).graph_for(rows)
+            executable = [n for n in graph if not n.is_placeholder and not n.is_constant]
+            waves = schedule_waves(graph)
+            wide = [wave for wave in waves if len(wave) > 1]
+            assert [[executable[i].op for i in wave] for wave in wide] == [["getitem"] * 2]
+            plan = ParallelExecutionPlan(graph)
+            assert all(sum(plan._offload[i] for i in wave) < 2 for wave in waves)
+
+
 class TestParallelParity:
     def test_parallel_plan_is_bitwise_identical(self):
         compiled = compile_module(_sdnet())

@@ -94,11 +94,13 @@ def test_unbatched_inputs_match():
     g = rng.normal(size=16)
     x = rng.normal(size=(5, 2))
     assert _bitwise(compiled(g, x).data, net.predict(g, x))
-    # the unbatched signature coexists with batched ones
+    # the unbatched signature (no common leading dimension: one exact trace)
+    # coexists with the batched template (three probe traces)
     gb = rng.normal(size=(3, 16))
     xb = rng.normal(size=(3, 5, 2))
     assert _bitwise(compiled(gb, xb).data, net.predict(gb, xb))
-    assert len(compiled.signatures) == 2
+    assert compiled.stats.traces == 1 + 3
+    assert compiled.stats.bucket_templates == 1 and compiled.stats.bucket_fallbacks == 0
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])

@@ -7,13 +7,10 @@ import threading
 import numpy as np
 import pytest
 
-from repro.engine import CompiledModule, ModuleCache, compile_module, compile_solver
-from repro.mosaic import (
-    FDSubdomainSolver,
-    MosaicFlowPredictor,
-    MosaicGeometry,
-    SDNetSubdomainSolver,
-)
+from repro.autodiff import Tensor, no_grad
+from repro.engine import BUCKET_ROWS, CompiledModule, compile_module
+from repro.mosaic import MosaicFlowPredictor, MosaicGeometry, SDNetSubdomainSolver
+from repro.mosaic.solvers import GEMM_STABLE_ROWS, inference_program
 from repro.models import SDNet
 from repro.nn import MLP
 from repro.serving import FusedBatchRunner, Server, SolveRequest
@@ -43,23 +40,38 @@ def _loop(geometry, seed=0):
 
 
 class TestPlanCaching:
-    def test_one_trace_per_shape_signature(self):
+    def test_row_counts_share_one_template_and_one_plan(self):
         mlp = MLP([3, 8, 1], rng=np.random.default_rng(0))
         compiled = compile_module(mlp)
-        x = np.zeros((4, 3))
-        compiled(x)
-        compiled(x + 1)
-        compiled(np.zeros((9, 3)))
+        rng = seeded_rng(1)
+        for rows in (4, 4, 9, 1, BUCKET_ROWS):
+            x = rng.normal(size=(rows, 3))
+            with no_grad():
+                assert compiled.predict(x).tobytes() == mlp(Tensor(x)).data.tobytes()
+        stats = compiled.stats
+        assert stats.traces == 3  # two fit probes and the verification probe
+        assert stats.bucket_templates == 1 and stats.bucket_fallbacks == 0
+        assert stats.plan_builds == 1
+        assert stats.specializations == 3  # 4, 9 and 1 rows; capacity came with the plan
+        assert stats.calls == 5
+
+    def test_exact_plans_only_over_capacity_or_without_common_rows(self):
+        mlp = MLP([3, 8, 1], rng=np.random.default_rng(0))
+        compiled = compile_module(mlp)
+        for rows in (BUCKET_ROWS + 1, BUCKET_ROWS + 1, 40):
+            compiled(np.zeros((rows, 3)))
         assert compiled.stats.traces == 2
         assert compiled.stats.plan_builds == 2
-        assert compiled.stats.calls == 3
+        assert compiled.stats.bucket_templates == 0
 
     def test_precompiled_example_inputs(self):
         mlp = MLP([3, 8, 1], rng=np.random.default_rng(0))
         compiled = compile_module(mlp, np.zeros((4, 3)))
-        assert compiled.stats.traces == 1
-        compiled(np.ones((4, 3)))
-        assert compiled.stats.traces == 1
+        assert compiled.stats.traces == 3
+        assert compiled.stats.plan_builds == 1
+        compiled(np.ones((7, 3)))
+        assert compiled.stats.traces == 3
+        assert compiled.stats.plan_builds == 1
 
     def test_copy_outputs_false_reuses_buffer(self):
         mlp = MLP([3, 8, 2], rng=np.random.default_rng(0))
@@ -122,89 +134,83 @@ class TestThreadSafety:
         for t in threads:
             t.join()
         assert not failures
-        assert compiled.stats.traces == 1  # one shared graph
+        assert compiled.stats.traces == 3  # one shared template
+        assert compiled.stats.bucket_templates == 1
         assert compiled.stats.plan_builds == 4  # one plan per thread
 
 
-class TestModuleCache:
-    def test_lru_eviction_and_hits(self):
-        cache = ModuleCache(maxsize=2)
-        mlp = MLP([2, 2], rng=np.random.default_rng(0))
-        a = cache.get_or_create("a", lambda: compile_module(mlp))
-        assert cache.get_or_create("a", lambda: compile_module(mlp)) is a
-        cache.get_or_create("b", lambda: compile_module(mlp))
-        cache.get_or_create("c", lambda: compile_module(mlp))  # evicts "a"
-        assert len(cache) == 2
-        fresh = cache.get_or_create("a", lambda: compile_module(mlp))
-        assert fresh is not a
-        assert cache.hits == 1 and cache.misses == 4
-
-    def test_compile_solver_uses_cache(self):
+class TestModelOwnedPrograms:
+    def test_solvers_of_one_model_share_its_programs(self):
         net = SDNet(boundary_size=16, hidden_size=8, trunk_layers=1,
                     embedding_channels=(), rng=0)
-        cache = ModuleCache()
-        first = compile_solver(SDNetSubdomainSolver(net), cache=cache, cache_key="geo")
-        second = compile_solver(SDNetSubdomainSolver(net), cache=cache, cache_key="geo")
-        assert first.engine is second.engine
-        assert cache.hits == 1
+        points = seeded_rng(0).uniform(size=(5, 2))
+        g = seeded_rng(1).normal(size=(3, 16))
+        first, second = SDNetSubdomainSolver(net), SDNetSubdomainSolver(net)
+        first.predict(g, points)
+        second.predict(g[:2], points)
+        program = inference_program(net, points)
+        assert program is inference_program(net, points.copy())
+        assert program.stats.traces == 3 and program.stats.plan_builds == 1
+        assert program.stats.calls == 2
 
-    def test_compile_solver_passes_non_neural_through(self):
-        geometry = MosaicGeometry(subdomain_points=9, subdomain_extent=0.5,
-                                  steps_x=4, steps_y=4)
-        solver = FDSubdomainSolver(geometry.subdomain_grid())
-        assert compile_solver(solver) is solver
+    def test_programs_die_with_their_model(self):
+        import gc
+        import weakref
 
-    def test_engine_solver_keeps_identity_and_counters(self, engine_sdnet):
+        net = SDNet(boundary_size=16, hidden_size=8, trunk_layers=1,
+                    embedding_channels=(), rng=0)
+        points = seeded_rng(0).uniform(size=(5, 2))
+        SDNetSubdomainSolver(net).predict(seeded_rng(1).normal(size=(3, 16)), points)
+        model_ref = weakref.ref(net)
+        program_ref = weakref.ref(inference_program(net, points))
+        del net
+        gc.collect()
+        assert model_ref() is None and program_ref() is None
+
+    def test_solver_keeps_identity_and_counters(self, engine_sdnet):
         """Caller-held solver references keep accruing inference counters."""
 
         geometry, net = engine_sdnet
         solver = SDNetSubdomainSolver(net)
-        predictor = MosaicFlowPredictor(geometry, solver, engine=True)
+        predictor = MosaicFlowPredictor(geometry, solver)
         assert predictor.solver is solver
-        assert solver.engine is not None
         predictor.run(_loop(geometry), max_iterations=8, tol=1e-7)
         assert solver.inference_calls > 0
         assert solver.points_evaluated > 0
 
 
 class TestIntegrationParity:
-    def test_predictor_engine_bitwise(self, engine_sdnet):
+    """Every driver of the compiled solver against the eager oracle, bit for bit."""
+
+    def test_predictor_bitwise(self, engine_sdnet, eager_sdnet_solver):
         geometry, net = engine_sdnet
         loop = _loop(geometry)
-        eager = MosaicFlowPredictor(geometry, SDNetSubdomainSolver(net)).run(
+        eager = MosaicFlowPredictor(geometry, eager_sdnet_solver(net)).run(
             loop, max_iterations=24, tol=1e-7
         )
-        engine = MosaicFlowPredictor(
-            geometry, SDNetSubdomainSolver(net), engine=True
-        ).run(loop, max_iterations=24, tol=1e-7)
+        engine = MosaicFlowPredictor(geometry, SDNetSubdomainSolver(net)).run(
+            loop, max_iterations=24, tol=1e-7
+        )
         assert eager.iterations == engine.iterations
         assert eager.converged == engine.converged
         np.testing.assert_array_equal(eager.solution, engine.solution)
         np.testing.assert_array_equal(eager.lattice_field, engine.lattice_field)
 
-    def test_fused_runner_engine_bitwise(self, engine_sdnet):
+    def test_fused_runner_bitwise(self, engine_sdnet, eager_sdnet_solver):
         geometry, net = engine_sdnet
         loops = np.stack([_loop(geometry, seed) for seed in range(3)])
-        eager = FusedBatchRunner(geometry, SDNetSubdomainSolver(net)).run(
-            loops, 1e-6, 24
-        )
-        engine = FusedBatchRunner(
-            geometry, SDNetSubdomainSolver(net), engine=True
-        ).run(loops, 1e-6, 24)
+        eager = FusedBatchRunner(geometry, eager_sdnet_solver(net)).run(loops, 1e-6, 24)
+        engine = FusedBatchRunner(geometry, SDNetSubdomainSolver(net)).run(loops, 1e-6, 24)
         for a, b in zip(eager, engine):
             assert a.iterations == b.iterations
             np.testing.assert_array_equal(a.solution, b.solution)
 
-    def test_server_engine_bitwise_and_cached_modules(self, engine_sdnet):
+    def test_server_bitwise_and_one_program_set(self, engine_sdnet, eager_sdnet_solver):
         geometry, net = engine_sdnet
         loops = [_loop(geometry, seed) for seed in range(4)]
-
-        def factory(geom):
-            return SDNetSubdomainSolver(net)
-
         solutions = {}
-        for engine_on in (False, True):
-            server = Server(solver_factory=factory, world_size=2, engine=engine_on)
+        for solver_class in (eager_sdnet_solver, SDNetSubdomainSolver):
+            server = Server(solver_factory=lambda geom: solver_class(net), world_size=2)
             ids = [
                 server.submit(
                     SolveRequest.create(geometry, loop, tol=1e-6, max_iterations=24)
@@ -212,24 +218,32 @@ class TestIntegrationParity:
                 for loop in loops
             ]
             results = server.drain()
-            solutions[engine_on] = [results[i].solution for i in ids]
-            if engine_on:
-                # every worker rank reused one compiled module per geometry
-                assert len(server.engine_modules) == 1
-                assert server.engine_modules.hits >= 1
-        for eager, engine in zip(solutions[False], solutions[True]):
+            solutions[solver_class] = [results[i].solution for i in ids]
+        for eager, engine in zip(*solutions.values()):
             np.testing.assert_array_equal(eager, engine)
+        # every worker rank of every batch ran the model's two programs
+        for points in (geometry.center_line_local_coordinates(),
+                       geometry.interior_local_coordinates()):
+            stats = inference_program(net, points).stats
+            assert stats.traces == 3 and stats.bucket_fallbacks == 0
 
-    def test_distributed_engine_bitwise(self, engine_sdnet):
+    def test_server_accepts_and_ignores_engine_argument(self, engine_sdnet):
+        geometry, net = engine_sdnet
+        server = Server(solver_factory=lambda geom: SDNetSubdomainSolver(net), engine=True)
+        request = SolveRequest.create(geometry, _loop(geometry), tol=1e-6, max_iterations=4)
+        request_id = server.submit(request)
+        assert np.isfinite(server.drain()[request_id].solution).all()
+
+    def test_distributed_bitwise(self, engine_sdnet, eager_sdnet_solver):
         from repro.mosaic.distributed import DistributedMosaicFlowPredictor
 
         geometry, net = engine_sdnet
         loop = _loop(geometry)
         eager = DistributedMosaicFlowPredictor(
-            geometry, lambda: SDNetSubdomainSolver(net)
+            geometry, lambda: eager_sdnet_solver(net)
         ).run(4, loop, max_iterations=16, tol=1e-7)
         engine = DistributedMosaicFlowPredictor(
-            geometry, lambda: SDNetSubdomainSolver(net), engine=True
+            geometry, lambda: SDNetSubdomainSolver(net)
         ).run(4, loop, max_iterations=16, tol=1e-7)
         assert eager[0].iterations == engine[0].iterations
         np.testing.assert_array_equal(eager[0].solution, engine[0].solution)
@@ -256,6 +270,8 @@ class TestCheckpointRoundTrip:
         assert before.tobytes() == after.tobytes()
 
     def test_load_model_into_compiled_retraces(self, tmp_path):
+        """``load_state_dict`` announces the change; no explicit retrace needed."""
+
         from repro.io import load_model, save_checkpoint
 
         rng = seeded_rng(29)

@@ -52,7 +52,8 @@ class TestAccountant:
         assert snap["total_live_bytes"] == 10
         assert snap["owners"]["x"]["allocs"] == 1
         assert set(snap["owners"]["x"]) == {
-            "live_bytes", "peak_bytes", "allocated_bytes", "allocs", "frees",
+            "live_bytes", "peak_bytes", "allocated_bytes", "freed_bytes",
+            "allocs", "frees",
         }
 
     def test_publish_uses_owner_labels(self):

@@ -25,8 +25,8 @@ def rt(tmp_path, monkeypatch):
     return module
 
 
-def _write_artifacts(rt, forward=3.0, taylor=2.2, rect=(1.0, 1.0), l_shape=(1.2, 1.0),
-                     megabatch=1.5, tail=1.2, bytes_pr=500_000.0):
+def _write_artifacts(rt, forward=3.0, taylor=2.2, megabatch=1.5, tail=1.2,
+                     bytes_pr=500_000.0):
     rt.ARTIFACT_DIR.mkdir(parents=True, exist_ok=True)
     with open(rt.ARTIFACT_DIR / "engine_forward.json", "w") as h:
         json.dump({"serving_geomean_speedup": forward}, h)
@@ -36,14 +36,6 @@ def _write_artifacts(rt, forward=3.0, taylor=2.2, rect=(1.0, 1.0), l_shape=(1.2,
         json.dump({"p99_over_p50": tail, "bytes_per_request": bytes_pr}, h)
     with open(rt.ARTIFACT_DIR / "taylor_engine.json", "w") as h:
         json.dump({"geomean_speedup": taylor}, h)
-    with open(rt.ARTIFACT_DIR / "engine_serving.json", "w") as h:
-        json.dump(
-            {
-                "rect_2x2": {"eager_seconds": rect[0], "engine_seconds": rect[1]},
-                "l_shape": {"eager_seconds": l_shape[0], "engine_seconds": l_shape[1]},
-            },
-            h,
-        )
 
 
 class TestRecord:
@@ -104,13 +96,13 @@ class TestCheck:
         assert rt.check() == 1
 
     def test_serving_metrics_use_looser_tolerance(self, rt):
-        _write_artifacts(rt, rect=(1.0, 1.0))
+        _write_artifacts(rt, megabatch=1.5)
         rt.record(commit="seed")
         # 30% regression on the end-to-end serving ratio: within its 35%.
-        _write_artifacts(rt, rect=(0.7, 1.0))
+        _write_artifacts(rt, megabatch=1.5 * 0.7)
         assert rt.check() == 0
         # 40% is out.
-        _write_artifacts(rt, rect=(0.6, 1.0))
+        _write_artifacts(rt, megabatch=1.5 * 0.6)
         assert rt.check() == 1
 
     def test_lower_is_better_metrics_gate_on_growth(self, rt):
