@@ -97,27 +97,6 @@ TRACKED_METRICS = [
         extract=lambda payload: payload["speedup"],
         tolerance=SERVING_TOLERANCE,
     ),
-    # Tail metrics are lower-is-better: "regression" means the value grew.
-    TrackedMetric(
-        name="serving_p99_over_p50",
-        artifact="serving_tail.json",
-        extract=lambda payload: payload["p99_over_p50"],
-        higher_is_better=False,
-        # Latency-distribution shape is the noisiest ratio tracked here:
-        # the p99 of a 24-request stream moves with a single scheduler
-        # hiccup even though best-of-3 trims most of it.
-        tolerance=0.75,
-    ),
-    TrackedMetric(
-        name="serving_bytes_per_request",
-        artifact="serving_tail.json",
-        extract=lambda payload: payload["bytes_per_request"],
-        unit="B",
-        higher_is_better=False,
-        # Array shapes are machine-independent, so this is nearly exact;
-        # the headroom is for deliberate small accounting additions.
-        tolerance=0.25,
-    ),
 ]
 
 

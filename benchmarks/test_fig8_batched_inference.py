@@ -24,10 +24,18 @@ DOMAIN_SWEEP = [(2, 4), (4, 4), (4, 8), (8, 8)]
 MEASURE_ITERATIONS = 4
 
 
-def _time_per_iteration(predictor, loop, iterations=MEASURE_ITERATIONS):
-    result = predictor.run(loop, max_iterations=iterations, tol=0.0, assemble=False)
-    iteration_time = result.timings.get("inference", 0.0) + result.timings.get("boundaries_io", 0.0)
-    return iteration_time / result.iterations, result
+def _time_per_iteration(predictor, loop, iterations=MEASURE_ITERATIONS, repeats=3):
+    # Best of a few runs: the windows are 1-10 ms, and a single scheduler or
+    # garbage-collector pause inside one read as a 15x "slowdown" of batching
+    # (about one full-suite run in five, at this commit's parent too).
+    best = float("inf")
+    for _ in range(repeats):
+        result = predictor.run(loop, max_iterations=iterations, tol=0.0, assemble=False)
+        iteration_time = (
+            result.timings.get("inference", 0.0) + result.timings.get("boundaries_io", 0.0)
+        )
+        best = min(best, iteration_time / result.iterations)
+    return best, result
 
 
 def test_fig8_batched_vs_unbatched_time_per_iteration(benchmark, bench_trained_sdnet):

@@ -1,27 +1,26 @@
 """Serving tail behaviour: p99/p50 latency ratio and bytes-per-request.
 
-Closes the ROADMAP benchmark-coverage item: the trajectory gate tracked
-throughput ratios but nothing about the *shape* of the latency
-distribution or the memory cost of a request.  Both regress silently —
-a batching change can keep mean throughput while stretching the tail,
-and a cache or payload change can balloon per-request bytes without any
-test noticing.
-
-Two machine-independent metrics are recorded:
+A batching change can keep mean throughput while stretching the tail, and
+a cache or payload change can balloon per-request bytes.  This run prints
+both and writes them to ``test-artifacts/engine/serving_tail.json``:
 
 * ``p99_over_p50`` — tail amplification of the served latency
-  distribution.  A ratio, so runner hardware cancels; scheduling noise
-  does not, hence the loose tolerance in ``record_trajectory.py``.
+  distribution, under a sanity ceiling (``MAX_P99_OVER_P50``).
 * ``bytes_per_request`` — cumulative bytes charged to the
   ``repro.obs.memory`` accountant (plan buffers, solution cache,
   request store, anchor-row payloads, mega-batch scratch) divided by
-  completed requests.  Deterministic for a fixed workload: array sizes
-  do not depend on the machine.
+  completed requests, broken down per owner in the printed table.
+
+Neither is a trajectory gate any more: on 24 requests the p99 *is* the
+median (the ratio read 1.008 for as long as it was recorded), and the byte
+count moves with every deliberate accounting change.  Latency shape and
+memory are gated by ``bench/`` (``latency_p95_ms``, ``peak_rss_mb`` over
+20 s windows of hundreds of requests).
 
 The run serves with the full production observability stack enabled —
 memory accounting, flight recorder, SLO tracker — so the numbers are
 the instrumented ones CI would see, and the retained flight traces are
-written to ``test-artifacts/obs/`` for upload when the gate fails.
+written to ``test-artifacts/obs/`` for upload when the ceiling trips.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ NUM_REQUESTS = 24
 TOL = 1e-6
 MAX_ITERATIONS = 40
 #: sanity ceiling — a p99 this far above the median means a scheduling bug,
-#: not noise (the trajectory gate handles gradual regressions)
+#: not noise
 MAX_P99_OVER_P50 = 50.0
 
 

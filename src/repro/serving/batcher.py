@@ -36,7 +36,12 @@ class BatchPolicy:
     max_wait_seconds:
         A group queue is released (at the next poll) once its oldest request
         has waited this long, even if the batch is not full.  ``0`` releases
-        on every poll — i.e. no coalescing across polls.
+        on every poll — i.e. no coalescing across polls.  On a started
+        (async) :class:`~repro.serving.server.Server` this bounds only the
+        time a request waits for company *while a run is in flight*: with no
+        run in flight the dispatcher releases whatever is queued at once,
+        and a finishing run releases what queued behind it.  The synchronous
+        path (``submit``/``poll``/``drain``) waits the window out as written.
     """
 
     max_batch_size: int = 64
@@ -55,8 +60,10 @@ class Batch:
 
     ``reason`` records *why* the batch was released: ``"size"`` (the queue
     reached ``max_batch_size``), ``"deadline"`` (its oldest request waited
-    out ``max_wait_seconds``), ``"flush"`` (an explicit drain), or
-    ``"co_release"`` (pulled early to ride a compatible mega-batch).
+    out ``max_wait_seconds``), ``"flush"`` (an explicit drain), ``"idle"``
+    (a started server had no run in flight, so there was nothing to wait
+    behind), or ``"co_release"`` (pulled early to ride a compatible
+    mega-batch).  ``serving.batch`` spans carry it as ``reason=``.
     """
 
     group_key: tuple
@@ -130,28 +137,16 @@ class DynamicBatcher:
                 del self._queues[key]
         return released
 
-    def flush(self) -> list[Batch]:
-        """Release every queued request regardless of size or deadline."""
+    def flush(self, reason: str = "flush") -> list[Batch]:
+        """Release every queued request regardless of size or deadline.
 
-        released = [
-            self._make_batch(key, queue, "flush")
-            for key, queue in self._queues.items()
-            if queue
-        ]
-        self._queues.clear()
-        return released
-
-    def take_all(self) -> list[Batch]:
-        """Release every queued request to ride a compatible mega-batch.
-
-        Identical to :meth:`flush` except for the recorded release reason;
-        the server calls this on batchers whose queued requests can fuse
-        with a batch that was just released by size or deadline, so partial
-        queues do not sit out a mega run they could have joined.
+        ``reason`` is recorded on the released batches; the server flushes a
+        group for an explicit drain (``"flush"``), because nothing is running
+        (``"idle"``), or to ride a compatible mega-batch (``"co_release"``).
         """
 
         released = [
-            self._make_batch(key, queue, "co_release")
+            self._make_batch(key, queue, reason)
             for key, queue in self._queues.items()
             if queue
         ]

@@ -12,10 +12,21 @@ rebuild it is a request *pipeline*:
   the per-geometry :class:`~repro.serving.batcher.DynamicBatcher`, and
   returns a :class:`~repro.serving.futures.SolveFuture` immediately;
 * a background **dispatcher thread** (``async_workers >= 1`` +
-  :meth:`~Server.start`) collects size/deadline-released batches and hands
-  them to a **thread pool of solve workers**; each batch executes through
-  the existing :class:`~repro.serving.workers.WorkerPool` (per-rank solver
-  isolation) and :class:`~repro.serving.fused.FusedBatchRunner`;
+  :meth:`~Server.start`) collects released batches and hands them to a
+  **thread pool of solve workers**; each batch executes through the
+  existing :class:`~repro.serving.workers.WorkerPool` (per-rank solver
+  isolation) and :class:`~repro.serving.fused.FusedBatchRunner`.  The
+  dispatcher is **work-conserving**: size-or-deadline decides only while a
+  dispatched run is in flight, when waiting for company overlaps useful
+  work and arrivals batch behind the run for free.  With no run in flight
+  everything queued is released at once (``Batch.reason == "idle"``), and a
+  finishing run wakes the dispatcher so what queued behind it goes then —
+  ``BatchPolicy.max_wait_seconds`` bounds the wait for company behind a
+  run, not the latency of a request that found the server idle.  (Releasing
+  whenever *a worker* is idle was measured and rejected: two solve threads
+  side by side each take twice as long on the small SDNet forward.)  Only
+  groups with queued requests keep a batcher, so a dispatcher pass costs
+  what is waiting, not what was ever served;
 * batch execution is fault-tolerant: failed solves are retried with capped
   exponential backoff (``max_retries``/``retry_backoff_seconds``), requests
   whose deadline has passed fail fast with
@@ -42,7 +53,9 @@ rebuild it is a request *pipeline*:
 
 The synchronous API is a thin wrapper over the same pipeline: without a
 dispatcher, :meth:`~Server.submit` is ``submit_async`` plus an inline
-:meth:`~Server.pump` of whatever batches were released, and
+:meth:`~Server.pump` of whatever batches were released by size or deadline
+(the idle release needs a started dispatcher, so a sync server on an
+injected clock waits its window out), and
 :meth:`~Server.drain` flushes, executes (inline or by waiting on the worker
 pool) and returns the completed results — so the sync path and the async
 path run the identical batching, dedup, solve and postprocess code and are
@@ -570,12 +583,8 @@ class Server:
 
             with span("serving.enqueue"):
                 with self._lock:
-                    batcher = self._batcher_for(request)
-                    released = batcher.enqueue(request)
-                    for other in self._batchers.values():
-                        if other is not batcher:
-                            released.extend(other.poll())
-                    self._ready.extend(released)
+                    self._ready.extend(self._batcher_for(request).enqueue(request))
+                    self._poll_locked()
             if self._started:
                 self._wake.set()
         return future
@@ -610,11 +619,7 @@ class Server:
         """
 
         with self._lock:
-            released: list[Batch] = []
-            for batcher in self._batchers.values():
-                released.extend(batcher.poll())
-            self._ready.extend(released)
-            return released
+            return self._poll_locked()
 
     def pump(self) -> None:
         """Execute released batches on the calling thread (sync-mode driver)."""
@@ -642,17 +647,11 @@ class Server:
         """
 
         with self._lock:
-            idle = (
-                not self._ready
-                and self._inflight_requests == 0
-                and all(b.queue_depth == 0 for b in self._batchers.values())
-            )
-            if idle:
+            if self._idle_locked():
                 return self._collect_completed()
         with span("serving.drain"):
             with self._lock:
-                for batcher in self._batchers.values():
-                    self._ready.extend(batcher.flush())
+                self._flush_locked("flush")
             if self._started:
                 self._wake.set()
                 self._wait_idle()
@@ -695,13 +694,40 @@ class Server:
         self._requeued_ids.intersection_update(self._inflight_ids)
         return completed
 
+    def _poll_locked(self) -> list[Batch]:
+        # Caller holds self._lock.  Size/deadline releases of every queued
+        # group, moved to `_ready`.  A group whose queue emptied leaves the
+        # map, so this scan (and every other one over `_batchers`) is bounded
+        # by the groups that have requests waiting, not by the groups served.
+        released: list[Batch] = []
+        for key, batcher in list(self._batchers.items()):
+            released.extend(batcher.poll())
+            if not batcher.queue_depth:
+                del self._batchers[key]
+        self._ready.extend(released)
+        return released
+
+    def _flush_locked(self, reason: str, keys=None) -> None:
+        # Caller holds self._lock.  Release the whole queue of the named
+        # groups (default: every queued group) whatever its size or age.
+        for key in list(self._batchers) if keys is None else keys:
+            self._ready.extend(self._batchers.pop(key).flush(reason))
+
+    def _idle_locked(self) -> bool:
+        # Caller holds self._lock.
+        return not self._ready and self._inflight_requests == 0 and not self._batchers
+
     def _take_ready(self) -> list[Batch]:
         # Caller holds self._lock.  Deadline-expired batches ride along, and
         # the in-flight request count moves atomically with the hand-off so
         # `pending` and `_wait_idle` never observe a gap.
-        for batcher in self._batchers.values():
-            self._ready.extend(batcher.poll())
-        if self.mega_batch and self._ready:
+        self._poll_locked()
+        if self._started and self._inflight_requests == 0:
+            # Work-conserving: with no dispatched run in flight, waiting out
+            # the window buys no company that could not also queue behind
+            # the run about to start, so everything queued goes now.
+            self._flush_locked("idle")
+        elif self.mega_batch and self._ready:
             self._co_release_locked()
         batches = list(self._ready)
         self._ready.clear()
@@ -716,11 +742,10 @@ class Server:
         ready_keys.discard(None)
         if not ready_keys:
             return
-        for group_key, batcher in self._batchers.items():
-            if batcher.queue_depth == 0:
-                continue
-            if self._compat_key(group_key) in ready_keys:
-                self._ready.extend(batcher.take_all())
+        self._flush_locked(
+            "co_release",
+            [key for key in self._batchers if self._compat_key(key) in ready_keys],
+        )
 
     def _mega_groups(
         self, batches: list[Batch]
@@ -785,7 +810,6 @@ class Server:
                 deadlines = [
                     batcher.next_deadline() for batcher in self._batchers.values()
                 ]
-            deadlines = [d for d in deadlines if d is not None]
             if deadlines:
                 timeout = min(timeout, max(0.0, min(deadlines) - self.clock()))
             self._wake.wait(timeout=timeout)
@@ -823,6 +847,10 @@ class Server:
             with self._lock:
                 self._inflight_requests -= sum(len(batch) for batch in batches)
                 self._work_done.notify_all()
+                if self._started and self._inflight_requests == 0:
+                    # Whatever queued behind this run goes now, not at its
+                    # deadline or the dispatcher's next poll.
+                    self._wake.set()
 
     # -- supervision ---------------------------------------------------------------
 
@@ -914,34 +942,26 @@ class Server:
             if not live:
                 return
             self.stats.record_requeue(len(live))
-            touched = set()
             for request in live:
                 self._requeued_ids.add(request.request_id)
-                batcher = self._batcher_for(request)
-                self._ready.extend(batcher.enqueue(request))
-                touched.add(request.group_key)
-            for key in touched:
-                self._ready.extend(self._batchers[key].take_all())
+                self._ready.extend(self._batcher_for(request).enqueue(request))
+            self._flush_locked("co_release", {r.group_key for r in live})
             if self._started:
                 self._wake.set()
 
     def _wait_idle(self, timeout: float | None = None) -> bool:
-        def idle() -> bool:
-            return (
-                not self._ready
-                and self._inflight_requests == 0
-                and all(b.queue_depth == 0 for b in self._batchers.values())
-            )
-
         with self._lock:
-            return self._work_done.wait_for(idle, timeout=timeout)
+            return self._work_done.wait_for(self._idle_locked, timeout=timeout)
 
     # -- internals ----------------------------------------------------------------
 
     def _batcher_for(self, request: SolveRequest) -> DynamicBatcher:
         # Caller holds self._lock.  One batcher per group (rather than one
         # batcher for all groups) because the estimator makes max_batch_size
-        # a per-geometry policy.
+        # a per-geometry policy.  It lives while the group has requests
+        # queued (`_poll_locked`/`_flush_locked` drop it) and is rebuilt on
+        # the next arrival; the estimator's answer costs ~60 us and is not
+        # kept, so no map here grows with the geometries served.
         key = request.group_key
         batcher = self._batchers.get(key)
         if batcher is None:
@@ -994,7 +1014,7 @@ class Server:
         return self._kernel_profiler.report(n)
 
     def _execute(self, batch: Batch) -> None:
-        with span("serving.batch", size=len(batch)) as batch_span:
+        with span("serving.batch", size=len(batch), reason=batch.reason) as batch_span:
             prepared = self._prepare(batch, batch_span)
             if prepared is None:
                 return
@@ -1221,7 +1241,9 @@ class Server:
         with span("serving.mega_batch", batches=len(group), size=total) as mega_span:
             prepared: list[_PreparedBatch] = []
             for batch in group:
-                with span("serving.batch", size=len(batch), mega=True) as batch_span:
+                with span(
+                    "serving.batch", size=len(batch), mega=True, reason=batch.reason
+                ) as batch_span:
                     try:
                         p = self._prepare(batch, batch_span)
                     except Exception as exc:

@@ -6,12 +6,16 @@ solutions the synchronous submit/drain path returns, under any thread
 interleaving, while admission control keeps the queue depth bounded.
 """
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.domains import CompositeDomain, CompositeMosaicGeometry
+from repro.mosaic import FDSubdomainSolver, MosaicFlowPredictor, MosaicGeometry
+from repro.obs import disable_tracing, enable_tracing
 from repro.serving import (
     BatchPolicy,
     QuotaExceededError,
@@ -292,3 +296,215 @@ class TestAdmissionControl:
                 SolveRequest.create(small_geometry, loops[1], max_iterations=40)
             )
         assert server.stats.rejections == 1
+
+
+def _standalone(geometry, loop):
+    """The oracle: one request alone through ``MosaicFlowPredictor.run``."""
+
+    solver = FDSubdomainSolver(geometry.subdomain_grid(), method="direct")
+    return MosaicFlowPredictor(geometry, solver).run(
+        loop, max_iterations=40, tol=1e-6  # tol: SolveRequest.create's default
+    )
+
+
+class _GatedFDSolver(FDSubdomainSolver):
+    """FD solver whose first ``predict`` blocks until ``gate`` is set."""
+
+    def __init__(self, grid, entered: threading.Event, gate: threading.Event):
+        super().__init__(grid, method="direct")
+        self._entered, self._gate = entered, gate
+
+    def predict(self, boundaries, points):
+        if not self._entered.is_set():
+            self._entered.set()
+            assert self._gate.wait(timeout=30)
+        return super().predict(boundaries, points)
+
+
+class TestWorkConservingDispatch:
+    """A started server waits for company only while a run is in flight."""
+
+    WINDOW = 5.0  # a batch window no test below can afford to sit out
+
+    def test_lone_request_on_idle_server_skips_the_window(
+        self, small_geometry, harmonic_loops
+    ):
+        loop = harmonic_loops(1, seed=31)[0]
+        tracer = enable_tracing()
+        try:
+            with Server(
+                policy=BatchPolicy(max_batch_size=16, max_wait_seconds=self.WINDOW),
+                async_workers=1,
+            ) as server:
+                began = time.monotonic()
+                result = server.submit_async(
+                    SolveRequest.create(small_geometry, loop, max_iterations=40)
+                ).result(timeout=self.WINDOW - 1.0)
+                elapsed = time.monotonic() - began
+        finally:
+            disable_tracing()
+        assert elapsed < 1.0
+        waits = server.stats.registry.histogram("serving.queue_wait_seconds").values()
+        assert len(waits) == 1 and waits[0] < 0.1
+        reference = _standalone(small_geometry, loop)
+        assert result.solution.tobytes() == reference.solution.tobytes()
+        assert result.iterations == reference.iterations
+        reasons = [
+            s.attrs["reason"]
+            for root in tracer.roots for s in root.walk()
+            if s.name == "serving.batch"
+        ]
+        assert reasons == ["idle"]
+
+    def test_requests_behind_a_run_go_together_when_it_finishes(
+        self, small_geometry, harmonic_loops
+    ):
+        loops = harmonic_loops(7, seed=32)
+        entered, gate = threading.Event(), threading.Event()
+        with Server(
+            solver_factory=lambda g: _GatedFDSolver(g.subdomain_grid(), entered, gate),
+            policy=BatchPolicy(max_batch_size=16, max_wait_seconds=self.WINDOW),
+            async_workers=2,
+        ) as server:
+            first = server.submit_async(
+                SolveRequest.create(small_geometry, loops[0], max_iterations=40)
+            )
+            assert entered.wait(timeout=10)  # released at once, now mid-solve
+            behind = [
+                server.submit_async(
+                    SolveRequest.create(small_geometry, loop, max_iterations=40)
+                )
+                for loop in loops[1:]
+            ]
+            # A second worker is idle, but a run is in flight: size-or-deadline
+            # holds and the six wait behind it for company.
+            time.sleep(0.2)
+            assert not any(f.done() for f in behind)
+            assert server.pending == 7
+            began = time.monotonic()
+            gate.set()
+            results = [f.result(timeout=self.WINDOW - 1.0) for f in [first] + behind]
+            elapsed = time.monotonic() - began
+        assert elapsed < 2.0  # the finishing run woke the dispatcher
+        assert results[0].batch_size == 1
+        assert [r.batch_size for r in results[1:]] == [6] * 6
+        assert server.stats.fused_runs == 2
+        for result, loop in zip(results, loops):
+            reference = _standalone(small_geometry, loop)
+            assert result.solution.tobytes() == reference.solution.tobytes()
+            assert result.iterations == reference.iterations
+
+    def test_sync_server_still_waits_out_the_window(
+        self, small_geometry, harmonic_loops, fake_clock
+    ):
+        server = Server(
+            policy=BatchPolicy(max_batch_size=16, max_wait_seconds=self.WINDOW),
+            clock=fake_clock,
+        )
+        request = SolveRequest.create(
+            small_geometry, harmonic_loops(1, seed=33)[0], max_iterations=40
+        )
+        server.submit(request)
+        fake_clock.advance(self.WINDOW - 0.001)
+        assert server.poll() == []
+        server.pump()
+        assert server.pending == 1 and server.result(request.request_id) is None
+        fake_clock.advance(0.001)
+        assert [batch.reason for batch in server.poll()] == ["deadline"]
+        server.pump()
+        assert server.result(request.request_id) is not None
+
+    def test_idle_dispatcher_does_not_spin(self, small_geometry, harmonic_loops):
+        with Server(async_workers=1, poll_interval_seconds=0.01) as server:
+            server.submit_async(
+                SolveRequest.create(
+                    small_geometry, harmonic_loops(1, seed=34)[0], max_iterations=40
+                )
+            ).result(timeout=30)
+            iterations = []
+            check_workers = server.check_workers  # called once per loop pass
+            server.check_workers = lambda: iterations.append(1) or check_workers()
+            time.sleep(0.3)
+            passes = len(iterations)
+        # One pass per poll interval, plus slack for the timer's granularity.
+        assert passes <= 0.3 / 0.01 + 10
+
+    def test_squeezed_interleavings_strand_nothing(self):
+        # More submitters than cores on a 10 us switch interval: workers wake
+        # the dispatcher and groups leave the batcher map while submitters
+        # re-create them.  Nothing may be stranded until its 5 s deadline.
+        geometries = [MosaicGeometry(9, 0.5, 4, steps_y) for steps_y in range(2, 7)]
+        loops = {
+            g: g.global_grid().boundary_from_function(lambda x, y: x * x - y * y)
+            for g in geometries
+        }
+        failures = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with Server(
+                policy=BatchPolicy(max_batch_size=4, max_wait_seconds=self.WINDOW),
+                async_workers=2,
+            ) as server:
+
+                def submitter(index):
+                    try:
+                        for k in range(20):
+                            geometry = geometries[(index + k) % len(geometries)]
+                            # Scaled per request: 120 distinct store keys.
+                            loop = loops[geometry] * (1.0 + index + 0.01 * k)
+                            server.submit_async(
+                                SolveRequest.create(geometry, loop, max_iterations=2)
+                            ).result(timeout=self.WINDOW - 1.0)
+                    except Exception as exc:  # noqa: BLE001 - for the main thread
+                        failures.append(exc)
+
+                threads = [
+                    threading.Thread(target=submitter, args=(i,)) for i in range(6)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+                assert failures == []
+                # A future resolves before its run's in-flight count drops.
+                assert server._wait_idle(timeout=10)
+                assert server.pending == 0 and server._batchers == {}
+                assert server.stats.solved_requests == 120
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_batcher_map_holds_only_queued_groups(self):
+        geometries = [
+            MosaicGeometry(9, 0.5, steps_x, steps_y)
+            for steps_x in range(2, 22) for steps_y in range(2, 12)
+        ]
+        assert len(set(geometries)) == 200
+        with Server(
+            policy=BatchPolicy(max_batch_size=8, max_wait_seconds=self.WINDOW),
+            async_workers=1,
+        ) as server:
+            futures = [
+                server.submit_async(
+                    SolveRequest.create(
+                        geometry,
+                        geometry.global_grid().boundary_from_function(lambda x, y: x * y),
+                        max_iterations=1,
+                    )
+                )
+                for geometry in geometries
+            ]
+            for future in futures:
+                future.result(timeout=60)
+            assert server._wait_idle(timeout=10)
+            assert server.pending == 0
+            assert server._batchers == {}
+        # The sync path prunes too: a drained group leaves no batcher behind.
+        sync = Server(policy=BatchPolicy(max_batch_size=2, max_wait_seconds=1e9))
+        for geometry in geometries[:20]:
+            loop = geometry.global_grid().boundary_from_function(lambda x, y: x + y)
+            sync.submit(SolveRequest.create(geometry, loop, max_iterations=1))
+        assert len(sync._batchers) == 20
+        assert len(sync.drain()) == 20
+        assert sync._batchers == {}
