@@ -140,9 +140,7 @@ def test_server_parity_with_eager_oracle(bench_trained_sdnet, eager_sdnet_solver
         loops = _golden_loops(geometry, requests_per_case)
         solutions, elapsed = {}, {}
         for mode, solver_class in solvers.items():
-            server = Server(
-                solver_factory=lambda geom: solver_class(model), world_size=2
-            )
+            server = Server(solver_factory=lambda geom: solver_class(model))
             tic = time.perf_counter()
             ids = [
                 server.submit(

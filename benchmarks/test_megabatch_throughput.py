@@ -8,11 +8,12 @@ model) into single perfmodel-sized solver calls, pushing the device batch
 size toward the Figure 5 knee even when no single group is busy.
 
 This benchmark serves an identical mixed-geometry stream (three rectangles
-and an L-shape sharing one trained SDNet) twice — per-group batching vs
-mega-batching — asserts the solutions are bitwise identical, and records the
-speedup plus fused-call occupancy.  The machine-independent speedup ratio is
-written to ``test-artifacts/engine/megabatch_serving.json`` and gated by
-``benchmarks/record_trajectory.py``.
+and an L-shape sharing one trained SDNet) twice — one server per geometry
+group (per-group batching) vs one server for the whole stream
+(mega-batching) — asserts the solutions are bitwise identical, and records
+the speedup plus fused-call occupancy.  The machine-independent speedup
+ratio is written to ``test-artifacts/engine/megabatch_serving.json`` and
+gated by ``benchmarks/record_trajectory.py``.
 """
 
 from __future__ import annotations
@@ -79,13 +80,12 @@ def _stream(geometries, per_group, seed):
     return stream
 
 
-def _serve(stream, model, mega_batch):
+def _serve(stream, model):
     server = Server(
         solver_factory=lambda geometry: SDNetSubdomainSolver(model),
         # Batches never fill or time out on their own; drain() releases every
-        # group at once, which is what lets the mega path fuse across groups.
+        # group at once, which is what lets the run fuse across groups.
         policy=BatchPolicy(max_batch_size=64, max_wait_seconds=1e9),
-        mega_batch=mega_batch,
     )
     tic = time.perf_counter()
     ids = [
@@ -100,23 +100,43 @@ def _serve(stream, model, mega_batch):
     return server, [results[i] for i in ids], elapsed
 
 
+def _serve_per_group(stream, model):
+    """The per-group baseline: one server per geometry group, same stream.
+
+    Returns ``(fused runs, results in stream order, summed wall time)``.
+    """
+
+    groups: dict = {}
+    for index, (geometry, loop) in enumerate(stream):
+        groups.setdefault(geometry, []).append((index, (geometry, loop)))
+    results = [None] * len(stream)
+    fused_runs, elapsed = 0, 0.0
+    for members in groups.values():
+        server, served, seconds = _serve([item for _, item in members], model)
+        fused_runs += server.stats.fused_runs
+        elapsed += seconds
+        for (index, _), result in zip(members, served):
+            results[index] = result
+    return fused_runs, results, elapsed
+
+
 def test_megabatch_vs_per_group_serving(benchmark, bench_trained_sdnet):
     geometries = _geometries()
     stream = _stream(geometries, REQUESTS_PER_GROUP, seed=2026)
 
     # Warm both paths once (lazy solver construction, allocator warm-up),
     # then take best-of-3 wall times for the ratio.
-    _serve(stream, bench_trained_sdnet, mega_batch=False)
-    _serve(stream, bench_trained_sdnet, mega_batch=True)
+    _serve_per_group(stream, bench_trained_sdnet)
+    _serve(stream, bench_trained_sdnet)
 
     t_grouped, t_mega = float("inf"), float("inf")
     grouped_results = mega_results = None
-    grouped = mega = None
+    grouped_runs = mega = None
     for _ in range(3):
-        server, results, elapsed = _serve(stream, bench_trained_sdnet, False)
+        runs, results, elapsed = _serve_per_group(stream, bench_trained_sdnet)
         if elapsed < t_grouped:
-            grouped, grouped_results, t_grouped = server, results, elapsed
-        server, results, elapsed = _serve(stream, bench_trained_sdnet, True)
+            grouped_runs, grouped_results, t_grouped = runs, results, elapsed
+        server, results, elapsed = _serve(stream, bench_trained_sdnet)
         if elapsed < t_mega:
             mega, mega_results, t_mega = server, results, elapsed
 
@@ -132,7 +152,7 @@ def test_megabatch_vs_per_group_serving(benchmark, bench_trained_sdnet):
 
     num_requests = len(stream)
     rows = [
-        ["per-group", grouped.stats.fused_runs, "-", "-",
+        ["per-group", grouped_runs, "-", "-",
          f"{t_grouped:.2f} s", f"{num_requests / t_grouped:.1f}", "1.0x"],
         ["mega-batch", mega.stats.fused_runs, mega.stats.mega_calls,
          f"{mega.stats.mean_mega_rows:.0f}",
@@ -163,7 +183,7 @@ def test_megabatch_vs_per_group_serving(benchmark, bench_trained_sdnet):
 
     benchmark.extra_info.update(payload)
     benchmark.pedantic(
-        lambda: _serve(stream, bench_trained_sdnet, True),
+        lambda: _serve(stream, bench_trained_sdnet),
         rounds=1, iterations=1,
     )
 

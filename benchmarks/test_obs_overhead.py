@@ -103,10 +103,7 @@ def _serve(model, loops, geometry, tracing: bool):
     tracer = enable_tracing() if tracing else None
     if not tracing:
         disable_tracing()
-    server = Server(
-        solver_factory=lambda geom: SDNetSubdomainSolver(model),
-        world_size=2,
-    )
+    server = Server(solver_factory=lambda geom: SDNetSubdomainSolver(model))
     tic = time.perf_counter()
     for loop in loops:
         server.submit(SolveRequest.create(geometry, loop, tol=1e-6, max_iterations=40))

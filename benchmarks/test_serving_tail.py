@@ -74,7 +74,6 @@ def _stream(count, seed):
 def _serve(stream, model, flight=None):
     server = Server(
         solver_factory=lambda geometry: SDNetSubdomainSolver(model),
-        world_size=2,
         flight=flight,
     )
     tic = time.perf_counter()

@@ -7,7 +7,7 @@ The demo drives ``repro.obs`` across every layer it instruments:
    boundary value problems (with deliberate repeats so the cache
    participates),
 2. print the hierarchical span tree of the served requests — queue wait,
-   batch assembly, fused solve, per-rank workers, postprocess — plus a
+   batch assembly, fused solve, postprocess — plus a
    Chrome trace file loadable in ``chrome://tracing`` / Perfetto,
 3. print the unified metrics snapshot (``Server.stats()``'s counters and
    bounded histograms) in both JSON and Prometheus text exposition,
@@ -115,7 +115,6 @@ def main() -> None:
     accountant = enable_memory_accounting()
     server = Server(
         solver_factory=lambda geom: SDNetSubdomainSolver(model),
-        world_size=2,
         engine_profile=True,
         flight=FlightRecorder(min_samples=8, latency_quantile=50.0),
     )

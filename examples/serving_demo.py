@@ -7,7 +7,7 @@ would:
    domain geometries, random harmonic-mix boundary data, and a realistic
    share of repeated queries,
 2. submit them all to a :class:`repro.serving.Server` configured with
-   dynamic batching, an LRU solution cache and a 2-rank worker pool,
+   dynamic batching and an LRU solution cache,
 3. print the server's stats report (fused runs, cache hit rate, latency
    percentiles) — batching + caching make *far fewer* solver runs than there
    are requests, and
@@ -53,8 +53,6 @@ def parse_args() -> argparse.Namespace:
     parser.add_argument("--requests", type=int, default=120,
                         help="number of solve requests to submit (>= 100)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--world-size", type=int, default=2,
-                        help="worker-pool ranks per fused batch")
     parser.add_argument("--max-batch", type=int, default=16,
                         help="dynamic batcher size limit")
     return parser.parse_args()
@@ -100,7 +98,6 @@ def main() -> None:
     server = Server(
         policy=BatchPolicy(max_batch_size=args.max_batch, max_wait_seconds=60.0),
         cache=SolutionCache(capacity=256),
-        world_size=args.world_size,
     )
     tic = time.perf_counter()
     ids = [server.submit(request) for request in requests]

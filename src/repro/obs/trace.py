@@ -3,7 +3,7 @@
 A :class:`Span` is one timed section of work; spans opened while another span
 of the same thread is active become its children, so a traced serving request
 or training step comes back as a tree (queue wait -> batch assembly -> fused
-solve -> per-rank solves -> postprocess).  The tracer is thread-safe: every
+solve -> postprocess).  The tracer is thread-safe: every
 thread keeps its own span stack, so the simulated-cluster ranks and the
 serving worker pool each contribute their own root spans to one trace.
 

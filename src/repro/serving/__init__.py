@@ -6,8 +6,9 @@ paper): requests are validated and canonicalized (:mod:`.api`), claimed in an
 idempotent request store so duplicates and retries never recompute
 (:mod:`.store`), answered from an LRU solution cache when possible
 (:mod:`.cache`), dynamically batched per geometry (:mod:`.batcher`, sized by
-the perfmodel-backed :mod:`.estimator`), and executed as fused batched runs
-(:mod:`.fused`) sharded across simulated ranks (:mod:`.workers`).
+the perfmodel-backed :mod:`.estimator`), and executed as lattice runs whose
+solver calls stack the rows of every fusion-compatible batch (:mod:`.fused`,
+:mod:`.megabatch`).
 
 The front-end (:mod:`.server`) is an async pipeline: non-blocking
 ``submit_async`` returning :mod:`.futures`, a background dispatcher plus a
@@ -72,7 +73,6 @@ from .supervisor import (
     CircuitBreaker,
     WorkerSupervisor,
 )
-from .workers import WorkerPool
 
 __all__ = [
     "RequestValidationError",
@@ -92,7 +92,6 @@ __all__ = [
     "Server",
     "default_solver_factory",
     "ServingStats",
-    "WorkerPool",
     # async front-end
     "SolveFuture",
     "SolveError",

@@ -10,12 +10,11 @@ injector configured (the default) every hook is a no-op attribute check.
 
 Sites (the module-level constants are the wiring contract):
 
-* ``WORKER_SOLVE`` — fired by every worker rank at the worker-call boundary,
-  just before its :class:`~repro.serving.fused.FusedBatchRunner` runs.  A
-  ``crash`` here surfaces as a mid-batch worker failure
-  (:class:`~repro.distributed.simulated.SpmdFailure` wrapping
-  :class:`InjectedFault`) and exercises the server's retry policy; a
-  ``delay`` models a straggling solve and exercises request deadlines.
+* ``WORKER_SOLVE`` — fired once per run attempt, at ``rank=0``, just
+  before the server's lattice run issues its first solver call.  A
+  ``crash`` here (:class:`InjectedFault`) fails that attempt and exercises
+  the server's retry policy; a ``delay`` models a straggling solve and
+  exercises request deadlines.
 * ``BATCH_ASSEMBLY`` — fired while the server stacks a batch's boundary
   loops; a ``crash`` models corrupt batch assembly.
 * ``STORE_DELIVER`` — fired when the server delivers a solved outcome to the

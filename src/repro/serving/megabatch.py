@@ -43,8 +43,8 @@ def solver_fusion_key(solver) -> tuple | None:
     Two groups fuse only when their solvers are *equivalent*: the same
     trained network (same model object, same internal batch cap) or the same
     exact finite-difference configuration.  Returns ``None`` for solver types
-    this module does not understand — those groups never cross-fuse, they
-    just keep their classic per-group path.
+    this module does not understand — those groups never cross-fuse: each
+    runs alone on a solver built for it.
     """
 
     from ..mosaic.solvers import FDSubdomainSolver, SDNetSubdomainSolver

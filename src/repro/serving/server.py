@@ -13,9 +13,11 @@ rebuild it is a request *pipeline*:
   returns a :class:`~repro.serving.futures.SolveFuture` immediately;
 * a background **dispatcher thread** (``async_workers >= 1`` +
   :meth:`~Server.start`) collects released batches and hands them to a
-  **thread pool of solve workers**; each batch executes through the
-  existing :class:`~repro.serving.workers.WorkerPool` (per-rank solver
-  isolation) and :class:`~repro.serving.fused.FusedBatchRunner`.  The
+  **thread pool of solve workers**.  Every dispatch runs one way: its
+  batches are partitioned by fusion compatibility and each partition —
+  one batch or several — is one :class:`~repro.mosaic.core.LatticeRun`
+  (:class:`~repro.serving.megabatch.MegaBatchExecutor`) over shared solver
+  calls, each request bitwise equal to its standalone run.  The
   dispatcher is **work-conserving**: size-or-deadline decides only while a
   dispatched run is in flight, when waiting for company overlaps useful
   work and arrivals batch behind the run for free.  With no run in flight
@@ -109,11 +111,8 @@ from .megabatch import MegaBatchExecutor, solver_fusion_key
 from .stats import ServingStats
 from .store import AdmissionController, RequestStore, TenantQuota, Waiter
 from .supervisor import BreakerBoard, WorkerSupervisor
-from .workers import WorkerPool
 
 __all__ = ["Server", "default_solver_factory"]
-
-_UNSET = object()
 
 
 @dataclass
@@ -170,8 +169,6 @@ class Server:
         quotas into pending-count limits.
     latency_budget_seconds:
         Latency budget handed to the estimator's recommendation.
-    world_size:
-        Ranks of the worker pool each fused batch is sharded across.
     clock:
         Monotonic time source (injectable for deterministic tests).
     engine:
@@ -218,18 +215,6 @@ class Server:
         enables :meth:`start`, which spawns the background dispatcher and
         the pool; ``submit_async`` then never executes solves on the
         caller's thread.
-    mega_batch:
-        Cross-request anchor-level mega-batching (default on).  When
-        several batches are ready at once and their geometry groups are
-        fusion-compatible — same subdomain grid, equivalent solver
-        (:func:`~repro.serving.megabatch.solver_fusion_key`) — their
-        per-iteration anchor rows are concatenated into single solver calls
-        sized by the perfmodel
-        (:meth:`~repro.serving.estimator.ServingEstimator.recommend_mega_rows`)
-        and results are scattered back per request, bitwise-identical to the
-        per-batch path.  Compatible groups with queued requests are
-        co-released to ride a mega run instead of waiting out their own
-        deadline.  ``False`` restores strict per-group execution.
     flight:
         Optional :class:`~repro.obs.flight.FlightRecorder` enabling
         tail-sampling flight records: requests that finish slow (rolling
@@ -282,10 +267,11 @@ class Server:
     The request lifecycle emits hierarchical spans when tracing is on
     (:func:`repro.obs.enable_tracing`): ``serving.submit`` (with
     ``serving.claim`` and ``serving.cache_lookup`` children and a
-    ``serving.enqueue`` child for queued requests) and, per executed batch,
-    ``serving.batch`` with ``serving.batch_assembly`` →
-    ``serving.fused_solve`` (one per attempt, with ``serving.retry`` spans
-    between failed attempts) → ``serving.postprocess`` children.  Counters
+    ``serving.enqueue`` child for queued requests) and, per run,
+    ``serving.mega_batch`` with one ``serving.batch`` (with its
+    ``serving.batch_assembly``) per batch, ``serving.fused_solve`` (one per
+    attempt, with ``serving.retry`` spans between failed attempts) and one
+    ``serving.postprocess`` per batch.  Counters
     for retries, rejections, timeouts, failures and store replays live in
     ``self.stats.registry`` next to the latency/queue-wait histograms.
     An empty :meth:`drain` emits no spans and records no metrics.
@@ -298,7 +284,6 @@ class Server:
         cache: SolutionCache | None = None,
         estimator: ServingEstimator | None = None,
         latency_budget_seconds: float | None = None,
-        world_size: int = 1,
         clock=time.monotonic,
         engine: bool = False,
         engine_profile: bool = False,
@@ -311,7 +296,6 @@ class Server:
         sleep=None,
         async_workers: int = 0,
         poll_interval_seconds: float = 0.01,
-        mega_batch: bool = True,
         flight: FlightRecorder | None = None,
         slo: SLOTracker | None = None,
         journal=None,
@@ -323,7 +307,6 @@ class Server:
         self.cache = cache
         self.estimator = estimator
         self.latency_budget_seconds = latency_budget_seconds
-        self.world_size = int(world_size)
         self.clock = clock
         self.engine_profile = bool(engine_profile)
         self._kernel_profiler = KernelProfiler() if self.engine_profile else None
@@ -366,17 +349,15 @@ class Server:
         self.async_workers = int(async_workers)
         self.poll_interval_seconds = float(poll_interval_seconds)
 
-        self.mega_batch = bool(mega_batch)
         self.flight = flight
         self.slo = slo if slo is not None else SLOTracker(clock=clock)
 
         self._lock = threading.RLock()
         self._work_done = threading.Condition(self._lock)
         self._batchers: dict[tuple, DynamicBatcher] = {}
-        self._pools: dict[tuple, WorkerPool] = {}
-        # group_key -> mega compatibility key (None: never cross-fuses), and
-        # compat key -> the shared solver answering that key's mega runs.
-        self._compat_keys: dict[tuple, tuple | None] = {}
+        # group_key -> compatibility key (the group key itself when it never
+        # cross-fuses), and compat key -> the solver answering its runs.
+        self._compat_keys: dict[tuple, tuple] = {}
         self._mega_solvers: dict[tuple, object] = {}
         self._completed: dict[str, SolveResult] = {}
         self._futures: dict[str, SolveFuture] = {}
@@ -629,7 +610,7 @@ class Server:
                 groups = self._mega_groups(self._take_ready())
             if not groups:
                 return
-            for batches, compat_key in groups:
+            for compat_key, batches in groups:
                 self._run_group(batches, compat_key)
 
     def drain(self) -> dict[str, SolveResult]:
@@ -727,7 +708,7 @@ class Server:
             # the window buys no company that could not also queue behind
             # the run about to start, so everything queued goes now.
             self._flush_locked("idle")
-        elif self.mega_batch and self._ready:
+        elif self._ready:
             self._co_release_locked()
         batches = list(self._ready)
         self._ready.clear()
@@ -739,59 +720,42 @@ class Server:
         # a batch that was just released ride its mega run instead of sitting
         # out their own size/deadline trigger.
         ready_keys = {self._compat_key(batch.group_key) for batch in self._ready}
-        ready_keys.discard(None)
-        if not ready_keys:
-            return
         self._flush_locked(
             "co_release",
             [key for key in self._batchers if self._compat_key(key) in ready_keys],
         )
 
-    def _mega_groups(
-        self, batches: list[Batch]
-    ) -> list[tuple[list[Batch], tuple | None]]:
-        """Partition ready batches into fusion groups (order-preserving).
-
-        Each returned ``(batches, compat_key)`` either runs classically (a
-        single batch, or ``compat_key is None``) or as one mega run.
-        """
-
-        if not self.mega_batch or len(batches) <= 1:
-            return [([batch], None) for batch in batches]
-        with self._lock:
-            keys = [self._compat_key(batch.group_key) for batch in batches]
-        groups: list[tuple[list[Batch], tuple | None]] = []
+    def _mega_groups(self, batches: list[Batch]) -> list[tuple[tuple, list[Batch]]]:
+        # Caller holds self._lock.  Partition ready batches by compatibility
+        # key (order-preserving); each ``(compat_key, batches)`` is one run.
         by_key: dict[tuple, list[Batch]] = {}
-        for batch, key in zip(batches, keys):
-            if key is None:
-                groups.append(([batch], None))
-                continue
-            bucket = by_key.get(key)
-            if bucket is None:
-                bucket = by_key[key] = [batch]
-                groups.append((bucket, key))
-            else:
-                bucket.append(batch)
-        return groups
+        for batch in batches:
+            by_key.setdefault(self._compat_key(batch.group_key), []).append(batch)
+        return list(by_key.items())
 
-    def _compat_key(self, group_key: tuple) -> tuple | None:
+    def _compat_key(self, group_key: tuple) -> tuple:
         # Caller holds self._lock.  Mega compatibility of a geometry group:
         # the subdomain grid parameters plus the solver fusion key — two
         # groups with equal keys issue solver calls with identical query
-        # coordinates and an equivalent solver, so their rows concatenate.
-        cached = self._compat_keys.get(group_key, _UNSET)
-        if cached is not _UNSET:
-            return cached
+        # coordinates and an equivalent solver, so their rows concatenate
+        # and share the solver kept in `_mega_solvers`.  A group whose
+        # solver has no fusion key is its own key and runs alone on its own
+        # solver; one whose factory raised keeps no solver, so every run
+        # attempt calls the factory again and fails through the retry loop.
+        key = self._compat_keys.get(group_key)
+        if key is not None:
+            return key
         geometry = group_key[0]
-        key = None
+        key = group_key
         try:
             solver = self._make_solver(geometry)
-            fusion = solver_fusion_key(solver)
         except Exception:
-            solver, fusion = None, None
+            solver = None
+        fusion = solver_fusion_key(solver)
         if fusion is not None:
             grid = geometry.subdomain_grid()
             key = (grid.nx, grid.ny, tuple(grid.extent), fusion)
+        if solver is not None:
             self._mega_solvers.setdefault(key, solver)
         self._compat_keys[group_key] = key
         return key
@@ -802,7 +766,7 @@ class Server:
             with self._lock:
                 groups = self._mega_groups(self._take_ready())
             if groups:
-                for batches, compat_key in groups:
+                for compat_key, batches in groups:
                     self._executor.submit(self._run_group, batches, compat_key)
                 continue
             timeout = self.poll_interval_seconds
@@ -817,25 +781,21 @@ class Server:
         # Final sweep so close() never strands released batches.
         with self._lock:
             groups = self._mega_groups(self._take_ready())
-        for batches, compat_key in groups:
+        for compat_key, batches in groups:
             self._executor.submit(self._run_group, batches, compat_key)
 
-    def _run_group(self, batches: list[Batch], compat_key: tuple | None) -> None:
+    def _run_group(self, batches: list[Batch], compat_key: tuple) -> None:
         worker = self._supervise_begin(batches)
         try:
             if self.faults is not None:
                 # Worker-death site, entry edge: the worker picked the group
                 # up and dies before any solve ran.
                 self.faults.fire(WORKER_DEATH)
-            if compat_key is None or len(batches) == 1:
-                for batch in batches:
-                    self._execute(batch)
-            else:
-                self._execute_mega(batches, compat_key)
+            self._execute_mega(batches, compat_key)
         except WorkerDeath as death:
             self._handle_worker_death(worker, batches, death)
         except Exception as exc:
-            # _execute* handle solver failures themselves; anything escaping
+            # _execute_mega handles solver failures itself; anything escaping
             # here (assembly faults, bugs) must still resolve the waiters.
             error = RetryExhaustedError(f"batch execution failed: {exc!r}", attempts=1)
             error.__cause__ = exc
@@ -980,22 +940,6 @@ class Server:
             self._batchers[key] = batcher
         return batcher
 
-    def _pool_for(self, request: SolveRequest) -> WorkerPool:
-        key = request.group_key
-        with self._lock:
-            pool = self._pools.get(key)
-            if pool is None:
-                pool = WorkerPool(
-                    request.geometry,
-                    self._make_solver,
-                    world_size=self.world_size,
-                    init_mode=request.init_mode,
-                    check_interval=request.check_interval,
-                    faults=self.faults,
-                )
-                self._pools[key] = pool
-        return pool
-
     def _make_solver(self, geometry):
         """``solver_factory(geometry)``, with kernel profiling switched on if asked."""
 
@@ -1012,25 +956,6 @@ class Server:
                 "per-kernel profiling is off; build the server with engine_profile=True"
             )
         return self._kernel_profiler.report(n)
-
-    def _execute(self, batch: Batch) -> None:
-        with span("serving.batch", size=len(batch), reason=batch.reason) as batch_span:
-            prepared = self._prepare(batch, batch_span)
-            if prepared is None:
-                return
-            pool = self._pool_for(prepared.live[0])
-            outcomes = self._solve_with_retries(pool, prepared, batch_span)
-            if outcomes is None:
-                return  # waiters already resolved (failed or expired)
-            if self.faults is not None:
-                # Worker-death site, mid-batch edge: results computed but not
-                # yet delivered — the requeued re-solve must land bitwise on
-                # the same outcome and deliver exactly once.
-                self.faults.fire(WORKER_DEATH)
-            self.stats.record_fused_run(len(prepared.solve_requests))
-            batch_span.set_attr("unique", len(prepared.solve_requests))
-            with span("serving.postprocess"):
-                self._postprocess(prepared, outcomes)
 
     def _prepare(self, batch: Batch, batch_span) -> _PreparedBatch | None:
         """Expiry-filter and dedup one batch; ``None`` when nothing is live.
@@ -1140,65 +1065,6 @@ class Server:
         prepared.budgets = np.array([r.max_iterations for r in solve_requests])
         return True
 
-    def _solve_with_retries(self, pool, prepared: _PreparedBatch, batch_span):
-        """Run the fused solve with capped exponential backoff retries.
-
-        Returns the outcomes, or ``None`` when the batch resolved without
-        one — retries exhausted (every waiter failed with
-        :class:`RetryExhaustedError`), or every remaining waiter expired
-        during backoff.  Deadline fail-fast re-runs after every backoff
-        sleep, so an attempt never solves for already-expired requests.
-        """
-
-        breaker = self._breaker_for(prepared.batch.group_key)
-        attempts = 0
-        while True:
-            self._heartbeat()
-            try:
-                with span(
-                    "serving.fused_solve",
-                    unique=len(prepared.solve_requests),
-                    attempt=attempts,
-                ):
-                    outcomes = pool.solve(
-                        prepared.loops, prepared.tols, prepared.budgets
-                    )
-                if breaker is not None:
-                    breaker.record_success()
-                return outcomes
-            except Exception as exc:
-                if breaker is not None:
-                    breaker.record_failure()
-                attempts += 1
-                for request in prepared.live:
-                    self.store.record_attempt(request)
-                if attempts > self.max_retries:
-                    self.stats.record_failure()
-                    batch_span.set_attr("failed", type(exc).__name__)
-                    error = RetryExhaustedError(
-                        f"fused solve failed after {attempts} attempt(s); "
-                        f"last error: {exc!r}",
-                        attempts=attempts,
-                    )
-                    error.__cause__ = exc
-                    self._fail_requests(prepared.live, error)
-                    return None
-                self.stats.record_retry()
-                backoff = min(
-                    self.retry_backoff_seconds * (2 ** (attempts - 1)),
-                    self.retry_backoff_cap,
-                )
-                with span(
-                    "serving.retry",
-                    attempt=attempts,
-                    backoff_seconds=backoff,
-                    error=type(exc).__name__,
-                ):
-                    self._backoff_wait(backoff)
-                if not self._refresh_expired(prepared):
-                    batch_span.set_attr("expired_in_backoff", True)
-                    return None
-
     def _postprocess(self, prepared: _PreparedBatch, outcomes) -> None:
         batch_size = len(prepared.solve_requests)
         for request, slot in zip(prepared.live, prepared.assignment):
@@ -1230,11 +1096,12 @@ class Server:
     # -- mega-batch execution ------------------------------------------------------
 
     def _execute_mega(self, group: list[Batch], compat_key: tuple) -> None:
-        """Run several fusion-compatible batches as one mega-batch.
+        """Run one or more fusion-compatible batches as one lattice run.
 
         Each batch keeps its own expiry filter, dedup, fused-run accounting
         and postprocess — only the solver calls are shared, so results are
-        bitwise-identical to running the batches one by one.
+        bitwise-identical to running the batches one by one.  Only a run that
+        fused at least two batches counts as a mega run in the stats.
         """
 
         total = sum(len(batch) for batch in group)
@@ -1274,21 +1141,23 @@ class Server:
                 self.stats.record_fused_run(len(p.solve_requests))
                 with span("serving.postprocess"):
                     self._postprocess(p, outs)
-            self.stats.record_mega_run(len(prepared))
+            if len(prepared) > 1:
+                self.stats.record_mega_run(len(prepared))
 
     def _solve_mega_with_retries(
         self, compat_key: tuple, prepared: list[_PreparedBatch], mega_span
     ):
-        """Run one mega solve with retries; returns aligned (prepared, outcomes).
+        """Run one lattice solve with retries; returns aligned (prepared, outcomes).
 
-        Mirrors :meth:`_solve_with_retries`: capped exponential backoff, a
-        shared retry budget for the whole mega run, and a deadline re-check
-        after every backoff sleep (batches whose waiters all expired drop
-        out of subsequent attempts).  Fresh sessions are built per attempt —
-        iteration state is never reused across a failed solve.
+        Capped exponential backoff, a shared retry budget for the whole run,
+        and a deadline re-check after every backoff sleep (batches whose
+        waiters all expired drop out of subsequent attempts).  Fresh
+        sessions are built per attempt — iteration state is never reused
+        across a failed solve.  A key whose ``solver_factory`` raised has no
+        solver; each attempt calls the factory again, so it fails as a
+        retried attempt too.
         """
 
-        solver = self._mega_solvers[compat_key]
         breaker = self.breakers.get(compat_key) if self.breakers is not None else None
         attempts = 0
         while True:
@@ -1303,6 +1172,9 @@ class Server:
                 ):
                     if self.faults is not None:
                         self.faults.fire(WORKER_SOLVE, rank=0)
+                    solver = self._mega_solvers.get(compat_key)
+                    if solver is None:
+                        solver = self._make_solver(prepared[0].geometry)
                     sessions = [
                         FusedBatchRunner(
                             p.geometry,
@@ -1315,7 +1187,7 @@ class Server:
                     executor = MegaBatchExecutor(
                         solver,
                         max_rows_for=self._mega_max_rows_for(prepared),
-                        on_call=self.stats.record_mega_call,
+                        on_call=self.stats.record_mega_call if len(prepared) > 1 else None,
                     )
                     outcomes = executor.run(sessions)
                     mega_span.set_attr("solver_calls", executor.calls)
@@ -1378,14 +1250,13 @@ class Server:
 
         Keyed by the group's mega-fusion compatibility key so every group
         sharing one solver configuration shares one breaker; a group that
-        never fuses gets its own breaker under its geometry group key.
+        never fuses is its own key, so it gets its own breaker.
         """
 
         if self.breakers is None:
             return None
         with self._lock:
-            key = self._compat_key(group_key)
-        return self.breakers.get(key if key is not None else group_key)
+            return self.breakers.get(self._compat_key(group_key))
 
     def _backoff_wait(self, seconds: float) -> None:
         """Pass retry-backoff time, interruptibly.
@@ -1537,7 +1408,7 @@ class Server:
             latency_seconds=latency,
             error=repr(error) if error is not None else None,
             attrs={
-                "fusion_key": repr(fusion) if fusion is not None else None,
+                "fusion_key": repr(fusion),
                 "mega_occupancy": int(occupancy),
                 "batch_size": int(batch_size),
                 "cache_hit": bool(cache_hit),

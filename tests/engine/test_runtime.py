@@ -210,7 +210,7 @@ class TestIntegrationParity:
         loops = [_loop(geometry, seed) for seed in range(4)]
         solutions = {}
         for solver_class in (eager_sdnet_solver, SDNetSubdomainSolver):
-            server = Server(solver_factory=lambda geom: solver_class(net), world_size=2)
+            server = Server(solver_factory=lambda geom: solver_class(net))
             ids = [
                 server.submit(
                     SolveRequest.create(geometry, loop, tol=1e-6, max_iterations=24)

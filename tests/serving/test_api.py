@@ -80,7 +80,7 @@ class TestPackageExports:
         import importlib
 
         for module in ("api", "batcher", "cache", "estimator", "fused",
-                       "server", "stats", "workers"):
+                       "megabatch", "server", "stats"):
             mod = importlib.import_module(f"repro.serving.{module}")
             assert mod.__all__, module
             for name in mod.__all__:

@@ -57,14 +57,11 @@ class TestCompositeRequests:
 
 
 class TestCompositeServingParity:
-    @pytest.mark.parametrize("world_size", [1, 2])
-    def test_submit_matches_standalone_predictor_bitwise(self, l_geometry, fake_clock,
-                                                         world_size):
+    def test_submit_matches_standalone_predictor_bitwise(self, l_geometry, fake_clock):
         weights = [(1.0, 0.3, 0.0), (0.2, -1.0, 0.5), (-0.7, 0.1, 1.0)]
         server = Server(
             policy=BatchPolicy(max_batch_size=8, max_wait_seconds=1e9),
             cache=SolutionCache(capacity=16),
-            world_size=world_size,
             clock=fake_clock,
         )
         requests = [

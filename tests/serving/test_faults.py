@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.mosaic import MosaicFlowPredictor, MosaicGeometry
 from repro.obs import disable_tracing, enable_tracing
 from repro.serving import (
     BATCH_ASSEMBLY,
@@ -30,6 +31,7 @@ from repro.serving import (
     Server,
     SolutionCache,
     SolveRequest,
+    default_solver_factory,
 )
 
 ARTIFACTS = Path(__file__).resolve().parents[2] / "test-artifacts" / "serving"
@@ -90,15 +92,15 @@ class TestRetries:
                 == clean_results[clean_id].solution.tobytes()
             )
 
-    def test_mid_batch_rank_crash_retries_whole_batch(self, small_geometry,
-                                                      harmonic_loops, fake_clock):
-        # Only rank 1 of the two-rank pool crashes: a genuine mid-batch
-        # worker failure (the other rank is aborted out of its allreduce).
+    def test_mid_run_crash_retries_whole_batch(self, small_geometry, harmonic_loops,
+                                               fake_clock):
+        # The site fires once per run attempt, at rank 0: a crash there fails
+        # the whole 4-request run, and the retry solves all four again.
         faults = FaultInjector(
-            [FaultSpec(site=WORKER_SOLVE, index=0, kind=CRASH, rank=1)],
+            [FaultSpec(site=WORKER_SOLVE, index=0, kind=CRASH, rank=0)],
             sleep=fake_clock.advance,
         )
-        server = _server(fake_clock, faults=faults, world_size=2, max_retries=2)
+        server = _server(fake_clock, faults=faults, max_retries=2)
         loops = harmonic_loops(4, seed=12)
         ids = [
             server.submit(SolveRequest.create(small_geometry, loop, max_iterations=40))
@@ -107,7 +109,55 @@ class TestRetries:
         results = server.drain()
         assert sorted(results) == sorted(ids)
         assert server.stats.retries == 1
-        assert faults.calls(WORKER_SOLVE, rank=1) == 2
+        assert server.stats.fused_runs == 1
+        assert faults.calls(WORKER_SOLVE, rank=0) == 2
+
+        clean = _server(fake_clock)
+        clean_ids = [
+            clean.submit(SolveRequest.create(small_geometry, loop, max_iterations=40))
+            for loop in loops
+        ]
+        clean_results = clean.drain()
+        for faulted_id, clean_id in zip(ids, clean_ids):
+            assert (
+                results[faulted_id].solution.tobytes()
+                == clean_results[clean_id].solution.tobytes()
+            )
+
+    def test_raising_solver_factory_fails_typed_and_dispatcher_keeps_serving(
+        self, small_geometry, harmonic_loops, fake_clock
+    ):
+        broken = MosaicGeometry(
+            subdomain_points=9, subdomain_extent=0.5, steps_x=6, steps_y=4
+        )
+
+        def factory(geometry):
+            if geometry is broken:
+                raise RuntimeError("no solver for this geometry")
+            return default_solver_factory(geometry)
+
+        with _server(
+            fake_clock, solver_factory=factory, max_retries=1, async_workers=1
+        ) as server:
+            doomed = [
+                server.submit_async(SolveRequest.create(
+                    broken, np.full(broken.global_boundary_size, float(k)),
+                    max_iterations=40,
+                ))
+                for k in range(3)
+            ]
+            for future in doomed:
+                error = future.exception(timeout=30)
+                assert isinstance(error, RetryExhaustedError)
+                assert error.attempts == 2
+            loop = harmonic_loops(1, seed=14)[0]
+            served = server.submit_async(
+                SolveRequest.create(small_geometry, loop, max_iterations=40)
+            ).result(timeout=30)
+        alone = MosaicFlowPredictor(
+            small_geometry, default_solver_factory(small_geometry)
+        ).run(loop, max_iterations=40, tol=1e-6)
+        assert served.solution.tobytes() == alone.solution.tobytes()
 
     def test_retry_exhaustion_raises_typed_error(self, small_geometry, harmonic_loops,
                                                  fake_clock):

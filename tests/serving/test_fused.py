@@ -1,9 +1,8 @@
-"""Fused batch runner and worker pool: parity with individual solves.
+"""Fused batch runner: parity with individual solves.
 
 The core guarantee of the serving layer: fusing many BVPs into one batched
-run (and sharding that run across ranks) changes *only* the shape of the
-solver calls — every request's iterate sequence, stopping decision and
-assembled solution match a standalone ``MosaicFlowPredictor.run``.
+run changes *only* the shape of the solver calls — every request's iterate
+sequence, stopping decision and assembled solution match a standalone ``MosaicFlowPredictor.run``.
 """
 
 import numpy as np
@@ -15,7 +14,7 @@ from repro.mosaic import (
     SDNetSubdomainSolver,
     MosaicGeometry,
 )
-from repro.serving import FusedBatchRunner, WorkerPool
+from repro.serving import FusedBatchRunner
 
 
 def _fd_factory(geometry):
@@ -101,30 +100,3 @@ class TestFusedRunner:
             bad = MosaicGeometry(subdomain_points=13, subdomain_extent=0.5,
                                  steps_x=4, steps_y=4)
             FusedBatchRunner(small_geometry, _fd_factory(bad))
-
-
-class TestWorkerPool:
-    @pytest.mark.parametrize("world_size", [1, 2, 3, 5])
-    def test_sharding_preserves_results_and_order(
-        self, small_geometry, harmonic_loops, world_size
-    ):
-        loops = harmonic_loops(5, seed=2)
-        baseline = FusedBatchRunner(small_geometry, _fd_factory(small_geometry)).run(
-            loops, tols=1e-6, max_iterations=100
-        )
-        pool = WorkerPool(small_geometry, _fd_factory, world_size=world_size)
-        outcomes = pool.solve(loops, tols=1e-6, max_iterations=100)
-        assert len(outcomes) == len(loops)
-        for a, b in zip(outcomes, baseline):
-            assert a.iterations == b.iterations
-            np.testing.assert_array_equal(a.solution, b.solution)
-        assert pool.predict_calls > 0 and pool.subdomains_solved > 0
-
-    def test_empty_batch(self, small_geometry):
-        pool = WorkerPool(small_geometry, _fd_factory, world_size=2)
-        size = small_geometry.global_grid().boundary_size
-        assert pool.solve(np.empty((0, size))) == []
-
-    def test_world_size_validation(self, small_geometry):
-        with pytest.raises(ValueError):
-            WorkerPool(small_geometry, _fd_factory, world_size=0)

@@ -1,9 +1,10 @@
 """Cross-request mega-batching: fusion keys, bitwise parity, hot-path bugfixes.
 
-The per-request (``mega_batch=False``) pipeline is the oracle throughout:
-mega-batching only concatenates solver-call rows across fusion-compatible
-batches, so every request's solution, iteration count and convergence deltas
-must stay bitwise identical with it on.
+The oracles are the standalone ``MosaicFlowPredictor.run`` and one ``Server``
+per geometry group (nothing to fuse with): mega-batching only concatenates
+solver-call rows across fusion-compatible batches, so every request's
+solution, iteration count and convergence deltas must stay bitwise identical
+to both.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from repro.serving import (
     ServingEstimator,
     SolutionCache,
     SolveRequest,
-    WorkerPool,
     solver_fusion_key,
 )
 from repro.utils import seeded_rng
@@ -63,10 +63,10 @@ def _loops(geometry, count, seed):
     return loops
 
 
-def _server(clock, mega_batch=True, **kwargs):
+def _server(clock, **kwargs):
     kwargs.setdefault("policy", BatchPolicy(max_batch_size=8, max_wait_seconds=1e9))
     kwargs.setdefault("cache", SolutionCache(capacity=64))
-    return Server(clock=clock, mega_batch=mega_batch, **kwargs)
+    return Server(clock=clock, **kwargs)
 
 
 def _serve_stream(server, stream):
@@ -78,6 +78,20 @@ def _serve_stream(server, stream):
             )
         )
     return ids, server.drain()
+
+
+def _per_group(clock, stream, **kwargs):
+    """The stream served by one server per geometry group, in stream order."""
+
+    results = [None] * len(stream)
+    for geometry in {id(g): g for g, _ in stream}.values():
+        indices = [i for i, (g, _) in enumerate(stream) if g is geometry]
+        ids, served = _serve_stream(
+            _server(clock, **kwargs), [stream[i] for i in indices]
+        )
+        for index, request_id in zip(indices, ids):
+            results[index] = served[request_id]
+    return results
 
 
 def _mixed_stream(per_geometry=2, seed=31):
@@ -116,15 +130,13 @@ class TestFusionKeys:
 
 
 class TestMegaParity:
-    def test_mixed_geometries_bitwise_identical_to_per_batch_path(self, fake_clock):
+    def test_mixed_geometries_bitwise_identical_to_per_group_servers(self, fake_clock):
         stream = _mixed_stream(per_geometry=2, seed=31)
         mega_ids, mega_results = _serve_stream(_server(fake_clock), stream)
-        ref_ids, ref_results = _serve_stream(
-            _server(fake_clock, mega_batch=False), stream
-        )
+        reference = _per_group(fake_clock, stream)
         assert len(mega_results) == len(stream)
-        for mega_id, ref_id in zip(mega_ids, ref_ids):
-            ours, theirs = mega_results[mega_id], ref_results[ref_id]
+        for mega_id, theirs in zip(mega_ids, reference):
+            ours = mega_results[mega_id]
             assert ours.solution.tobytes() == theirs.solution.tobytes()
             assert ours.iterations == theirs.iterations
             assert ours.converged == theirs.converged
@@ -159,21 +171,27 @@ class TestMegaParity:
         stream = _mixed_stream(per_geometry=1, seed=35)
         capped = _server(fake_clock, estimator=estimator)
         capped_ids, capped_results = _serve_stream(capped, stream)
-        ref_ids, ref_results = _serve_stream(
-            _server(fake_clock, mega_batch=False), stream
-        )
+        reference = _per_group(fake_clock, stream)
         # One-row calls force maximal chunking: far more solver calls than runs.
         assert capped.stats.mega_runs >= 1
         assert capped.stats.mega_calls > capped.stats.mega_runs
-        for capped_id, ref_id in zip(capped_ids, ref_ids):
+        for capped_id, theirs in zip(capped_ids, reference):
             assert (
                 capped_results[capped_id].solution.tobytes()
-                == ref_results[ref_id].solution.tobytes()
+                == theirs.solution.tobytes()
             )
 
-    def test_single_batch_takes_classic_path(self, fake_clock):
+    def test_single_batch_is_its_standalone_run_and_no_mega_run(self, fake_clock):
         server = _server(fake_clock)
-        _serve_stream(server, [(RECT, loop) for loop in _loops(RECT, 2, seed=37)])
+        loops = _loops(RECT, 2, seed=37)
+        ids, results = _serve_stream(server, [(RECT, loop) for loop in loops])
+        for request_id, loop in zip(ids, loops):
+            served, alone = results[request_id], _standalone(RECT, loop, 1e-6, 40)
+            assert served.solution.tobytes() == alone.solution.tobytes()
+            assert (served.iterations, served.converged, served.deltas) == (
+                alone.iterations, alone.converged, alone.deltas
+            )
+        # A run of one batch is not cross-request fusion.
         assert server.stats.fused_runs == 1
         assert server.stats.mega_runs == 0
         assert server.stats.mega_calls == 0
@@ -185,17 +203,31 @@ class TestMegaParity:
                          embedding_channels=(2,), rng=rng)
 
         models = {id(RECT): model_for(1), id(WIDE): model_for(2)}
+        rows = {id(RECT): 0, id(WIDE): 0}
 
-        def factory(geometry):
-            return SDNetSubdomainSolver(models[id(geometry)])
+        class CountingSolver(SDNetSubdomainSolver):
+            def __init__(self, geometry):
+                super().__init__(models[id(geometry)])
+                self.key = id(geometry)
 
-        server = _server(fake_clock, solver_factory=factory)
+            def predict(self, boundaries, points):
+                rows[self.key] += boundaries.shape[0]
+                return super().predict(boundaries, points)
+
         stream = [(RECT, _loops(RECT, 1, seed=39)[0]),
                   (WIDE, _loops(WIDE, 1, seed=40)[0])]
+        server = _server(fake_clock, solver_factory=CountingSolver)
         _, results = _serve_stream(server, stream)
         assert len(results) == 2
-        assert server.stats.mega_runs == 0  # incompatible solvers: classic path
         assert server.stats.fused_runs == 2
+        mixed = dict(rows)
+        # Each model's solver saw exactly the rows of its own group served
+        # alone: no WIDE row ever reached RECT's model, nor the reverse.
+        for geometry, loop in stream:
+            rows[id(geometry)] = 0
+            _serve_stream(_server(fake_clock, solver_factory=CountingSolver),
+                          [(geometry, loop)])
+            assert rows[id(geometry)] == mixed[id(geometry)] > 0
 
     def test_shared_sdnet_groups_fuse(self, fake_clock):
         model = SDNet(boundary_size=RECT.subdomain_grid().boundary_size,
@@ -208,15 +240,69 @@ class TestMegaParity:
                   for geometry in GEOMETRIES]
         mega = _server(fake_clock, solver_factory=factory)
         mega_ids, mega_results = _serve_stream(mega, stream)
-        ref_ids, ref_results = _serve_stream(
-            _server(fake_clock, solver_factory=factory, mega_batch=False), stream
-        )
+        reference = _per_group(fake_clock, stream, solver_factory=factory)
         assert mega.stats.mega_runs == 1
-        for mega_id, ref_id in zip(mega_ids, ref_ids):
+        for mega_id, theirs in zip(mega_ids, reference):
             assert (
                 mega_results[mega_id].solution.tobytes()
-                == ref_results[ref_id].solution.tobytes()
+                == theirs.solution.tobytes()
             )
+
+
+class TestOneExecutePath:
+    """Every dispatched batch, of any size, is one lattice run."""
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 5])
+    def test_one_batch_keeps_results_and_order(self, fake_clock, size):
+        server = _server(fake_clock)
+        loops = _loops(RECT, size, seed=51)
+        ids, results = _serve_stream(server, [(RECT, loop) for loop in loops])
+        assert list(results) == ids
+        for request_id, loop in zip(ids, loops):
+            served, alone = results[request_id], _standalone(RECT, loop, 1e-6, 40)
+            assert served.solution.tobytes() == alone.solution.tobytes()
+            assert served.iterations == alone.iterations
+        assert server.stats.fused_runs == 1
+        assert server.stats.batch_sizes == [size]
+
+    def test_drain_with_nothing_queued_runs_nothing(self, fake_clock):
+        server = _server(fake_clock)
+        assert server.drain() == {}
+        assert server.stats.fused_runs == 0
+        assert server.stats.solved_requests == 0
+
+    @pytest.mark.parametrize("keyword", ["world_size", "mega_batch"])
+    def test_removed_path_keywords_are_rejected(self, fake_clock, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            _server(fake_clock, **{keyword: 2})
+
+    def test_unkeyed_solver_groups_run_alone_on_one_solver_each(self, fake_clock):
+        built = {id(RECT): 0, id(WIDE): 0}
+
+        class Opaque:
+            """An FD solver behind a type the fusion keys do not know."""
+
+            def __init__(self, geometry):
+                built[id(geometry)] += 1
+                self.inner = FDSubdomainSolver(geometry.subdomain_grid(), method="direct")
+                self.boundary_size = self.inner.boundary_size
+
+            def predict(self, boundaries, points):
+                return self.inner.predict(boundaries, points)
+
+        assert solver_fusion_key(Opaque(RECT)) is None
+        built[id(RECT)] = 0
+        server = _server(fake_clock, solver_factory=Opaque)
+        for seed in (53, 54):
+            stream = [(RECT, _loops(RECT, 1, seed=seed)[0]),
+                      (WIDE, _loops(WIDE, 1, seed=seed)[0])]
+            ids, results = _serve_stream(server, stream)
+            for request_id, (geometry, loop) in zip(ids, stream):
+                alone = _standalone(geometry, loop, 1e-6, 40)
+                assert results[request_id].solution.tobytes() == alone.solution.tobytes()
+        assert built == {id(RECT): 1, id(WIDE): 1}
+        assert server.stats.fused_runs == 4
+        assert server.stats.mega_runs == 0
 
 
 class TestCoRelease:
@@ -238,21 +324,17 @@ class TestCoRelease:
         assert len(server.drain()) == 3
 
     def test_co_release_results_match_reference(self, fake_clock):
-        def run(mega_batch):
-            server = _server(
-                fake_clock,
-                mega_batch=mega_batch,
-                policy=BatchPolicy(max_batch_size=2, max_wait_seconds=1e9),
-            )
-            stream = [
-                (RECT, _loops(RECT, 2, seed=45)[0]),
-                (WIDE, _loops(WIDE, 1, seed=46)[0]),
-                (RECT, _loops(RECT, 2, seed=45)[1]),
-            ]
-            ids, results = _serve_stream(server, stream)
-            return [results[i].solution.tobytes() for i in ids]
-
-        assert run(True) == run(False)
+        policy = BatchPolicy(max_batch_size=2, max_wait_seconds=1e9)
+        stream = [
+            (RECT, _loops(RECT, 2, seed=45)[0]),
+            (WIDE, _loops(WIDE, 1, seed=46)[0]),
+            (RECT, _loops(RECT, 2, seed=45)[1]),
+        ]
+        ids, results = _serve_stream(_server(fake_clock, policy=policy), stream)
+        reference = _per_group(fake_clock, stream, policy=policy)
+        assert [results[i].solution.tobytes() for i in ids] == [
+            r.solution.tobytes() for r in reference
+        ]
 
 
 class TestRetryBackoffExpiry:
@@ -312,18 +394,15 @@ class TestRetryBackoffExpiry:
         assert isinstance(error, DeadlineExceededError)
         assert "during retry backoff" in str(error)
         assert faults.calls(WORKER_SOLVE) == 2  # crash, then the retry
-        assert server.stats.mega_runs == 1
+        # The retry ran the survivor alone: one batch is not a mega run.
+        assert server.stats.fused_runs == 1
+        assert server.stats.mega_runs == 0
 
-        # The survivor's solution matches an unfaulted reference, bitwise.
-        clean = _server(fake_clock, mega_batch=False)
-        reference = SolveRequest.create(
-            WIDE, _loops(WIDE, 1, seed=49)[0], max_iterations=40
-        )
-        clean.submit(reference)
-        clean_results = clean.drain()
+        # The survivor's solution matches its unfaulted standalone run, bitwise.
+        alone = _standalone(WIDE, _loops(WIDE, 1, seed=49)[0], 1e-6, 40)
         assert (
             results[patient.request_id].solution.tobytes()
-            == clean_results[reference.request_id].solution.tobytes()
+            == alone.solution.tobytes()
         )
 
 
@@ -484,18 +563,13 @@ class TestCounters:
 
     TOLS, BUDGETS = np.array([1e-2, 1e-3, 0.0]), np.array([30, 30, 9])
 
-    def test_fused_runner_and_worker_pool_totals(self):
+    def test_fused_runner_totals(self):
         loops = np.stack(_loops(WIDE, 3, seed=5))
         runner = FusedBatchRunner(WIDE, FDSubdomainSolver(WIDE.subdomain_grid()))
         runner.run(loops, self.TOLS, self.BUDGETS)
         # 25 iterations of the longest request + 1 assembly chunk; rows drop
         # as requests retire (values recorded at the parent commit).
         assert (runner.predict_calls, runner.subdomains_solved) == (26, 219)
-        pool = WorkerPool(
-            WIDE, lambda g: FDSubdomainSolver(g.subdomain_grid()), world_size=2
-        )
-        pool.solve(loops, self.TOLS, self.BUDGETS)
-        assert (pool.predict_calls, pool.subdomains_solved) == (36, 219)
 
     @pytest.mark.parametrize("cap, calls", [(None, 26), (7, 79)])
     def test_mega_executor_calls_rows_and_on_call(self, cap, calls):

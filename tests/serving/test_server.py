@@ -22,7 +22,7 @@ def _server(clock, **kwargs):
 class TestSubmitDrain:
     def test_serves_correct_solutions(self, small_geometry, harmonic_loops, fake_clock):
         loops = harmonic_loops(6, seed=1)
-        server = _server(fake_clock, world_size=2)
+        server = _server(fake_clock)
         ids = [
             server.submit(
                 SolveRequest.create(small_geometry, loop, tol=1e-6, max_iterations=120)
