@@ -4,8 +4,8 @@ Per-geometry dynamic batching (Fig. 8 style) already stacks same-geometry
 requests into one fused run, but a mixed workload still issues one modest
 solver call per *group* per lattice round.  Mega-batching concatenates the
 anchor rows of every fusion-compatible group (same subdomain grid, same
-model) into single perfmodel-sized solver calls, pushing the device batch
-size toward the Figure 5 knee even when no single group is busy.
+model) into one solver call per lattice step, pushing the batch size up even
+when no single group is busy.
 
 This benchmark serves an identical mixed-geometry stream (three rectangles
 and an L-shape sharing one trained SDNet) twice — one server per geometry

@@ -19,9 +19,9 @@ The package implements, from scratch and on top of numpy only:
   regenerate the paper's performance figures,
 * ``repro.serving`` — the batched inference service: request validation,
   an async submit/future front-end over an idempotent request store,
-  dynamic batching, solution caching, retries/deadlines/quotas and
-  worker-pool sharding in front of the Mosaic Flow predictor, with a
-  deterministic fault-injection harness,
+  dynamic batching, solution caching and retries/deadlines/quotas in
+  front of the Mosaic Flow predictor, with a deterministic fault-injection
+  harness,
 * ``repro.domains`` — composite (non-rectangular) target domains:
   union-of-rectangles geometries, masked reference solves and load-balanced
   anchor sharding,
@@ -44,7 +44,6 @@ _SERVING_EXPORTS = (
     "SolveResult",
     "BatchPolicy",
     "SolutionCache",
-    "ServingEstimator",
     "SolveFuture",
     "SolveError",
     "RetryExhaustedError",

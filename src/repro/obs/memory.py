@@ -4,8 +4,8 @@ The serving and engine layers keep long-lived buffers in several places —
 compiled-plan buffers (:class:`~repro.engine.runtime.ExecutionPlan` /
 :class:`~repro.engine.bucketing.BucketedPlan` entries of a
 :class:`~repro.engine.runtime.PlanCache`), LRU solution-cache entries,
-settled request-store results, per-request boundary payloads, mega-batch
-chunking scratch, cached lattice index plans.  ``psutil``-style RSS numbers cannot attribute any of
+settled request-store results, per-request boundary payloads, cached
+lattice index plans.  ``psutil``-style RSS numbers cannot attribute any of
 it; this module does, with explicit instrumentation:
 
     from ..obs import memory as obs_memory
@@ -34,7 +34,6 @@ __all__ = [
     "SOLUTION_CACHE",
     "REQUEST_STORE",
     "REQUEST_PAYLOADS",
-    "MEGA_SCRATCH",
     "LATTICE_PLANS",
     "OwnerStats",
     "MemoryAccountant",
@@ -50,7 +49,6 @@ ENGINE_PLAN_BUFFERS = "engine.plan_buffers"
 SOLUTION_CACHE = "serving.solution_cache"
 REQUEST_STORE = "serving.request_store"
 REQUEST_PAYLOADS = "serving.request_payloads"
-MEGA_SCRATCH = "serving.mega_batch_scratch"
 LATTICE_PLANS = "mosaic.lattice_plans"
 
 

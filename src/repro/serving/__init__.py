@@ -5,10 +5,10 @@ solver batches the device-level execution model exploits (Figures 8/9 of the
 paper): requests are validated and canonicalized (:mod:`.api`), claimed in an
 idempotent request store so duplicates and retries never recompute
 (:mod:`.store`), answered from an LRU solution cache when possible
-(:mod:`.cache`), dynamically batched per geometry (:mod:`.batcher`, sized by
-the perfmodel-backed :mod:`.estimator`), and executed as lattice runs whose
-solver calls stack the rows of every fusion-compatible batch (:mod:`.fused`,
-:mod:`.megabatch`).
+(:mod:`.cache`), dynamically batched per geometry under one size-or-deadline
+policy (:mod:`.batcher`), and executed as lattice runs whose solver calls
+stack the rows of every fusion-compatible batch into one call
+(:mod:`.fused`, :mod:`.megabatch`).
 
 The front-end (:mod:`.server`) is an async pipeline: non-blocking
 ``submit_async`` returning :mod:`.futures`, a background dispatcher plus a
@@ -31,7 +31,6 @@ first as live bytes approach the budget.
 from .api import RequestValidationError, SolveRequest, SolveResult
 from .batcher import Batch, BatchPolicy, DynamicBatcher
 from .cache import CachedSolution, SolutionCache
-from .estimator import ServingEstimator
 from .faults import (
     BATCH_ASSEMBLY,
     CRASH,
@@ -83,7 +82,6 @@ __all__ = [
     "DynamicBatcher",
     "CachedSolution",
     "SolutionCache",
-    "ServingEstimator",
     "FusedBatchRunner",
     "FusedOutcome",
     # cross-request mega-batching

@@ -9,13 +9,13 @@ geometry's center-line coordinates and the assembly calls its interior
 coordinates, both of which depend only on the subdomain grid.  Their rows can
 therefore be concatenated into one solver call regardless of the global
 domain shape (a 4x4 rectangle and an L-shaped composite fuse fine), which is
-exactly the paper's throughput lever: SDNet calls as close to the
-memory-feasible maximum batch as the traffic allows.
+the paper's throughput lever: SDNet calls as large as the traffic allows.
 
 :class:`MegaBatchExecutor` hands all its sessions to one
 :class:`~repro.mosaic.core.LatticeRun`: every iteration and every assembly
-chunk is one gather and one solver call over the requests of all of them,
-split into consecutive chunks when a perfmodel-sized row cap is configured.
+chunk is one gather and one counted solver call over the requests of all of
+them.  No row cap splits that call: on CPU the SDNet forward costs the same
+per row from 32 rows up, and the solver chunks its own GEMMs.
 Solvers are row-batch invariant (``SDNetSubdomainSolver`` runs every call as
 fixed chunks of at most ``GEMM_STABLE_ROWS`` rows, ``FDSubdomainSolver``
 accumulates its cached operator's columns in a fixed order, elementwise) and
@@ -31,7 +31,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..mosaic.core import LatticeRun, Session
-from ..obs import memory as obs_memory
 from .fused import FusedOutcome
 
 __all__ = ["solver_fusion_key", "MegaBatchExecutor"]
@@ -64,12 +63,6 @@ class MegaBatchExecutor:
     ----------
     solver:
         The shared subdomain solver answering every fused call.
-    max_rows_for:
-        Optional ``max_rows_for(q_points) -> int`` sizing the largest fused
-        call (rows) the perfmodel allows for a given query-point count;
-        over-cap calls are split into consecutive chunks (chunking is
-        bitwise-invariant for row-batch-invariant solvers).  ``None`` puts
-        every pending row into one call.
     on_call:
         Optional ``on_call(rows, sessions)`` observer fired once per issued
         solver call with the fused row count and the number of sessions that
@@ -81,9 +74,8 @@ class MegaBatchExecutor:
         Number of solver calls issued and total rows carried by them.
     """
 
-    def __init__(self, solver, max_rows_for=None, on_call=None):
+    def __init__(self, solver, on_call=None):
         self.solver = solver
-        self.max_rows_for = max_rows_for
         self.on_call = on_call
         self.calls = 0
         self.rows = 0
@@ -99,25 +91,8 @@ class MegaBatchExecutor:
         return run.outcomes(self._predict)
 
     def _predict(self, stacked, points, sessions: int) -> np.ndarray:
-        total = stacked.shape[0]
-        cap = None if self.max_rows_for is None else int(self.max_rows_for(points.shape[0]))
-        if cap is None or cap < 1:
-            cap = total
-        # The joined output of a split call is the mega path's only allocation
-        # beyond the solver's own and the gather every run makes.
-        scratch = 8 * total * points.shape[0] if total > cap else 0
-        if scratch:
-            obs_memory.add(obs_memory.MEGA_SCRATCH, scratch)
-        try:
-            parts = []
-            for start in range(0, total, cap):
-                rows = stacked[start:start + cap]
-                self.calls += 1
-                self.rows += rows.shape[0]
-                if self.on_call is not None:
-                    self.on_call(rows.shape[0], sessions)
-                parts.append(self.solver.predict(rows, points))
-            return parts[0] if len(parts) == 1 else np.concatenate(parts)
-        finally:
-            if scratch:
-                obs_memory.sub(obs_memory.MEGA_SCRATCH, scratch)
+        self.calls += 1
+        self.rows += stacked.shape[0]
+        if self.on_call is not None:
+            self.on_call(stacked.shape[0], sessions)
+        return self.solver.predict(stacked, points)

@@ -68,12 +68,13 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..mosaic.core import PLAN_CACHE
 from ..mosaic.geometry import MosaicGeometry
 from ..mosaic.solvers import FDSubdomainSolver, SDNetSubdomainSolver
 from ..obs import memory as obs_memory
@@ -81,10 +82,9 @@ from ..obs.flight import FlightRecord, FlightRecorder
 from ..obs.profile import KernelProfiler
 from ..obs.slo import SLOTracker
 from ..obs.trace import get_tracer, span
-from .api import SolveRequest, SolveResult
+from .api import RequestValidationError, SolveRequest, SolveResult
 from .batcher import Batch, BatchPolicy, DynamicBatcher
 from .cache import CachedSolution, SolutionCache
-from .estimator import ServingEstimator
 from .faults import (
     BATCH_ASSEMBLY,
     DROP,
@@ -104,6 +104,7 @@ from .futures import (
     QuotaExceededError,
     RetryExhaustedError,
     ServerClosedError,
+    SolveError,
     SolveFuture,
 )
 from .journal import RequestJournal
@@ -113,6 +114,19 @@ from .store import AdmissionController, RequestStore, TenantQuota, Waiter
 from .supervisor import BreakerBoard, WorkerSupervisor
 
 __all__ = ["Server", "default_solver_factory"]
+
+#: geometry groups and solvers a server keeps, as many as the lattice plans
+_COMPAT_ENTRIES = PLAN_CACHE.capacity
+
+
+def _remember(lru: OrderedDict, key, value):
+    """The value kept under ``key`` (``value`` if none), now most recent."""
+
+    value = lru.setdefault(key, value)
+    lru.move_to_end(key)
+    while len(lru) > _COMPAT_ENTRIES:
+        lru.popitem(last=False)
+    return value
 
 
 @dataclass
@@ -157,18 +171,13 @@ class Server:
         exact finite-difference solver.  Use a closure over a trained SDNet
         for the paper's neural configuration.
     policy:
-        Batching policy shared by every geometry group.  When ``estimator``
-        is given, each group's ``max_batch_size`` is additionally capped by
-        the estimator's memory/latency recommendation for that geometry.
+        The one :class:`BatchPolicy` every geometry group's queue releases
+        under: at ``max_batch_size`` requests or after ``max_wait_seconds``.
+        Nothing sizes batches or solver calls per geometry: a dispatched run
+        puts all its rows into one solver call per lattice step.
     cache:
         A :class:`SolutionCache`, or ``None`` to disable near-duplicate
         caching (exact idempotency through the request store remains).
-    estimator:
-        Optional :class:`ServingEstimator` used to pick per-geometry batch
-        sizes from the GPU cost model, and to turn latency-budget tenant
-        quotas into pending-count limits.
-    latency_budget_seconds:
-        Latency budget handed to the estimator's recommendation.
     clock:
         Monotonic time source (injectable for deterministic tests).
     engine:
@@ -282,8 +291,6 @@ class Server:
         solver_factory=default_solver_factory,
         policy: BatchPolicy | None = None,
         cache: SolutionCache | None = None,
-        estimator: ServingEstimator | None = None,
-        latency_budget_seconds: float | None = None,
         clock=time.monotonic,
         engine: bool = False,
         engine_profile: bool = False,
@@ -305,8 +312,6 @@ class Server:
         self.solver_factory = solver_factory
         self.policy = policy or BatchPolicy()
         self.cache = cache
-        self.estimator = estimator
-        self.latency_budget_seconds = latency_budget_seconds
         self.clock = clock
         self.engine_profile = bool(engine_profile)
         self._kernel_profiler = KernelProfiler() if self.engine_profile else None
@@ -325,12 +330,10 @@ class Server:
             self.recovery = self.store.recover(journal)
         # Admission always runs (memory-pressure shedding applies with or
         # without quotas); tenants without a quota admit at priority 0.
-        if quotas is None:
-            self.admission = AdmissionController(estimator=estimator)
-        elif isinstance(quotas, TenantQuota):
-            self.admission = AdmissionController(default=quotas, estimator=estimator)
+        if isinstance(quotas, TenantQuota):
+            self.admission = AdmissionController(default=quotas)
         else:
-            self.admission = AdmissionController(quotas=quotas, estimator=estimator)
+            self.admission = AdmissionController(quotas=quotas)
         if supervisor is True:
             supervisor = WorkerSupervisor(clock=clock)
         # `is False` (not truthiness): an idle BreakerBoard is len() == 0.
@@ -357,8 +360,10 @@ class Server:
         self._batchers: dict[tuple, DynamicBatcher] = {}
         # group_key -> compatibility key (the group key itself when it never
         # cross-fuses), and compat key -> the solver answering its runs.
-        self._compat_keys: dict[tuple, tuple] = {}
-        self._mega_solvers: dict[tuple, object] = {}
+        # Both are LRUs of `_COMPAT_ENTRIES`, so a long-lived server does not
+        # keep every geometry it ever served.
+        self._compat_keys: OrderedDict[tuple, tuple] = OrderedDict()
+        self._mega_solvers: OrderedDict[tuple, object] = OrderedDict()
         self._completed: dict[str, SolveResult] = {}
         self._futures: dict[str, SolveFuture] = {}
         self._inflight_ids: set[str] = set()
@@ -468,65 +473,46 @@ class Server:
     def submit_async(self, request: SolveRequest) -> SolveFuture:
         """Queue one request without blocking; returns its future.
 
-        Validation errors (wrong type, duplicate request id) raise
-        synchronously.  Everything else — quota rejection, deadline expiry,
-        retry exhaustion, or the solved result — resolves the returned
-        :class:`SolveFuture`.
+        Validation errors (not a :class:`SolveRequest`, an id already in
+        flight or completed) raise :class:`RequestValidationError`, and a
+        draining server raises :class:`ServerClosedError`, synchronously.
+        Everything else — quota rejection, deadline expiry, retry exhaustion,
+        or the solved result — resolves the returned :class:`SolveFuture`.
         """
 
         if not isinstance(request, SolveRequest):
-            raise TypeError("submit() takes a SolveRequest; build one with SolveRequest.create")
+            raise RequestValidationError(
+                "submit() takes a SolveRequest; build one with SolveRequest.create"
+            )
         if self._draining:
             raise ServerClosedError(
                 f"server is draining; request {request.request_id!r} refused"
             )
         with self._lock:
+            # Reserved in the same critical section as the check, so of two
+            # threads submitting one id only the first gets a future.
             if request.request_id in self._inflight_ids or request.request_id in self._completed:
-                raise ValueError(f"duplicate request id {request.request_id!r}")
+                raise RequestValidationError(
+                    f"duplicate request id {request.request_id!r}"
+                )
+            self._inflight_ids.add(request.request_id)
         future = SolveFuture(request.request_id)
         with span("serving.submit", request_id=request.request_id):
             now = self.clock()
             self.stats.record_submit()
             waiter = Waiter(request=request, future=future, submitted_at=now)
 
-            # Breaker gate before admission: a rejection here has not taken
-            # an admission slot, so there is nothing to release.
-            breaker = self._breaker_for(request.group_key)
-            if breaker is not None and not breaker.allow():
-                self.stats.record_breaker_rejection()
-                self.slo.record(False)
-                future._set_exception(
-                    CircuitOpenError(
-                        f"circuit breaker for this request's solver backend is "
-                        f"{breaker.state}; request {request.request_id!r} "
-                        f"rejected fast"
-                    )
-                )
-                return future
-
-            shed = self.admission.decide(request)
-            if shed is not None:
-                self.slo.record(False)
-                if shed == "memory":
-                    self.stats.record_memory_shed()
-                    error = MemoryPressureError(
-                        f"live bytes are over tenant {request.tenant!r}'s "
-                        f"priority-{self.admission.priority_for(request.tenant)} "
-                        f"share of the memory budget; request "
-                        f"{request.request_id!r} was shed"
-                    )
+            error = self._refusal(request)
+            with self._lock:
+                if error is None:
+                    self._futures[request.request_id] = future
                 else:
-                    self.stats.record_rejection()
-                    error = QuotaExceededError(
-                        f"tenant {request.tenant!r} is over its admission quota; "
-                        f"request {request.request_id!r} was shed"
-                    )
+                    # Refused: the id is free again for a later submission.
+                    self._inflight_ids.discard(request.request_id)
+            if error is not None:
+                self.slo.record(False)
                 future._set_exception(error)
                 return future
-
-            with self._lock:
-                self._inflight_ids.add(request.request_id)
-                self._futures[request.request_id] = future
             # Admitted: the anchor-row payload is now retained until the
             # waiter resolves (released in _finish_waiter/_reject_waiter).
             obs_memory.add(
@@ -569,6 +555,35 @@ class Server:
             if self._started:
                 self._wake.set()
         return future
+
+    def _refusal(self, request: SolveRequest) -> SolveError | None:
+        """The error refusing ``request`` at the door, or ``None`` if admitted."""
+
+        # Breaker gate before admission: a rejection here has not taken an
+        # admission slot, so there is nothing to release.
+        breaker = self._breaker_for(request.group_key)
+        if breaker is not None and not breaker.allow():
+            self.stats.record_breaker_rejection()
+            return CircuitOpenError(
+                f"circuit breaker for this request's solver backend is "
+                f"{breaker.state}; request {request.request_id!r} rejected fast"
+            )
+        shed = self.admission.decide(request)
+        if shed == "memory":
+            self.stats.record_memory_shed()
+            return MemoryPressureError(
+                f"live bytes are over tenant {request.tenant!r}'s "
+                f"priority-{self.admission.priority_for(request.tenant)} "
+                f"share of the memory budget; request "
+                f"{request.request_id!r} was shed"
+            )
+        if shed is not None:
+            self.stats.record_rejection()
+            return QuotaExceededError(
+                f"tenant {request.tenant!r} is over its admission quota; "
+                f"request {request.request_id!r} was shed"
+            )
+        return None
 
     def submit(self, request: SolveRequest) -> str:
         """Queue one request; returns its id (thin sync wrapper).
@@ -742,8 +757,10 @@ class Server:
         # solver has no fusion key is its own key and runs alone on its own
         # solver; one whose factory raised keeps no solver, so every run
         # attempt calls the factory again and fails through the retry loop.
+        # A group evicted from the LRU calls the factory again when next seen.
         key = self._compat_keys.get(group_key)
         if key is not None:
+            self._compat_keys.move_to_end(group_key)
             return key
         geometry = group_key[0]
         key = group_key
@@ -756,9 +773,20 @@ class Server:
             grid = geometry.subdomain_grid()
             key = (grid.nx, grid.ny, tuple(grid.extent), fusion)
         if solver is not None:
-            self._mega_solvers.setdefault(key, solver)
-        self._compat_keys[group_key] = key
-        return key
+            _remember(self._mega_solvers, key, solver)
+        return _remember(self._compat_keys, group_key, key)
+
+    def _solver_for(self, compat_key: tuple, geometry):
+        """The solver answering ``compat_key``'s runs; built and kept if evicted."""
+
+        with self._lock:
+            solver = self._mega_solvers.get(compat_key)
+            if solver is not None:
+                self._mega_solvers.move_to_end(compat_key)
+                return solver
+        solver = self._make_solver(geometry)
+        with self._lock:
+            return _remember(self._mega_solvers, compat_key, solver)
 
     def _dispatch_loop(self) -> None:
         while not self._stop_event.is_set():
@@ -916,28 +944,15 @@ class Server:
     # -- internals ----------------------------------------------------------------
 
     def _batcher_for(self, request: SolveRequest) -> DynamicBatcher:
-        # Caller holds self._lock.  One batcher per group (rather than one
-        # batcher for all groups) because the estimator makes max_batch_size
-        # a per-geometry policy.  It lives while the group has requests
-        # queued (`_poll_locked`/`_flush_locked` drop it) and is rebuilt on
-        # the next arrival; the estimator's answer costs ~60 us and is not
-        # kept, so no map here grows with the geometries served.
-        key = request.group_key
-        batcher = self._batchers.get(key)
+        # Caller holds self._lock.  One batcher per queued group, all under
+        # `self.policy`: a Batch holds one group, and `_flush_locked` releases
+        # groups by key.  It lives while the group has requests queued
+        # (`_poll_locked`/`_flush_locked` drop it), so the map holds only
+        # what is waiting, not every geometry served.
+        batcher = self._batchers.get(request.group_key)
         if batcher is None:
-            max_batch = self.policy.max_batch_size
-            if self.estimator is not None:
-                max_batch = self.estimator.recommend_batch_size(
-                    request.geometry,
-                    latency_budget_seconds=self.latency_budget_seconds,
-                    max_requests=max_batch,
-                )
-            policy = BatchPolicy(
-                max_batch_size=max_batch,
-                max_wait_seconds=self.policy.max_wait_seconds,
-            )
-            batcher = DynamicBatcher(policy, clock=self.clock)
-            self._batchers[key] = batcher
+            batcher = DynamicBatcher(self.policy, clock=self.clock)
+            self._batchers[request.group_key] = batcher
         return batcher
 
     def _make_solver(self, geometry):
@@ -1172,9 +1187,7 @@ class Server:
                 ):
                     if self.faults is not None:
                         self.faults.fire(WORKER_SOLVE, rank=0)
-                    solver = self._mega_solvers.get(compat_key)
-                    if solver is None:
-                        solver = self._make_solver(prepared[0].geometry)
+                    solver = self._solver_for(compat_key, prepared[0].geometry)
                     sessions = [
                         FusedBatchRunner(
                             p.geometry,
@@ -1186,7 +1199,6 @@ class Server:
                     ]
                     executor = MegaBatchExecutor(
                         solver,
-                        max_rows_for=self._mega_max_rows_for(prepared),
                         on_call=self.stats.record_mega_call if len(prepared) > 1 else None,
                     )
                     outcomes = executor.run(sessions)
@@ -1228,22 +1240,6 @@ class Server:
                 if not prepared:
                     mega_span.set_attr("expired_in_backoff", True)
                     return None
-
-    def _mega_max_rows_for(self, prepared: list[_PreparedBatch]):
-        """Per-call row cap from the perfmodel, or ``None`` without one."""
-
-        if self.estimator is None:
-            return None
-        boundary_size = prepared[0].geometry.subdomain_grid().boundary_size
-        estimator = self.estimator
-        budget = self.latency_budget_seconds
-
-        def max_rows_for(q_points: int) -> int:
-            return estimator.recommend_mega_rows(
-                boundary_size, q_points, latency_budget_seconds=budget
-            )
-
-        return max_rows_for
 
     def _breaker_for(self, group_key: tuple):
         """The circuit breaker guarding this group's solver backend, or ``None``.

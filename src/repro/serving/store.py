@@ -441,11 +441,7 @@ class TenantQuota:
     """Per-tenant admission limits.
 
     ``max_pending`` bounds how many of the tenant's requests may be queued
-    or in flight at once.  ``max_backlog_seconds`` expresses the same bound
-    as a latency budget: with a perfmodel estimator available, the pending
-    limit becomes ``budget / estimated-seconds-per-request`` for the
-    request's geometry — bigger problems get smaller queues.  When both are
-    set the tighter limit wins; a quota with neither admits everything.
+    or in flight at once; ``None`` admits everything.
 
     ``priority`` orders tenants for memory-driven load shedding (see
     :meth:`AdmissionController.decide`): as live bytes approach the memory
@@ -454,14 +450,11 @@ class TenantQuota:
     """
 
     max_pending: int | None = None
-    max_backlog_seconds: float | None = None
     priority: int = 0
 
     def __post_init__(self):
         if self.max_pending is not None and self.max_pending < 1:
             raise ValueError("max_pending must be at least 1")
-        if self.max_backlog_seconds is not None and self.max_backlog_seconds <= 0:
-            raise ValueError("max_backlog_seconds must be positive")
         if self.priority < 0:
             raise ValueError("priority must be non-negative")
 
@@ -471,8 +464,7 @@ class AdmissionController:
 
     Two independent shed policies run at submit time:
 
-    * **quota** — the classic per-tenant pending bound (``max_pending`` /
-      ``max_backlog_seconds``);
+    * **quota** — the classic per-tenant pending bound (``max_pending``);
     * **memory** — when the process-wide memory accountant
       (:mod:`repro.obs.memory`) carries a live-bytes *budget*, admission
       degrades gracefully as live bytes approach it: a tenant with priority
@@ -488,26 +480,20 @@ class AdmissionController:
         ``{tenant: TenantQuota}``; ``default`` applies to tenants without an
         explicit entry (``None`` admits them unconditionally — though
         memory shedding still applies to them at priority 0).
-    estimator:
-        Optional :class:`~repro.serving.estimator.ServingEstimator` turning
-        ``max_backlog_seconds`` quotas into pending-count limits via the
-        model cost of one request's dense-assembly call.
     shed_start_fraction:
         Memory pressure at which priority-0 shedding begins.
     """
 
     def __init__(self, quotas: dict | None = None,
-                 default: TenantQuota | None = None, estimator=None,
+                 default: TenantQuota | None = None,
                  shed_start_fraction: float = 0.8):
         if not 0.0 < shed_start_fraction <= 1.0:
             raise ValueError("shed_start_fraction must be in (0, 1]")
         self.quotas = dict(quotas or {})
         self.default = default
-        self.estimator = estimator
         self.shed_start_fraction = float(shed_start_fraction)
         self._lock = threading.Lock()
         self._pending: dict[str, int] = {}
-        self._cost_cache: dict = {}
         self.memory_sheds = 0  #: requests refused under memory pressure
 
     def pending(self, tenant: str) -> int:
@@ -518,15 +504,7 @@ class AdmissionController:
         """Effective pending limit for this request's tenant, or ``None``."""
 
         quota = self.quotas.get(request.tenant, self.default)
-        if quota is None:
-            return None
-        limits = []
-        if quota.max_pending is not None:
-            limits.append(quota.max_pending)
-        if quota.max_backlog_seconds is not None and self.estimator is not None:
-            per_request = self._request_seconds(request.geometry)
-            limits.append(max(1, int(quota.max_backlog_seconds / per_request)))
-        return min(limits) if limits else None
+        return quota.max_pending if quota is not None else None
 
     def priority_for(self, tenant: str) -> int:
         """Shed priority of a tenant (its quota's, or 0 without one)."""
@@ -584,16 +562,3 @@ class AdmissionController:
                 self._pending.pop(tenant, None)
             else:
                 self._pending[tenant] = count - 1
-
-    def _request_seconds(self, geometry) -> float:
-        cost = self._cost_cache.get(geometry)
-        if cost is None:
-            boundary = geometry.subdomain_grid().boundary_size
-            q_points = len(geometry.interior_local_indices()[0])
-            # Model cost of the request's dense-assembly call: a lower bound
-            # on one request's solve, which is all admission needs.
-            cost = self.estimator.call_latency(
-                max(1, geometry.num_subdomains), boundary, q_points
-            )
-            self._cost_cache[geometry] = cost
-        return cost

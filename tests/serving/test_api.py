@@ -79,7 +79,7 @@ class TestPackageExports:
     def test_every_serving_module_defines_all(self):
         import importlib
 
-        for module in ("api", "batcher", "cache", "estimator", "fused",
+        for module in ("api", "batcher", "cache", "fused",
                        "megabatch", "server", "stats"):
             mod = importlib.import_module(f"repro.serving.{module}")
             assert mod.__all__, module

@@ -20,7 +20,6 @@ from repro.serving import (
     BatchPolicy,
     QuotaExceededError,
     Server,
-    ServingEstimator,
     SolutionCache,
     SolveRequest,
     TenantQuota,
@@ -274,28 +273,6 @@ class TestAdmissionControl:
                                     tenant="unmetered")
             )
         assert len(server.drain()) == 3
-
-    def test_backlog_quota_uses_perfmodel(self, small_geometry, harmonic_loops,
-                                          fake_clock):
-        # An absurdly slow platform makes one request exceed the backlog
-        # budget, so the perfmodel-driven limit collapses to a single slot.
-        estimator = ServingEstimator.for_platform(
-            "V100", hidden=512, trunk_layers=8, efficiency=1e-9
-        )
-        server = Server(
-            policy=BatchPolicy(max_batch_size=64, max_wait_seconds=1e9),
-            cache=None,
-            clock=fake_clock,
-            estimator=estimator,
-            quotas=TenantQuota(max_backlog_seconds=1.0),
-        )
-        loops = harmonic_loops(2, seed=29)
-        server.submit(SolveRequest.create(small_geometry, loops[0], max_iterations=40))
-        with pytest.raises(QuotaExceededError):
-            server.submit(
-                SolveRequest.create(small_geometry, loops[1], max_iterations=40)
-            )
-        assert server.stats.rejections == 1
 
 
 def _standalone(geometry, loop):

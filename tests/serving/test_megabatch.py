@@ -22,6 +22,7 @@ from repro.mosaic import (
     MosaicGeometry,
     SDNetSubdomainSolver,
 )
+from repro.mosaic.core import PLAN_CACHE
 from repro.pde import HARMONIC_FUNCTIONS
 from repro.serving import (
     CRASH,
@@ -33,9 +34,10 @@ from repro.serving import (
     FusedBatchRunner,
     MegaBatchExecutor,
     Server,
-    ServingEstimator,
     SolutionCache,
     SolveRequest,
+    TenantQuota,
+    default_solver_factory,
     solver_fusion_key,
 )
 from repro.utils import seeded_rng
@@ -155,32 +157,6 @@ class TestMegaParity:
         assert d["mega_runs"] == 1 and d["mega_calls"] == stats.mega_calls
         assert "mega-batch runs" in stats.report()
 
-    def test_perfmodel_row_cap_chunks_calls_without_changing_results(self, fake_clock):
-        class TightMegaRows(ServingEstimator):
-            """Generous per-request batches, but one-row mega solver calls."""
-
-            def recommend_mega_rows(self, boundary_size, q_points,
-                                    latency_budget_seconds=None):
-                return 1
-
-            def recommend_batch_size(self, geometry, latency_budget_seconds=None,
-                                     max_requests=None, assembly_batch=256):
-                return 8
-
-        estimator = TightMegaRows.for_platform("V100", hidden=512, trunk_layers=8)
-        stream = _mixed_stream(per_geometry=1, seed=35)
-        capped = _server(fake_clock, estimator=estimator)
-        capped_ids, capped_results = _serve_stream(capped, stream)
-        reference = _per_group(fake_clock, stream)
-        # One-row calls force maximal chunking: far more solver calls than runs.
-        assert capped.stats.mega_runs >= 1
-        assert capped.stats.mega_calls > capped.stats.mega_runs
-        for capped_id, theirs in zip(capped_ids, reference):
-            assert (
-                capped_results[capped_id].solution.tobytes()
-                == theirs.solution.tobytes()
-            )
-
     def test_single_batch_is_its_standalone_run_and_no_mega_run(self, fake_clock):
         server = _server(fake_clock)
         loops = _loops(RECT, 2, seed=37)
@@ -271,10 +247,21 @@ class TestOneExecutePath:
         assert server.stats.fused_runs == 0
         assert server.stats.solved_requests == 0
 
-    @pytest.mark.parametrize("keyword", ["world_size", "mega_batch"])
+    @pytest.mark.parametrize(
+        "keyword", ["world_size", "mega_batch", "estimator", "latency_budget_seconds"]
+    )
     def test_removed_path_keywords_are_rejected(self, fake_clock, keyword):
         with pytest.raises(TypeError, match=keyword):
             _server(fake_clock, **{keyword: 2})
+
+    def test_removed_sizing_options_are_rejected(self):
+        # Backlog-seconds admission and the per-call row cap went with the
+        # serving estimator; nothing replaces them.
+        with pytest.raises(TypeError, match="max_backlog_seconds"):
+            TenantQuota(max_backlog_seconds=1.0)
+        solver = FDSubdomainSolver(RECT.subdomain_grid(), method="direct")
+        with pytest.raises(TypeError, match="max_rows_for"):
+            MegaBatchExecutor(solver, max_rows_for=lambda q: 8)
 
     def test_unkeyed_solver_groups_run_alone_on_one_solver_each(self, fake_clock):
         built = {id(RECT): 0, id(WIDE): 0}
@@ -303,6 +290,44 @@ class TestOneExecutePath:
         assert built == {id(RECT): 1, id(WIDE): 1}
         assert server.stats.fused_runs == 4
         assert server.stats.mega_runs == 0
+
+
+class TestBoundedCompatMaps:
+    def test_300_geometries_keep_both_maps_at_the_cap(self, fake_clock):
+        built = []
+
+        def factory(geometry):
+            built.append(geometry)
+            return default_solver_factory(geometry)
+
+        # 50 subdomain extents x 6 domain widths: 300 groups over 50
+        # compatibility keys, so both maps would outgrow the cap unbounded.
+        geometries = [
+            MosaicGeometry(5, 0.25 + 0.01 * (index % 50), steps_x=2 + index // 50, steps_y=2)
+            for index in range(300)
+        ]
+        server = _server(fake_clock, solver_factory=factory)
+        for geometry in geometries:
+            loop = geometry.boundary_from_function(lambda x, y: x * x - y * y)
+            server.submit(SolveRequest.create(geometry, loop, max_iterations=2))
+        assert len(server.drain()) == 300
+        cap = PLAN_CACHE.capacity
+        assert len(server._compat_keys) <= cap and len(server._mega_solvers) <= cap
+
+        # The first group was evicted long ago: serving it again asks the
+        # factory anew and still answers with the standalone run's bytes.
+        first = geometries[0]
+        loop = first.boundary_from_function(lambda x, y: x * y + 0.5 * x)
+        request = SolveRequest.create(first, loop, max_iterations=40)
+        assert request.group_key not in server._compat_keys
+        calls = len(built)
+        server.submit(request)
+        served = server.drain()[request.request_id]
+        assert len(built) > calls and built[-1] is first
+        alone = _standalone(first, loop, 1e-6, 40)
+        assert served.solution.tobytes() == alone.solution.tobytes()
+        assert (served.iterations, served.deltas) == (alone.iterations, alone.deltas)
+        assert len(server._compat_keys) <= cap and len(server._mega_solvers) <= cap
 
 
 class TestCoRelease:
@@ -453,11 +478,10 @@ class TestMegaExecutorProperty:
 
     @given(
         counts=st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
-        cap=st.sampled_from([None, 1, 3, 8]),
         seed=st.integers(0, 10),
     )
     @settings(max_examples=20, deadline=None)
-    def test_lockstep_execution_is_bitwise_identical(self, counts, cap, seed):
+    def test_lockstep_execution_is_bitwise_identical(self, counts, seed):
         # (Name kept from the generator-lockstep executor this test was
         # written against; the oracle is the same and one step wider.)
         solver = FDSubdomainSolver(RECT.subdomain_grid(), method="direct")
@@ -474,9 +498,7 @@ class TestMegaExecutorProperty:
             )
             for geometry, loops in populated
         ]
-        executor = MegaBatchExecutor(
-            solver, max_rows_for=None if cap is None else (lambda q: cap)
-        )
+        executor = MegaBatchExecutor(solver)
         mega = executor.run(sessions)
         assert len(mega) == len(populated)
         if populated:
@@ -508,11 +530,10 @@ class TestMegaExecutorProperty:
             ),
             min_size=1, max_size=4,
         ),
-        cap=st.sampled_from([None, 2, 5]),
         seed=st.integers(0, 5),
     )
     @settings(max_examples=25, deadline=None)
-    def test_retiring_requests_keep_their_standalone_bytes(self, sessions, cap, seed):
+    def test_retiring_requests_keep_their_standalone_bytes(self, sessions, seed):
         solver = FDSubdomainSolver(RECT.subdomain_grid(), method="direct")
         built, expected = [], []
         for index, (geometry, requests, check_interval, init_mode) in enumerate(sessions):
@@ -528,10 +549,7 @@ class TestMegaExecutorProperty:
                 _digest(_standalone(geometry, loop, tol, budget, init_mode, check_interval))
                 for loop, tol, budget in zip(loops, tols, budgets)
             ])
-        executor = MegaBatchExecutor(
-            solver, max_rows_for=None if cap is None else (lambda q: cap)
-        )
-        mega = executor.run(built)
+        mega = MegaBatchExecutor(solver).run(built)
         assert [[_digest(o) for o in outcomes] for outcomes in mega] == expected
 
     def test_requests_do_retire_at_different_iterations(self):
@@ -571,21 +589,19 @@ class TestCounters:
         # as requests retire (values recorded at the parent commit).
         assert (runner.predict_calls, runner.subdomains_solved) == (26, 219)
 
-    @pytest.mark.parametrize("cap, calls", [(None, 26), (7, 79)])
-    def test_mega_executor_calls_rows_and_on_call(self, cap, calls):
+    def test_mega_executor_calls_rows_and_on_call(self):
         solver = FDSubdomainSolver(RECT.subdomain_grid(), method="direct")
         seen = []
         executor = MegaBatchExecutor(
-            solver,
-            max_rows_for=None if cap is None else (lambda q: cap),
-            on_call=lambda rows, sessions: seen.append((rows, sessions)),
+            solver, on_call=lambda rows, sessions: seen.append((rows, sessions))
         )
         executor.run([
             FusedBatchRunner(geometry, solver).session(
                 np.stack(_loops(geometry, 3, seed=5 + index)), self.TOLS, self.BUDGETS)
             for index, geometry in enumerate((RECT, WIDE, L_SHAPE))
         ])
-        assert (executor.calls, executor.rows) == (calls, 475)
-        assert len(seen) == calls and sum(rows for rows, _ in seen) == 475
+        # One solver call per gather: 25 iterations + 1 assembly chunk.
+        assert (executor.calls, executor.rows) == (26, 475)
+        assert len(seen) == 26 and sum(rows for rows, _ in seen) == 475
         assert max(sessions for _, sessions in seen) == 3
         assert min(sessions for _, sessions in seen) == 1  # WIDE's tight request, alone

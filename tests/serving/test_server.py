@@ -1,4 +1,7 @@
-"""End-to-end server behaviour: batching, caching, sharding, stats."""
+"""End-to-end server behaviour: batching, caching, request ids, stats."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,10 +9,12 @@ import pytest
 from repro.mosaic import FDSubdomainSolver, MosaicFlowPredictor, MosaicGeometry
 from repro.serving import (
     BatchPolicy,
+    QuotaExceededError,
+    RequestValidationError,
     Server,
-    ServingEstimator,
     SolutionCache,
     SolveRequest,
+    TenantQuota,
 )
 
 
@@ -96,10 +101,92 @@ class TestSubmitDrain:
         size = small_geometry.global_grid().boundary_size
         request = SolveRequest.create(small_geometry, np.zeros(size))
         server.submit(request)
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(RequestValidationError, match="duplicate"):
             server.submit(request)
-        with pytest.raises(TypeError):
+        with pytest.raises(RequestValidationError, match="takes a SolveRequest"):
             server.submit(np.zeros(size))
+
+    def test_racing_duplicate_ids_get_one_future(self, small_geometry, harmonic_loops,
+                                                 fake_clock):
+        # The first submitter passes the duplicate check and is held inside
+        # admission; a second thread submits the same id meanwhile.  The
+        # check reserved the id, so the second is refused before admission.
+        server = _server(fake_clock)
+        entered, gate, decided = threading.Event(), threading.Event(), []
+        decide = server.admission.decide
+
+        def held_decide(request):
+            decided.append(request.request_id)
+            if len(decided) == 1:
+                entered.set()
+                assert gate.wait(timeout=30)
+            return decide(request)
+
+        server.admission.decide = held_decide
+        request = SolveRequest.create(
+            small_geometry, harmonic_loops(1, seed=11)[0], max_iterations=30
+        )
+        first = []
+        thread = threading.Thread(target=lambda: first.append(server.submit_async(request)))
+        thread.start()
+        try:
+            assert entered.wait(timeout=30)
+            with pytest.raises(RequestValidationError, match="duplicate"):
+                server.submit_async(request)
+        finally:
+            gate.set()
+            thread.join(timeout=30)
+        assert decided == [request.request_id]
+        assert server.future(request.request_id) is first[0]
+        results = server.drain()
+        assert list(results) == [request.request_id]
+        assert first[0].result(timeout=0) is results[request.request_id]
+
+    def test_submit_storm_admits_each_id_once(self, small_geometry, harmonic_loops,
+                                              fake_clock):
+        server = _server(fake_clock)
+        requests = [
+            SolveRequest.create(small_geometry, loop, max_iterations=10,
+                                request_id=f"shared-{k}")
+            for k, loop in enumerate(harmonic_loops(4, seed=13))
+        ]
+        barrier, futures, refused = threading.Barrier(8), [], []
+
+        def submitter():
+            barrier.wait(timeout=10)
+            for request in requests:
+                try:
+                    futures.append(server.submit_async(request))
+                except RequestValidationError:
+                    refused.append(request.request_id)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=submitter) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        ids = sorted(request.request_id for request in requests)
+        assert sorted(future.request_id for future in futures) == ids
+        assert len(refused) == 8 * len(requests) - len(requests)
+        assert sorted(server.drain()) == ids
+
+    def test_refused_id_can_be_submitted_again(self, small_geometry, harmonic_loops,
+                                               fake_clock):
+        server = _server(fake_clock, quotas=TenantQuota(max_pending=1))
+        loops = harmonic_loops(2, seed=12)
+        server.submit(SolveRequest.create(small_geometry, loops[0], max_iterations=30))
+        request = SolveRequest.create(small_geometry, loops[1], max_iterations=30)
+        with pytest.raises(QuotaExceededError):
+            server.submit(request)
+        server.drain()
+        server.submit(request)  # the quota refusal released the reserved id
+        assert request.request_id in server.drain()
 
 
 class TestCachingPaths:
@@ -212,19 +299,3 @@ class TestMixedGeometries:
         results = server.drain()
         assert len(results) == 4
         assert server.stats.fused_runs == 2  # one per geometry group
-
-    def test_estimator_caps_batch_size(self, small_geometry, harmonic_loops, fake_clock):
-        # Absurdly slow platform + tight budget -> batches of one.
-        estimator = ServingEstimator.for_platform("V100", hidden=512, trunk_layers=8,
-                                                  efficiency=1e-6)
-        server = _server(
-            fake_clock,
-            policy=BatchPolicy(max_batch_size=64, max_wait_seconds=1e9),
-            estimator=estimator,
-            latency_budget_seconds=1e-9,
-        )
-        for loop in harmonic_loops(3, seed=8):
-            server.submit(SolveRequest.create(small_geometry, loop, max_iterations=20))
-        server.drain()
-        assert server.stats.fused_runs == 3
-        assert server.stats.mean_batch_size == 1.0
