@@ -4,7 +4,8 @@ The Mosaic Flow decomposition transfers a subdomain solver to *unseen*
 target geometries; this example exercises the irregular case end to end:
 
 1. build an L-shaped :class:`CompositeDomain` (a plate with a notch cut out
-   of one corner) and its :class:`CompositeMosaicGeometry`,
+   of one corner) and its geometry (``CompositeMosaicGeometry`` builds a
+   :class:`~repro.mosaic.MosaicGeometry` from the shape),
 2. solve a Laplace boundary value problem on it with the unchanged
    ``MosaicFlowPredictor`` — only anchors inside the domain are iterated and
    the Dirichlet data follows the true re-entrant boundary loop,
@@ -32,7 +33,7 @@ from repro.domains import (
     CompositeMosaicGeometry,
     composite_reference_solution,
 )
-from repro.mosaic import FDSubdomainSolver, MosaicFlowPredictor
+from repro.mosaic import FDSubdomainSolver, MosaicFlowPredictor, MosaicGeometry
 from repro.utils import seeded_rng
 
 
@@ -48,7 +49,7 @@ def parse_args() -> argparse.Namespace:
     return parser.parse_args()
 
 
-def render_domain(geometry: CompositeMosaicGeometry) -> str:
+def render_domain(geometry: MosaicGeometry) -> str:
     """Tiny ASCII picture of the step-cell layout (top row printed first)."""
 
     cells = geometry.domain.cell_mask()

@@ -1,384 +1,22 @@
-"""Mosaic Flow interface-lattice geometry on composite domains.
+"""``CompositeMosaicGeometry``: a constructor of the one geometry class.
 
-:class:`CompositeMosaicGeometry` plays the role of
-:class:`~repro.mosaic.geometry.MosaicGeometry` for a non-rectangular target
-domain: the union-of-rectangles shape of a :class:`~repro.domains.composite.
-CompositeDomain` embedded in its bounding-box grid.  It implements the same
-geometric interface — anchors, phases, subdomain windows, local index sets,
-lattice masks and the global-boundary accessors — so the sequential predictor,
-the fused serving runner and the dense assembly all work on composite domains
-unchanged:
-
-* only anchors whose full subdomain window lies inside the domain are
-  enumerated (in the same row-major order as the rectangular geometry),
-* the global Dirichlet boundary is the *true* re-entrant boundary loop of the
-  composite polygon, traced counter-clockwise with the same corner-duplicating
-  segment convention as the rectangular ``2*nx + 2*ny`` loop,
-* the lattice/convergence masks are restricted to grid points inside the
-  domain.
-
-For a domain that happens to be a full rectangle every accessor reduces
-*exactly* (bit for bit) to the rectangular geometry, so composite solves of
-rectangles reproduce classical results identically.
-
-Construction validates that the decomposition is solvable: every covered step
-cell must lie inside at least one anchor window (otherwise part of the domain
-would never be predicted) and every interior lattice point must be written by
-some anchor's centre lines (otherwise stale initialization values would leak
-into the iteration).  Shapes violating these conditions — e.g. single-step-
-wide appendages or diagonal zigzags — raise a :class:`ValueError` up front.
+It returns a :class:`~repro.mosaic.geometry.MosaicGeometry`, so a rectangular
+composite equals the plain rectangle geometry and shares its plan and group.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
-import numpy as np
-
-from ..fd.grid import Grid2D
+from ..mosaic.domain import CompositeDomain
 from ..mosaic.geometry import MosaicGeometry
-from .composite import CompositeDomain
 
 __all__ = ["CompositeMosaicGeometry"]
 
 
-@dataclass(frozen=True)
 class CompositeMosaicGeometry:
-    """Interface-lattice geometry of a composite (union-of-rectangles) domain.
+    """``CompositeMosaicGeometry(points, extent, domain)`` is ``MosaicGeometry.from_domain``."""
 
-    Parameters
-    ----------
-    subdomain_points, subdomain_extent:
-        Atomic-subdomain resolution and physical size, exactly as in
-        :class:`~repro.mosaic.geometry.MosaicGeometry`.
-    domain:
-        Shape of the target domain in half-subdomain step units.
-    """
+    def __new__(cls, subdomain_points: int, subdomain_extent: float,
+                domain: CompositeDomain) -> MosaicGeometry:
+        return MosaicGeometry.from_domain(domain, subdomain_points, subdomain_extent)
 
-    subdomain_points: int
-    subdomain_extent: float
-    domain: CompositeDomain
-
-    def __post_init__(self):
-        if self.domain.steps_x < 2 or self.domain.steps_y < 2:
-            raise ValueError(
-                f"the composite domain must span at least one full subdomain "
-                f"(2 half-subdomain steps) per axis to place any anchor, got "
-                f"steps ({self.domain.steps_x}, {self.domain.steps_y})"
-            )
-        _ = self.box  # validates subdomain_points / subdomain_extent / steps
-        self._validate_anchor_coverage()
-
-    # -- the bounding-box geometry ---------------------------------------------------
-
-    @cached_property
-    def box(self) -> MosaicGeometry:
-        """Rectangular geometry of the bounding box (shared index arithmetic)."""
-
-        return MosaicGeometry(
-            subdomain_points=self.subdomain_points,
-            subdomain_extent=self.subdomain_extent,
-            steps_x=self.domain.steps_x,
-            steps_y=self.domain.steps_y,
-        )
-
-    def as_mosaic_geometry(self) -> MosaicGeometry:
-        """The equivalent rectangular geometry (only for rectangular domains)."""
-
-        if not self.is_rectangular:
-            raise ValueError("domain is not a rectangle")
-        return self.box
-
-    # -- derived sizes (bounding box) -------------------------------------------------
-
-    @property
-    def is_rectangular(self) -> bool:
-        return self.domain.is_rectangle
-
-    @property
-    def half(self) -> int:
-        return self.box.half
-
-    @property
-    def spacing(self) -> float:
-        return self.box.spacing
-
-    @property
-    def steps_x(self) -> int:
-        return self.domain.steps_x
-
-    @property
-    def steps_y(self) -> int:
-        return self.domain.steps_y
-
-    @property
-    def global_nx(self) -> int:
-        return self.box.global_nx
-
-    @property
-    def global_ny(self) -> int:
-        return self.box.global_ny
-
-    @property
-    def global_extent(self) -> tuple[float, float]:
-        return self.box.global_extent
-
-    @property
-    def anchor_rows(self) -> int:
-        return self.box.anchor_rows
-
-    @property
-    def anchor_cols(self) -> int:
-        return self.box.anchor_cols
-
-    @property
-    def num_subdomains(self) -> int:
-        return len(self.anchors())
-
-    def global_grid(self, origin: tuple[float, float] = (0.0, 0.0)) -> Grid2D:
-        """The bounding-box grid the composite field arrays live on."""
-
-        return self.box.global_grid(origin)
-
-    def subdomain_grid(self) -> Grid2D:
-        return self.box.subdomain_grid()
-
-    # -- anchors and phases ------------------------------------------------------------
-
-    @cached_property
-    def _anchor_ok(self) -> np.ndarray:
-        """(anchor_rows, anchor_cols) mask of anchors fully inside the domain."""
-
-        cells = self.domain.cell_mask()
-        ok = cells[:-1, :-1] & cells[1:, :-1] & cells[:-1, 1:] & cells[1:, 1:]
-        ok.flags.writeable = False
-        return ok
-
-    def anchors(self) -> list[tuple[int, int]]:
-        """Anchors whose 2x2-cell subdomain window lies inside the domain.
-
-        Row-major order, matching :meth:`MosaicGeometry.anchors` exactly when
-        the domain is the full bounding box.
-        """
-
-        return [(int(r), int(c)) for r, c in zip(*np.nonzero(self._anchor_ok))]
-
-    def anchors_for_phase(self, phase: int) -> list[tuple[int, int]]:
-        return [
-            (r, c)
-            for (r, c) in self.box.anchors_for_phase(phase)
-            if self._anchor_ok[r, c]
-        ]
-
-    def anchor_window(self, anchor: tuple[int, int]) -> tuple[int, int]:
-        r, c = anchor
-        if not (0 <= r < self.anchor_rows and 0 <= c < self.anchor_cols) or not (
-            self._anchor_ok[r, c]
-        ):
-            raise ValueError(f"anchor {anchor} is not inside the composite domain")
-        return r * self.half, c * self.half
-
-    # -- local index helpers (independent of the domain shape) -------------------------
-
-    def boundary_loop_local_indices(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.box.boundary_loop_local_indices()
-
-    def center_line_local_indices(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.box.center_line_local_indices()
-
-    def center_line_local_coordinates(self) -> np.ndarray:
-        return self.box.center_line_local_coordinates()
-
-    def interior_local_indices(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.box.interior_local_indices()
-
-    def interior_local_coordinates(self) -> np.ndarray:
-        return self.box.interior_local_coordinates()
-
-    # -- masks -------------------------------------------------------------------------
-
-    @cached_property
-    def _valid(self) -> np.ndarray:
-        half = self.half
-        mask = np.zeros((self.global_ny, self.global_nx), dtype=bool)
-        for i, j in zip(*np.nonzero(self.domain.cell_mask())):
-            mask[i * half: (i + 1) * half + 1, j * half: (j + 1) * half + 1] = True
-        mask.flags.writeable = False
-        return mask
-
-    @cached_property
-    def _interior(self) -> np.ndarray:
-        # A valid point is interior iff its full 8-neighbourhood is valid
-        # (3x3 erosion); with half >= 2 every covered cell is at least two
-        # grid units thick, so this is exactly "not on the boundary polygon".
-        valid = self._valid
-        ny, nx = valid.shape
-        padded = np.zeros((ny + 2, nx + 2), dtype=bool)
-        padded[1:-1, 1:-1] = valid
-        interior = valid.copy()
-        for dr in (-1, 0, 1):
-            for dc in (-1, 0, 1):
-                interior &= padded[1 + dr: 1 + dr + ny, 1 + dc: 1 + dc + nx]
-        interior.flags.writeable = False
-        return interior
-
-    def valid_mask(self) -> np.ndarray:
-        """Grid points inside (or on the boundary of) the composite domain."""
-
-        return self._valid.copy()
-
-    def boundary_point_mask(self) -> np.ndarray:
-        """Grid points on the (possibly re-entrant) domain boundary."""
-
-        return self._valid & ~self._interior
-
-    def interior_mask(self) -> np.ndarray:
-        """Grid points strictly inside the domain."""
-
-        return self._interior.copy()
-
-    def lattice_mask(self) -> np.ndarray:
-        """Interface-lattice points inside the domain (iterated state)."""
-
-        return self.box.lattice_mask() & self._valid
-
-    # -- global boundary loop ----------------------------------------------------------
-
-    @cached_property
-    def _boundary_loop(self) -> tuple[np.ndarray, np.ndarray]:
-        half = self.half
-        rows_parts: list[np.ndarray] = []
-        cols_parts: list[np.ndarray] = []
-        for (r0, c0), (r1, c1) in self.domain.boundary_segments():
-            R0, C0, R1, C1 = r0 * half, c0 * half, r1 * half, c1 * half
-            if R0 == R1:
-                step = 1 if C1 >= C0 else -1
-                cols = np.arange(C0, C1 + step, step)
-                rows = np.full(cols.size, R0)
-            else:
-                step = 1 if R1 >= R0 else -1
-                rows = np.arange(R0, R1 + step, step)
-                cols = np.full(rows.size, C0)
-            rows_parts.append(rows)
-            cols_parts.append(cols)
-        rows = np.concatenate(rows_parts)
-        cols = np.concatenate(cols_parts)
-        rows.flags.writeable = False
-        cols.flags.writeable = False
-        return rows, cols
-
-    @property
-    def global_boundary_size(self) -> int:
-        """Number of samples in the composite Dirichlet boundary loop.
-
-        Each maximal straight boundary segment contributes its grid points
-        including both endpoints, so polygon corners are duplicated exactly as
-        in the rectangular ``2*nx + 2*ny`` convention (to which this reduces
-        for rectangular domains).
-        """
-
-        return int(self._boundary_loop[0].size)
-
-    def global_boundary_indices(self) -> tuple[np.ndarray, np.ndarray]:
-        """(row, col) bounding-grid indices tracing the composite boundary loop."""
-
-        rows, cols = self._boundary_loop
-        return rows.copy(), cols.copy()
-
-    def global_boundary_coordinates(self) -> np.ndarray:
-        rows, cols = self._boundary_loop
-        return np.stack([cols * self.spacing, rows * self.spacing], axis=1)
-
-    def boundary_from_function(self, fn) -> np.ndarray:
-        """Sample ``fn(x, y)`` along the composite boundary loop."""
-
-        coords = self.global_boundary_coordinates()
-        return np.asarray(fn(coords[:, 0], coords[:, 1]), dtype=float)
-
-    def insert_global_boundary(
-        self, boundary_loop: np.ndarray, field: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Write the composite boundary loop into a (new or existing) field.
-
-        Duplicated corner samples follow last-write-wins, exactly like
-        :meth:`Grid2D.insert_boundary`.
-        """
-
-        boundary_loop = np.asarray(boundary_loop, dtype=float)
-        if boundary_loop.shape != (self.global_boundary_size,):
-            raise ValueError(
-                f"boundary loop must have length {self.global_boundary_size}, "
-                f"got {boundary_loop.shape}"
-            )
-        if field is None:
-            field = np.zeros((self.global_ny, self.global_nx))
-        else:
-            field = np.array(field, dtype=float, copy=True)
-        rows, cols = self._boundary_loop
-        field[rows, cols] = boundary_loop
-        return field
-
-    # -- construction-time validation --------------------------------------------------
-
-    def _validate_anchor_coverage(self) -> None:
-        anchors = self.anchors()
-        if not anchors:
-            raise ValueError(
-                "composite domain admits no anchors: no 2x2 block of covered "
-                "step cells exists, so no subdomain fits inside the domain"
-            )
-
-        # Every covered cell must fall inside some anchor window, otherwise
-        # the dense assembly would never predict parts of the domain.
-        cells = self.domain.cell_mask()
-        cell_covered = np.zeros_like(cells)
-        for r, c in anchors:
-            cell_covered[r: r + 2, c: c + 2] = True
-        missing = cells & ~cell_covered
-        if missing.any():
-            rows, cols = np.nonzero(missing)
-            raise ValueError(
-                f"composite domain has {rows.size} step cell(s) outside every "
-                f"subdomain window (first: ({int(rows[0])}, {int(cols[0])})); "
-                f"appendages must be at least 2 half-subdomain steps wide"
-            )
-
-        # Every interior lattice point must be written by some anchor's
-        # centre lines, otherwise the iteration would keep its init value.
-        crow, ccol = self.center_line_local_indices()
-        updated = np.zeros((self.global_ny, self.global_nx), dtype=bool)
-        half = self.half
-        for r, c in anchors:
-            updated[r * half + crow, c * half + ccol] = True
-        stale = self.lattice_mask() & self._interior & ~updated
-        if stale.any():
-            rows, cols = np.nonzero(stale)
-            raise ValueError(
-                f"composite domain has {rows.size} interior lattice point(s) "
-                f"not updated by any anchor centre line (first grid point: "
-                f"({int(rows[0])}, {int(cols[0])})); the shape pinches the "
-                f"anchor lattice — thicken the offending region"
-            )
-
-    # -- construction helpers ----------------------------------------------------------
-
-    @classmethod
-    def from_domain(
-        cls,
-        domain: CompositeDomain,
-        subdomain_points: int = 33,
-        subdomain_extent: float = 0.5,
-    ) -> "CompositeMosaicGeometry":
-        return cls(
-            subdomain_points=subdomain_points,
-            subdomain_extent=subdomain_extent,
-            domain=domain,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"CompositeMosaicGeometry(m={self.subdomain_points}, "
-            f"extent={self.subdomain_extent}, domain={self.domain!r}, "
-            f"anchors={self.num_subdomains})"
-        )
+    from_domain = staticmethod(MosaicGeometry.from_domain)

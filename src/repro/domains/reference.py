@@ -24,10 +24,9 @@ def composite_reference_solution(
 ) -> np.ndarray:
     """Exact masked FD solution of the Laplace BVP posed by ``boundary_loop``.
 
-    ``geometry`` may be a :class:`~repro.domains.geometry.
-    CompositeMosaicGeometry` or a plain rectangular :class:`~repro.mosaic.
-    geometry.MosaicGeometry` (for which this reduces to the rectangular
-    reference solve).  Points outside the domain are zero in the result.
+    ``geometry`` is a :class:`~repro.mosaic.geometry.MosaicGeometry`; on a
+    rectangle this reduces to the rectangular reference solve.  Points
+    outside the domain are zero in the result.
     """
 
     boundary_field = geometry.insert_global_boundary(boundary_loop)

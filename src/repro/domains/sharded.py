@@ -40,8 +40,8 @@ def sharded_assemble(
     field:
         Converged global lattice field (bounding-box shape).
     geometry:
-        A :class:`~repro.domains.geometry.CompositeMosaicGeometry` or plain
-        :class:`~repro.mosaic.geometry.MosaicGeometry`.
+        The :class:`~repro.mosaic.geometry.MosaicGeometry` of the domain,
+        rectangular or composite.
     solver_factory:
         ``solver_factory(geometry) -> SubdomainSolver``, one per rank.
     world_size:

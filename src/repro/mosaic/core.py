@@ -58,10 +58,9 @@ def initialize_lattice_field(
     ``"zero"``, or ``"linear"`` (bilinear blend of the four edges — a cheap
     but effective warm start, rectangular domains only).
 
-    ``geometry`` may be a rectangular :class:`MosaicGeometry` or a
-    :class:`~repro.domains.geometry.CompositeMosaicGeometry`; for composite
-    domains the Dirichlet data follows the re-entrant boundary loop and only
-    grid points inside the domain are filled (the rest stay zero).
+    On a composite domain the Dirichlet data follows the re-entrant boundary
+    loop and only grid points inside the domain are filled (the rest stay
+    zero).
     """
 
     boundary_loop = np.asarray(boundary_loop, dtype=float)

@@ -292,6 +292,10 @@ class DistributedMosaicFlowPredictor:
         Batch each phase's subdomains into one solver call per rank.
     init_mode:
         Lattice initialization mode.
+
+    The block partition (:class:`RankLayout`) splits a rectangle's anchor
+    grid, so a composite geometry is rejected here; its dense assembly can
+    be sharded with :func:`repro.domains.sharded_assemble`.
     """
 
     def __init__(
@@ -302,6 +306,11 @@ class DistributedMosaicFlowPredictor:
         batched: bool = True,
         init_mode: str = "mean",
     ):
+        if not geometry.is_rectangular:
+            raise ValueError(
+                "DistributedMosaicFlowPredictor partitions a rectangular anchor "
+                "grid into rank blocks; this geometry's domain is not a rectangle"
+            )
         self.geometry = geometry
         self.solver_factory = solver_factory
         self.ordering = ordering

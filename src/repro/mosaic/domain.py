@@ -1,12 +1,12 @@
-"""Composite (non-rectangular) domains as unions of axis-aligned rectangles.
+"""Domain shapes as unions of axis-aligned rectangles.
 
 A :class:`CompositeDomain` describes the *shape* of a target domain on the
 half-subdomain step lattice of the Mosaic Flow decomposition: the union of
-axis-aligned rectangles whose corners sit on that lattice.  L-shapes, T-shapes,
-plus-shapes, notched plates and staircases are all expressible; the shape is
-purely combinatorial (integer step units) and independent of the subdomain
-resolution, which :class:`~repro.domains.geometry.CompositeMosaicGeometry`
-adds on top.
+axis-aligned rectangles whose corners sit on that lattice.  Rectangles,
+L-shapes, T-shapes, plus-shapes, notched plates and staircases are all
+expressible; the shape is purely combinatorial (integer step units) and
+independent of the subdomain resolution, which
+:class:`~repro.mosaic.geometry.MosaicGeometry` adds on top.
 
 The domain is validated at construction: it must be non-empty, edge-connected,
 free of holes and free of *pinched* corners (two boundary loops meeting at a
@@ -15,7 +15,8 @@ boundary is traced counter-clockwise starting from the bottom-left-most
 corner and reported as maximal straight segments; for a plain rectangle this
 reproduces exactly the bottom/right/top/left edge order (with corners shared
 between consecutive edges) of the :class:`~repro.fd.grid.Grid2D` boundary-loop
-convention.
+convention.  Every check works on whole cell masks, and the trace steps from
+corner to corner, so no loop runs over cells.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy import ndimage
 
 __all__ = ["CompositeDomain"]
 
-#: step offsets of the four edge-neighbouring cells
-_CELL_NEIGHBORS = ((-1, 0), (1, 0), (0, -1), (0, 1))
+#: unit steps (row, col) of the four boundary directions: +x, +y, -x, -y
+_DIRECTIONS = ((0, 1), (1, 0), (0, -1), (-1, 0))
 
 
 @dataclass(frozen=True)
@@ -59,10 +61,15 @@ class CompositeDomain:
                 "rectangles must be normalized so the bounding box starts at "
                 "(0, 0); build the domain with CompositeDomain.from_rects"
             )
-        # Validate connectivity and the boundary topology eagerly so every
-        # constructed domain is known to be a single hole-free polygon.
-        self._check_connected()
-        _ = self.boundary_corners
+        # One rectangle is a simple polygon; a union is validated eagerly so
+        # every constructed domain is known to be one hole-free polygon.
+        if len(self.rects) > 1:
+            self._check_connected()
+            _ = self.boundary_corners
+
+    def __getstate__(self) -> dict:
+        # Pickled as its rectangles; the cached masks and trace are rebuilt.
+        return {"rects": self.rects}
 
     # -- construction ----------------------------------------------------------------
 
@@ -138,18 +145,20 @@ class CompositeDomain:
         cells = np.asarray(cells, dtype=bool)
         if cells.ndim != 2 or not cells.any():
             raise ValueError("cells must be a non-empty 2-D boolean mask")
-        rects = []
-        for i in range(cells.shape[0]):
-            j = 0
-            while j < cells.shape[1]:
-                if cells[i, j]:
-                    start = j
-                    while j < cells.shape[1] and cells[i, j]:
-                        j += 1
-                    rects.append((i, start, 1, j - start))
-                else:
-                    j += 1
-        return cls.from_rects(rects)
+        edges = np.diff(np.pad(cells, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+        rows, starts = np.nonzero(edges == 1)
+        stops = np.nonzero(edges == -1)[1]
+        return cls.from_rects(
+            (r, c, 1, w) for r, c, w in zip(rows.tolist(), starts.tolist(),
+                                            (stops - starts).tolist())
+        )
+
+    def scaled(self, factor: int) -> "CompositeDomain":
+        """The same shape with every rectangle ``factor`` times larger per side."""
+
+        if factor < 1:
+            raise ValueError("factor must be >= 1")
+        return CompositeDomain(tuple(tuple(v * int(factor) for v in r) for r in self.rects))
 
     # -- cell-level queries -----------------------------------------------------------
 
@@ -184,32 +193,17 @@ class CompositeDomain:
     def is_rectangle(self) -> bool:
         """Whether the union is exactly its bounding box."""
 
-        return bool(self._cells.all())
-
-    def contains_cell(self, row: int, col: int) -> bool:
-        cells = self._cells
-        return (
-            0 <= row < cells.shape[0]
-            and 0 <= col < cells.shape[1]
-            and bool(cells[row, col])
-        )
+        return len(self.rects) == 1 or bool(self._cells.all())
 
     def _check_connected(self) -> None:
-        cells = self._cells
-        covered = list(zip(*np.nonzero(cells)))
-        seen = {covered[0]}
-        stack = [covered[0]]
-        while stack:
-            i, j = stack.pop()
-            for di, dj in _CELL_NEIGHBORS:
-                nb = (i + di, j + dj)
-                if nb not in seen and self.contains_cell(*nb):
-                    seen.add(nb)
-                    stack.append(nb)
-        if len(seen) != len(covered):
+        labels, count = ndimage.label(self._cells)  # edge (4-)connectivity
+        if count > 1:
+            first = np.argwhere(labels)[0]
+            reached = int(np.count_nonzero(labels == labels[tuple(first)]))
+            total = int(np.count_nonzero(labels))
             raise ValueError(
-                f"composite domain is not edge-connected: {len(covered) - len(seen)} "
-                f"of {len(covered)} cells are unreachable from cell {covered[0]}"
+                f"composite domain is not edge-connected: {total - reached} of "
+                f"{total} cells are unreachable from cell {tuple(first.tolist())}"
             )
 
     # -- boundary tracing -------------------------------------------------------------
@@ -224,56 +218,49 @@ class CompositeDomain:
         corners or interior holes.
         """
 
-        cells = self._cells
-        # Directed unit edges (start -> end in corner coordinates), oriented
-        # counter-clockwise: the domain interior lies to the left of travel.
-        outgoing: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for i, j in zip(*np.nonzero(cells)):
-            i, j = int(i), int(j)
-            if not self.contains_cell(i - 1, j):   # bottom edge, heading +x
-                outgoing.setdefault((i, j), []).append((i, j + 1))
-            if not self.contains_cell(i, j + 1):   # right edge, heading +y
-                outgoing.setdefault((i, j + 1), []).append((i + 1, j + 1))
-            if not self.contains_cell(i + 1, j):   # top edge, heading -x
-                outgoing.setdefault((i + 1, j + 1), []).append((i + 1, j))
-            if not self.contains_cell(i, j - 1):   # left edge, heading -y
-                outgoing.setdefault((i + 1, j), []).append((i, j))
-
-        num_edges = sum(len(ends) for ends in outgoing.values())
-        start = min(outgoing)
-        path = [start]
-        current = start
-        while True:
-            ends = outgoing.get(current, [])
-            if len(ends) != 1:
-                raise ValueError(
-                    f"composite domain boundary is pinched at corner {current}: "
-                    f"the domain touches itself at a point; thicken the "
-                    f"connection to at least one full step"
-                )
-            nxt = ends.pop()
-            if not ends:
-                del outgoing[current]
-            if nxt == start:
-                break
-            path.append(nxt)
-            current = nxt
-        if outgoing:
+        padded = np.pad(self._cells, 1)
+        cells = padded[1:-1, 1:-1]
+        # Unit boundary edges per direction, oriented counter-clockwise (the
+        # domain lies to the left of travel), as masks of their start points
+        # on the (steps_y + 1, steps_x + 1) lattice of cell corners.
+        starts = np.zeros((4, cells.shape[0] + 1, cells.shape[1] + 1), dtype=bool)
+        starts[0, :-1, :-1] = cells & ~padded[:-2, 1:-1]   # bottom edges, +x
+        starts[1, :-1, 1:] = cells & ~padded[1:-1, 2:]     # right edges, +y
+        starts[2, 1:, 1:] = cells & ~padded[2:, 1:-1]      # top edges, -x
+        starts[3, 1:, :-1] = cells & ~padded[1:-1, :-2]    # left edges, -y
+        outgoing = starts.sum(axis=0)
+        if (outgoing > 1).any():
             raise ValueError(
-                f"composite domain has interior holes ({num_edges - len(path)} "
-                f"boundary edges remain after tracing the outer loop); holes "
-                f"are not supported"
+                f"composite domain boundary is pinched at corner "
+                f"{tuple(np.argwhere(outgoing > 1)[0].tolist())}: the domain "
+                f"touches itself at a point; thicken the connection to at "
+                f"least one full step"
             )
+        heading = starts.argmax(axis=0)      # direction leaving each point
+        arriving = np.zeros_like(heading)    # direction reaching it
+        for code, (dr, dc) in enumerate(_DIRECTIONS):
+            rows, cols = np.nonzero(starts[code])
+            arriving[rows + dr, cols + dc] = code
+        is_corner = (outgoing == 1) & (heading != arriving)
 
-        # Merge collinear unit edges into maximal polygon corners.
-        corners: list[tuple[int, int]] = []
-        n = len(path)
-        for k in range(n):
-            prev_pt, pt, next_pt = path[k - 1], path[k], path[(k + 1) % n]
-            direction_in = (pt[0] - prev_pt[0], pt[1] - prev_pt[1])
-            direction_out = (next_pt[0] - pt[0], next_pt[1] - pt[1])
-            if direction_in != direction_out:
-                corners.append(pt)
+        # Walk corner to corner: a segment ends at the first corner its ray meets.
+        start = tuple(np.argwhere(outgoing)[0].tolist())
+        corners, traced, (r, c) = [start], 0, start
+        while True:
+            dr, dc = _DIRECTIONS[heading[r, c]]
+            ray = is_corner[r, c + dc::dc] if dr == 0 else is_corner[r + dr::dr, c]
+            length = int(np.argmax(ray)) + 1
+            r, c, traced = r + dr * length, c + dc * length, traced + length
+            if (r, c) == start:
+                break
+            corners.append((r, c))
+        remaining = int(outgoing.sum()) - traced
+        if remaining:
+            raise ValueError(
+                f"composite domain has interior holes ({remaining} boundary "
+                f"edges remain after tracing the outer loop); holes are not "
+                f"supported"
+            )
         return tuple(corners)
 
     def boundary_segments(self) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:

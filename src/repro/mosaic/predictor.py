@@ -48,11 +48,10 @@ class MosaicFlowPredictor:
     Parameters
     ----------
     geometry:
-        Interface-lattice geometry of the target domain — rectangular
-        (:class:`MosaicGeometry`) or composite
-        (:class:`~repro.domains.geometry.CompositeMosaicGeometry`); the
-        iteration only ever touches the geometry's enumerated anchors and
-        masks, so non-rectangular domains need no special casing here.
+        Interface-lattice geometry of the target domain, rectangular or
+        composite; the iteration only ever touches the geometry's enumerated
+        anchors and masks, so non-rectangular domains need no special casing
+        here.
     solver:
         Subdomain solver (neural or finite-difference).
     batched:

@@ -31,18 +31,6 @@ from ..mosaic.geometry import MosaicGeometry
 __all__ = ["RequestValidationError", "SolveRequest", "SolveResult"]
 
 
-def _geometry_types() -> tuple:
-    """Geometry types the serving layer accepts.
-
-    Both expose the shared interface the fused runner iterates over.  The
-    composite type is imported lazily so the request API does not eagerly
-    pull in :mod:`repro.domains` (and its masked-FD scipy dependencies).
-    """
-
-    from ..domains.geometry import CompositeMosaicGeometry
-
-    return (MosaicGeometry, CompositeMosaicGeometry)
-
 _INIT_MODES = ("zero", "mean", "linear")
 
 _id_counter = itertools.count()
@@ -120,10 +108,9 @@ class SolveRequest:
     ) -> "SolveRequest":
         """Validate and canonicalize a BVP into a :class:`SolveRequest`."""
 
-        if not isinstance(geometry, _geometry_types()):
+        if not isinstance(geometry, MosaicGeometry):
             raise RequestValidationError(
-                f"geometry must be a MosaicGeometry or CompositeMosaicGeometry, "
-                f"got {type(geometry).__name__}"
+                f"geometry must be a MosaicGeometry, got {type(geometry).__name__}"
             )
         # Private copy: a queued request must not alias caller memory the
         # caller may mutate before the batch executes.

@@ -43,9 +43,8 @@ class FusedBatchRunner:
     Parameters
     ----------
     geometry:
-        Shared interface-lattice geometry of every request in the batch
-        (rectangular :class:`MosaicGeometry` or composite
-        :class:`~repro.domains.geometry.CompositeMosaicGeometry`).
+        Shared interface-lattice geometry of every request in the batch,
+        rectangular or composite.
     solver:
         Subdomain solver; fused calls receive ``(B * S, 4N)`` boundary
         stacks.

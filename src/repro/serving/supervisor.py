@@ -42,7 +42,10 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
+
+from ..mosaic.core import PLAN_CACHE
 
 __all__ = [
     "CLOSED",
@@ -344,21 +347,30 @@ class BreakerBoard:
     (falling back to the geometry group key when a group never fuses), so
     one failing backend — one solver configuration — trips exactly the
     requests that would have hit it, and unrelated geometries keep serving.
+    The board is an LRU of ``PLAN_CACHE.capacity`` breakers that only ever
+    evicts *closed* ones: an open or half-open breaker is kept until it
+    closes, so eviction never lets a failing backend's traffic back in.
     """
 
     def __init__(self, policy: BreakerPolicy | None = None, clock=time.monotonic):
         self.policy = policy if policy is not None else BreakerPolicy()
         self.clock = clock
         self._lock = threading.Lock()
-        self._breakers: dict = {}
+        self._breakers: OrderedDict = OrderedDict()
 
     def get(self, key) -> CircuitBreaker:
         with self._lock:
             breaker = self._breakers.get(key)
-            if breaker is None:
-                breaker = self._breakers[key] = CircuitBreaker(
-                    self.policy, clock=self.clock
-                )
+            if breaker is not None:
+                self._breakers.move_to_end(key)
+                return breaker
+            breaker = self._breakers[key] = CircuitBreaker(self.policy, clock=self.clock)
+            excess = len(self._breakers) - PLAN_CACHE.capacity
+            if excess > 0:
+                closed = [k for k, b in self._breakers.items()
+                          if b is not breaker and b.state == CLOSED]
+                for stale in closed[:excess]:
+                    del self._breakers[stale]
             return breaker
 
     def __len__(self) -> int:

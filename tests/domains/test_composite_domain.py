@@ -68,6 +68,20 @@ class TestConstruction:
                 [(0, 0, 1, 6), (0, 0, 6, 1), (5, 0, 1, 6), (0, 5, 6, 1)]
             )
 
+    def test_rejects_pinched_corner(self):
+        # cells (2, 1) and (1, 2) meet only at corner (2, 2)
+        cells = np.array([[1, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=bool)
+        with pytest.raises(ValueError, match=r"pinched at corner \(2, 2\)"):
+            CompositeDomain.from_cells(cells)
+
+    def test_scaled_scales_every_rectangle(self):
+        d = CompositeDomain.l_shape(4, 4, 2, 2)
+        big = d.scaled(3)
+        assert big == CompositeDomain.l_shape(12, 12, 6, 6)
+        assert np.array_equal(big.cell_mask(), d.cell_mask().repeat(3, 0).repeat(3, 1))
+        with pytest.raises(ValueError):
+            d.scaled(0)
+
 
 class TestBoundaryTrace:
     def test_rectangle_boundary_is_four_segments(self):

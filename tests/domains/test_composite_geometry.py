@@ -1,67 +1,85 @@
-"""CompositeMosaicGeometry: anchors, masks, boundary loop, validation."""
+"""The one geometry class on composite domains: anchors, masks, boundary loop, validation."""
+
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.domains import CompositeDomain, CompositeMosaicGeometry
-from repro.mosaic import MosaicGeometry
+from repro.fd import Grid2D
+from repro.mosaic import PHASE_OFFSETS, MosaicGeometry
+from repro.mosaic.core import PlanCache, build_plan
 
 
 @pytest.fixture(scope="module")
-def l_geometry() -> CompositeMosaicGeometry:
+def l_geometry() -> MosaicGeometry:
     return CompositeMosaicGeometry(9, 0.5, CompositeDomain.l_shape(6, 6, 3, 3))
 
 
+def _arithmetic_plan(points: int, steps_x: int, steps_y: int) -> dict:
+    """A rectangle's plan from anchor arithmetic alone: every (r, c) of the box."""
+
+    h = (points - 1) // 2
+    nx, ny = steps_x * h + 1, steps_y * h + 1
+    brow, bcol = Grid2D(points, points).boundary_indices()
+    crow, ccol = MosaicGeometry(points, 0.5, 2, 2).center_line_local_indices()
+    anchors = [(r, c) for r in range(steps_y - 1) for c in range(steps_x - 1)]
+    counts = np.zeros((ny, nx))
+    for r, c in anchors:
+        counts[r * h:r * h + points, c * h:c * h + points] += 1
+        # the boundary loop repeats the window's four corners
+        counts[r * h:r * h + points:points - 1, c * h:c * h + points:points - 1] += 1
+    reads, writes = [], []
+    for dr, dc in PHASE_OFFSETS:
+        mine = np.array([r * h * nx + c * h for r, c in anchors if (r % 2, c % 2) == (dr, dc)],
+                        dtype=np.intp).reshape(-1)
+        reads.append(mine[:, None] + (brow * nx + bcol))
+        writes.append(mine[:, None] + (crow * nx + ccol))
+    on_lines = (np.arange(ny) % h == 0)[:, None] | (np.arange(nx) % h == 0)[None, :]
+    return {
+        "reads": reads, "writes": writes, "lattice": np.flatnonzero(on_lines),
+        "windows": np.array([r * h * nx + c * h for r, c in anchors]), "counts": counts,
+    }
+
+
+@pytest.mark.parametrize("points", [5, 9, 33])
+@pytest.mark.parametrize("steps_x", range(2, 13))
 class TestRectangularReduction:
-    """A rectangular composite reduces exactly to MosaicGeometry."""
+    """A rectangle is the full cell mask: checked against Grid2D and anchor arithmetic."""
 
-    @pytest.fixture(scope="class")
-    def pair(self):
-        composite = CompositeMosaicGeometry(9, 0.5, CompositeDomain.rectangle(6, 4))
-        box = MosaicGeometry(subdomain_points=9, subdomain_extent=0.5,
-                             steps_x=6, steps_y=4)
-        return composite, box
+    def test_boundary_matches_grid(self, points, steps_x):
+        steps_y = 14 - steps_x
+        geometry = MosaicGeometry(points, 0.5, steps_x, steps_y)
+        grid = Grid2D(geometry.global_nx, geometry.global_ny, geometry.global_extent)
+        rows, cols = geometry.global_boundary_indices()
+        rows_g, cols_g = grid.boundary_indices()
+        assert np.array_equal(rows, rows_g) and np.array_equal(cols, cols_g)
+        assert np.array_equal(geometry.boundary_point_mask(), grid.boundary_mask())
+        assert geometry.valid_mask().all()
+        loop = np.arange(grid.boundary_size, dtype=float)
+        assert geometry.insert_global_boundary(loop).tobytes() == grid.insert_boundary(loop).tobytes()
+        assert (geometry.global_boundary_coordinates().tobytes()
+                == grid.boundary_coordinates().tobytes())
 
-    def test_sizes(self, pair):
-        composite, box = pair
-        assert composite.is_rectangular
-        assert composite.as_mosaic_geometry() == box
-        assert (composite.global_nx, composite.global_ny) == (box.global_nx, box.global_ny)
-        assert composite.global_boundary_size == box.global_boundary_size
-        assert composite.num_subdomains == box.num_subdomains
+    def test_plan_matches_anchor_arithmetic(self, points, steps_x):
+        steps_y = 14 - steps_x
+        plan = build_plan(MosaicGeometry(points, 0.5, steps_x, steps_y))
+        expected = _arithmetic_plan(points, steps_x, steps_y)
+        for phase in range(len(PHASE_OFFSETS)):
+            assert np.array_equal(plan.reads[phase], expected["reads"][phase])
+            assert np.array_equal(plan.writes[phase], expected["writes"][phase])
+        for name in ("lattice", "windows", "counts"):
+            assert np.array_equal(getattr(plan, name), expected[name]), name
 
-    def test_anchors_and_phases_identical(self, pair):
-        composite, box = pair
-        assert composite.anchors() == box.anchors()
-        for phase in range(4):
-            assert composite.anchors_for_phase(phase) == box.anchors_for_phase(phase)
-
-    def test_boundary_loop_identical_to_grid_convention(self, pair):
-        composite, box = pair
-        rows_c, cols_c = composite.global_boundary_indices()
-        rows_b, cols_b = box.global_grid().boundary_indices()
-        assert np.array_equal(rows_c, rows_b)
-        assert np.array_equal(cols_c, cols_b)
-        np.testing.assert_array_equal(
-            composite.global_boundary_coordinates(),
-            box.global_grid().boundary_coordinates(),
-        )
-
-    def test_masks_identical(self, pair):
-        composite, box = pair
-        assert np.array_equal(composite.lattice_mask(), box.lattice_mask())
-        assert composite.valid_mask().all()
-        assert np.array_equal(
-            composite.boundary_point_mask(), box.global_grid().boundary_mask()
-        )
-
-    def test_insert_boundary_identical(self, pair):
-        composite, box = pair
-        loop = np.arange(composite.global_boundary_size, dtype=float)
-        np.testing.assert_array_equal(
-            composite.insert_global_boundary(loop),
-            box.global_grid().insert_boundary(loop),
-        )
+    def test_rectangular_composite_is_the_rectangle(self, points, steps_x):
+        steps_y = 14 - steps_x
+        rect = MosaicGeometry(points, 0.5, steps_x, steps_y)
+        composite = CompositeMosaicGeometry(
+            points, 0.5, CompositeDomain.rectangle(steps_x, steps_y))
+        assert composite == rect and hash(composite) == hash(rect)
+        assert type(composite) is MosaicGeometry and composite.is_rectangular
+        cache = PlanCache()
+        assert cache.get(composite) is cache.get(rect) and len(cache) == 1
 
 
 class TestCompositeAnchors:
@@ -146,6 +164,37 @@ class TestValidation:
         assert l_geometry == twin and hash(l_geometry) == hash(twin)
         other = CompositeMosaicGeometry(9, 0.5, CompositeDomain.l_shape(6, 6, 3, 2))
         assert l_geometry != other
+
+    def test_domain_must_match_the_steps(self):
+        with pytest.raises(ValueError, match="domain spans"):
+            MosaicGeometry(9, 0.5, 6, 4, CompositeDomain.l_shape(6, 6, 3, 3))
+
+    def test_from_domain_is_the_constructor(self, l_geometry):
+        domain = l_geometry.domain
+        assert CompositeMosaicGeometry.from_domain(domain, 9, 0.5) == l_geometry
+        assert MosaicGeometry.from_domain(domain, subdomain_points=9) == l_geometry
+
+    def test_scaled_scales_the_cells(self, l_geometry):
+        big = l_geometry.scaled(2)
+        assert big == CompositeMosaicGeometry(9, 0.5, CompositeDomain.l_shape(12, 12, 6, 6))
+        assert not big.is_rectangular and big != big.box
+        with pytest.raises(ValueError):
+            l_geometry.scaled(0)
+
+    def test_pickles_without_its_cached_masks(self, l_geometry):
+        fresh = CompositeMosaicGeometry(9, 0.5, CompositeDomain.l_shape(6, 6, 3, 3))
+        size = len(pickle.dumps(fresh))
+        fresh.valid_mask(), fresh.anchors(), fresh.global_boundary_indices()
+        assert len(pickle.dumps(fresh)) == size < 1024
+        restored = pickle.loads(pickle.dumps(l_geometry))
+        assert restored == l_geometry
+        assert np.array_equal(restored.lattice_mask(), l_geometry.lattice_mask())
+
+    def test_cached_arrays_are_read_only(self, l_geometry):
+        for array in (l_geometry.valid_mask(), l_geometry.interior_mask(),
+                      l_geometry.lattice_mask(), l_geometry.boundary_point_mask(),
+                      *l_geometry.global_boundary_indices()):
+            assert not array.flags.writeable
 
 
 class TestBoundarySampling:

@@ -12,6 +12,7 @@ from repro.mosaic import (
     MosaicGeometry,
 )
 from repro.mosaic.distributed import HaloExchangePlan, RankLayout, _owner_anchor
+from repro.mosaic.domain import CompositeDomain
 from repro.pde import HARMONIC_FUNCTIONS
 
 
@@ -163,3 +164,12 @@ class TestDistributedExecution:
             assert r.comm_stats["sends"] > 0
             assert r.comm_stats["allgathers"] == 1
             assert {"inference", "sendrecv", "allgather", "boundaries_io"} <= set(r.timings)
+
+    def test_composite_geometry_rejected_at_construction(self):
+        # The rank blocks split the bounding box's anchors, so an L-shape
+        # would fail inside rank 0 with a boundary-length mismatch.
+        geo = MosaicGeometry.from_domain(CompositeDomain.l_shape(6, 6, 3, 3), 9)
+        with pytest.raises(ValueError, match="not a rectangle"):
+            DistributedMosaicFlowPredictor(geo, solver_factory_for(geo))
+        rectangle = MosaicGeometry.from_domain(CompositeDomain.rectangle(6, 4), 9)
+        DistributedMosaicFlowPredictor(rectangle, solver_factory_for(rectangle))

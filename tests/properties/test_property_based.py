@@ -213,7 +213,7 @@ def composite_domains(draw) -> CompositeDomain:
 
 
 @st.composite
-def composite_geometries(draw) -> CompositeMosaicGeometry:
+def composite_geometries(draw) -> MosaicGeometry:
     domain = draw(composite_domains())
     try:
         return CompositeMosaicGeometry(
@@ -226,7 +226,69 @@ def composite_geometries(draw) -> CompositeMosaicGeometry:
         assume(False)
 
 
+def _loop_reference_corners(cells: np.ndarray):
+    """Boundary corners by per-cell loops, or ``None`` for a rejected shape.
+
+    The per-cell reference the vectorised :class:`CompositeDomain` checks and
+    trace must agree with: a flood fill for connectivity, then a unit-edge
+    walk that fails on a pinched corner or on edges left over (holes).
+    """
+
+    covered = {(int(i), int(j)) for i, j in zip(*np.nonzero(cells))}
+    start = min(covered)
+    seen, stack = {start}, [start]
+    while stack:
+        i, j = stack.pop()
+        for nb in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+            if nb in covered and nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    if seen != covered:
+        return None
+    outgoing = {}
+    for i, j in covered:  # unit edges, counter-clockwise, as start -> end
+        for outside, edge in (((i - 1, j), ((i, j), (i, j + 1))),
+                              ((i, j + 1), ((i, j + 1), (i + 1, j + 1))),
+                              ((i + 1, j), ((i + 1, j + 1), (i + 1, j))),
+                              ((i, j - 1), ((i + 1, j), (i, j)))):
+            if outside not in covered:
+                outgoing.setdefault(edge[0], []).append(edge[1])
+    if any(len(ends) > 1 for ends in outgoing.values()):
+        return None
+    path = [min(outgoing)]
+    while (nxt := outgoing[path[-1]][0]) != path[0]:
+        path.append(nxt)
+    if len(path) != len(outgoing):
+        return None
+    n = len(path)
+    return tuple(
+        path[k] for k in range(n)
+        if np.subtract(path[k], path[k - 1]).tolist()
+        != np.subtract(path[(k + 1) % n], path[k]).tolist()
+    )
+
+
+@st.composite
+def cell_masks(draw) -> np.ndarray:
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = np.array(draw(st.lists(st.booleans(), min_size=rows * cols,
+                                   max_size=rows * cols)), dtype=bool).reshape(rows, cols)
+    assume(cells.any())
+    # trim to the bounding box: from_cells translates the shape to the origin
+    return cells[cells.any(axis=1)][:, cells.any(axis=0)]
+
+
 class TestCompositeDomainProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(cell_masks())
+    def test_vectorised_checks_and_trace_match_the_loop_reference(self, cells):
+        expected = _loop_reference_corners(cells)
+        if expected is None:
+            with pytest.raises(ValueError):
+                CompositeDomain.from_cells(cells)
+        else:
+            assert CompositeDomain.from_cells(cells).boundary_corners == expected
+
     @COMMON_SETTINGS
     @given(composite_domains())
     def test_boundary_loop_is_closed_and_axis_aligned(self, domain):
@@ -287,7 +349,7 @@ class TestCompositeDomainProperties:
         box = MosaicGeometry(subdomain_points=m, subdomain_extent=0.5,
                              steps_x=sx, steps_y=sy)
         assert composite.is_rectangular
-        assert composite.as_mosaic_geometry() == box
+        assert composite == box and hash(composite) == hash(box)
         assert composite.anchors() == box.anchors()
         rows_c, cols_c = composite.global_boundary_indices()
         rows_b, cols_b = box.global_grid().boundary_indices()

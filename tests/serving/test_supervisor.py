@@ -9,8 +9,11 @@ import re
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.mosaic import MosaicGeometry
+from repro.mosaic.core import PLAN_CACHE
 from repro.obs import disable_tracing, enable_tracing
 from repro.obs.memory import (
     MemoryAccountant,
@@ -40,6 +43,7 @@ from repro.serving import (
     SolveRequest,
     TenantQuota,
     WorkerSupervisor,
+    solver_fusion_key,
 )
 
 ARTIFACTS = Path(__file__).resolve().parents[2] / "test-artifacts" / "serving"
@@ -194,6 +198,53 @@ class TestCircuitBreaker:
         assert len(board) == 2
         states = board.snapshot()["states"]
         assert states == {"closed": 1, "open": 1, "half_open": 0}
+
+
+class TestBoundedBreakerBoard:
+    def test_300_never_fusing_geometries_keep_the_board_at_the_cap(self, fake_clock):
+        class Opaque:
+            """A zero solver of a type the fusion keys do not know."""
+
+            def __init__(self, geometry):
+                self.boundary_size = geometry.subdomain_grid().boundary_size
+
+            def predict(self, boundaries, points):
+                return np.zeros((boundaries.shape[0], points.shape[0]))
+
+        # Every group is its own breaker key: unbounded, the board would
+        # hold 300 breakers.
+        geometries = [
+            MosaicGeometry(5, 0.25 + 0.01 * (index % 50), steps_x=2 + index // 50, steps_y=2)
+            for index in range(300)
+        ]
+        assert solver_fusion_key(Opaque(geometries[0])) is None
+        server = _server(fake_clock, solver_factory=Opaque)
+        for geometry in geometries:
+            loop = geometry.boundary_from_function(lambda x, y: x * x - y * y)
+            server.submit(SolveRequest.create(geometry, loop, max_iterations=2))
+            assert len(server.breakers) <= PLAN_CACHE.capacity
+        assert len(server.drain()) == 300
+        assert len(server.breakers) == PLAN_CACHE.capacity
+
+    def test_open_breaker_survives_eviction_pressure(self, fake_clock):
+        board = BreakerBoard(BreakerPolicy(failure_threshold=1), clock=fake_clock)
+        board.get("failing").record_failure()
+        for index in range(10 * PLAN_CACHE.capacity):
+            board.get(index)
+            assert len(board) <= PLAN_CACHE.capacity
+        assert board.get("failing").state == "open"
+        assert not board.get("failing").allow()
+        assert board.snapshot()["states"]["open"] == 1
+
+    def test_board_evicts_the_least_recently_used_closed_breaker(self, fake_clock):
+        board = BreakerBoard(clock=fake_clock)
+        first = board.get(0)
+        for index in range(1, PLAN_CACHE.capacity):
+            board.get(index)
+        board.get(0)  # touched: key 1 is now the oldest
+        board.get("new")
+        assert board.get(0) is first and len(board) == PLAN_CACHE.capacity
+        assert "1" not in board.snapshot()["keys"]
 
 
 # ---------------------------------------------------------------------------
