@@ -35,6 +35,7 @@ reproduction only branch on shapes, which the signature cache accounts for).
 from __future__ import annotations
 
 import contextlib
+import os
 import threading
 
 import numpy as np
@@ -123,6 +124,15 @@ def _bind(spec: tuple, args: tuple, kwargs: dict):
 
 _PATCH_LOCK = threading.Lock()
 _INSTALL_COUNT = 0
+
+
+def _fresh_patch_lock() -> None:
+    # In a forked child: the parent thread that held the lock does not exist.
+    global _PATCH_LOCK
+    _PATCH_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_patch_lock)
 _ORIGINALS: dict[str, object] = {}
 _TLS = threading.local()
 

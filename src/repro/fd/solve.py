@@ -9,6 +9,7 @@ problems and geometric multigrid for large ones.
 from __future__ import annotations
 
 import functools
+import os
 import threading
 
 import numpy as np
@@ -34,6 +35,15 @@ _DIRECT_SOLVE_LIMIT = 20_000
 #: 9x9 grid, 1.1 MB on 33x33, so the cache stays under 10 MB at those sizes.
 _OPERATOR_CACHE_ENTRIES = 8
 _operator_lock = threading.Lock()
+
+
+def _fresh_operator_lock() -> None:
+    # In a forked child: the parent thread that held the lock does not exist.
+    global _operator_lock
+    _operator_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_operator_lock)
 
 
 def solve_poisson(

@@ -25,6 +25,7 @@ takes its indices and its assembly from :func:`build_plan` and
 from __future__ import annotations
 
 import math
+import os
 import threading
 import time
 from collections import OrderedDict
@@ -239,6 +240,9 @@ class PlanCache:
 
 #: the process-wide plan cache every driver goes through
 PLAN_CACHE = PlanCache()
+# A process forked while another thread held the lock (a serving worker's
+# compute process) would wait on it forever: the child gets a fresh one.
+os.register_at_fork(after_in_child=lambda: setattr(PLAN_CACHE, "_lock", threading.Lock()))
 
 
 def accumulate(buffer: np.ndarray, total: np.ndarray, groups, predict) -> None:

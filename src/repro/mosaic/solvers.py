@@ -22,6 +22,7 @@ both make a row's prediction independent of the rows it shares a call with.
 
 from __future__ import annotations
 
+import os
 import threading
 import weakref
 from collections import OrderedDict
@@ -152,6 +153,21 @@ _PROGRAMS: "weakref.WeakKeyDictionary[NeuralSolver, _Programs]" = (
     weakref.WeakKeyDictionary()
 )
 _PROGRAMS_LOCK = threading.Lock()
+
+
+def _fresh_locks_after_fork() -> None:
+    # A forked child (a serving worker's compute process) runs the programs it
+    # inherited; the parent threads that held their locks do not exist there.
+    global _PROGRAMS_LOCK
+    _PROGRAMS_LOCK = threading.Lock()
+    for programs in list(_PROGRAMS.values()):
+        programs._lock = threading.Lock()
+        for program in programs.by_points.values():
+            program._lock = threading.Lock()
+            program._counters.lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_locks_after_fork)
 
 
 def inference_program(model: NeuralSolver, points: np.ndarray) -> CompiledModule:

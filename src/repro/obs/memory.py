@@ -27,6 +27,7 @@ safe (bounded below 2% by ``benchmarks/test_obs_overhead.py``).
 
 from __future__ import annotations
 
+import os
 import threading
 
 __all__ = [
@@ -287,6 +288,16 @@ class MemoryAccountant:
 
 #: the active accountant, or ``None`` while accounting is disabled
 _ACTIVE: MemoryAccountant | None = None
+
+
+def _fresh_lock_after_fork() -> None:
+    # A forked child (a serving worker's compute process) keeps charging the
+    # accountant it inherited; a parent thread holding its lock does not exist.
+    if _ACTIVE is not None:
+        _ACTIVE._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_lock_after_fork)
 
 
 def add(owner: str, nbytes: int) -> None:

@@ -31,6 +31,7 @@ Completed traces export two ways:
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -327,6 +328,16 @@ def _jsonable(value):
 
 #: the active tracer, or ``None`` while tracing is disabled
 _ACTIVE: Tracer | None = None
+
+
+def _fresh_lock_after_fork() -> None:
+    # A forked child records into the tracer it inherited; a parent thread
+    # holding its lock does not exist there.
+    if _ACTIVE is not None:
+        _ACTIVE._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_lock_after_fork)
 
 
 def span(name: str, **attrs):

@@ -11,9 +11,10 @@ stack the rows of every fusion-compatible batch into one call
 (:mod:`.fused`, :mod:`.megabatch`).
 
 The front-end (:mod:`.server`) is an async pipeline: non-blocking
-``submit_async`` returning :mod:`.futures`, a background dispatcher plus a
-solve-worker thread pool, capped-backoff retries, request deadlines and
-per-tenant admission control — with the classic synchronous ``submit`` /
+``submit_async`` returning :mod:`.futures`, a background dispatcher handing
+one balanced partition to each idle solve worker (two or more workers each
+compute in a forked process, :mod:`.compute`), capped-backoff retries,
+request deadlines and per-tenant admission control — with the classic synchronous ``submit`` /
 ``drain`` API as thin wrappers over the same path.  Every robustness path is
 deterministically testable through the flag-guarded fault hooks of
 :mod:`.faults`, and :mod:`.stats` reports latency, cache, batching and

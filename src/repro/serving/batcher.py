@@ -36,10 +36,9 @@ class BatchPolicy:
     max_wait_seconds:
         A group queue is released (at the next poll) once its oldest request
         has waited this long, even if the batch is not full.  ``0`` releases
-        on every poll — i.e. no coalescing across polls.  On a started
-        (async) :class:`~repro.serving.server.Server` this bounds only the
-        time a request waits for company *while a run is in flight*: with no
-        run in flight the dispatcher releases whatever is queued at once,
+        on every poll — i.e. no coalescing across polls.  A started (async)
+        :class:`~repro.serving.server.Server` does not wait on it: whenever
+        a worker is idle the dispatcher releases whatever is queued at once,
         and a finishing run releases what queued behind it.  The synchronous
         path (``submit``/``poll``/``drain``) waits the window out as written.
     """
@@ -61,7 +60,7 @@ class Batch:
     ``reason`` records *why* the batch was released: ``"size"`` (the queue
     reached ``max_batch_size``), ``"deadline"`` (its oldest request waited
     out ``max_wait_seconds``), ``"flush"`` (an explicit drain), ``"idle"``
-    (a started server had no run in flight, so there was nothing to wait
+    (a started server had a worker idle, so there was nothing to wait
     behind), or ``"co_release"`` (pulled early to ride a compatible
     mega-batch).  ``serving.batch`` spans carry it as ``reason=``.
     """
@@ -100,22 +99,6 @@ class DynamicBatcher:
         queue.append((request, self.clock()))
         return self.poll()
 
-    def next_deadline(self) -> float | None:
-        """Clock time at which the oldest queued request's wait expires.
-
-        ``None`` when nothing is queued.  The async dispatcher sleeps until
-        the earliest deadline across its batchers instead of busy-polling.
-        """
-
-        oldest = None
-        for queue in self._queues.values():
-            if queue:
-                stamp = queue[0][1]
-                oldest = stamp if oldest is None else min(oldest, stamp)
-        if oldest is None:
-            return None
-        return oldest + self.policy.max_wait_seconds
-
     def poll(self) -> list[Batch]:
         """Release every group that is full or whose deadline has passed."""
 
@@ -141,7 +124,7 @@ class DynamicBatcher:
         """Release every queued request regardless of size or deadline.
 
         ``reason`` is recorded on the released batches; the server flushes a
-        group for an explicit drain (``"flush"``), because nothing is running
+        group for an explicit drain (``"flush"``), because a worker is idle
         (``"idle"``), or to ride a compatible mega-batch (``"co_release"``).
         """
 

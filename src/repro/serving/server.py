@@ -12,23 +12,34 @@ rebuild it is a request *pipeline*:
   the per-geometry :class:`~repro.serving.batcher.DynamicBatcher`, and
   returns a :class:`~repro.serving.futures.SolveFuture` immediately;
 * a background **dispatcher thread** (``async_workers >= 1`` +
-  :meth:`~Server.start`) collects released batches and hands them to a
-  **thread pool of solve workers**.  Every dispatch runs one way: its
-  batches are partitioned by fusion compatibility and each partition —
-  one batch or several — is one :class:`~repro.mosaic.core.LatticeRun`
+  :meth:`~Server.start`) hands released work to the **solve workers**.  A
+  run is formed only when a worker is idle: with ``k`` workers idle,
+  everything queued (``Batch.reason == "idle"``) is split into ``k``
+  partitions balanced by predicted rows (subdomains x budget, largest
+  first; requests the in-batch dedup merges stay together), one per idle
+  worker.  So no more runs are in flight than there are workers, and what
+  arrives while every worker is busy queues until one finishes, which
+  wakes the dispatcher.  ``BatchPolicy.max_wait_seconds`` therefore never
+  delays a started server.  Each partition runs one way: its batches are
+  grouped by fusion compatibility and each group — one batch or several —
+  is one :class:`~repro.mosaic.core.LatticeRun`
   (:class:`~repro.serving.megabatch.MegaBatchExecutor`) over shared solver
-  calls, each request bitwise equal to its standalone run.  The
-  dispatcher is **work-conserving**: size-or-deadline decides only while a
-  dispatched run is in flight, when waiting for company overlaps useful
-  work and arrivals batch behind the run for free.  With no run in flight
-  everything queued is released at once (``Batch.reason == "idle"``), and a
-  finishing run wakes the dispatcher so what queued behind it goes then —
-  ``BatchPolicy.max_wait_seconds`` bounds the wait for company behind a
-  run, not the latency of a request that found the server idle.  (Releasing
-  whenever *a worker* is idle was measured and rejected: two solve threads
-  side by side each take twice as long on the small SDNet forward.)  Only
-  groups with queued requests keep a batcher, so a dispatcher pass costs
-  what is waiting, not what was ever served;
+  calls, each request bitwise equal to its standalone run.  Only groups
+  with queued requests keep a batcher, so a dispatcher pass costs what is
+  waiting, not what was ever served;
+* with two or more workers, each worker computes in its own **forked
+  process** (:class:`~repro.serving.compute.ComputeProcess`, forked in
+  :meth:`~Server.start`), so two runs really execute at once; two threads
+  of one interpreter took twice as long each on the small SDNet forward.
+  The worker thread keeps everything but the arithmetic — admission,
+  store, journal, batcher, retries, breakers, fault sites, supervision and
+  delivery — and sends each attempt's prepared sessions over a pipe.  A
+  process that dies raises :class:`~repro.serving.faults.WorkerDeath` in
+  its worker thread (requeue or supervised failure, as below) and the
+  worker forks a replacement; :meth:`close` stops and joins them, and
+  :meth:`health` lists each one (pid, alive, runs, peak RSS).  The sync
+  path and a single worker compute in the calling thread: one worker has
+  no partner to run beside, and the pipe costs about a millisecond a run;
 * batch execution is fault-tolerant: failed solves are retried with capped
   exponential backoff (``max_retries``/``retry_backoff_seconds``), requests
   whose deadline has passed fail fast with
@@ -40,7 +51,8 @@ rebuild it is a request *pipeline*:
 * every robustness path is deterministically testable through the
   flag-guarded :class:`~repro.serving.faults.FaultInjector` hooks at the
   worker-call, batch-assembly and store boundaries — plus the process-level
-  sites (worker death, heartbeat loss, torn journal write);
+  sites (worker death, heartbeat loss, torn journal write) — and a real
+  ``SIGKILL`` of a worker process takes the same requeue path;
 * with a ``journal`` the request store is **durable** (write-ahead
   claim/complete/fail records; a restarted server replays completed keys
   bitwise-identically and re-runs interrupted claims exactly once), with a
@@ -74,9 +86,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..mosaic.core import PLAN_CACHE
 from ..mosaic.geometry import MosaicGeometry
-from ..mosaic.solvers import FDSubdomainSolver, SDNetSubdomainSolver
+from ..mosaic.solvers import FDSubdomainSolver
 from ..obs import memory as obs_memory
 from ..obs.flight import FlightRecord, FlightRecorder
 from ..obs.profile import KernelProfiler
@@ -85,6 +96,7 @@ from ..obs.trace import get_tracer, span
 from .api import RequestValidationError, SolveRequest, SolveResult
 from .batcher import Batch, BatchPolicy, DynamicBatcher
 from .cache import CachedSolution, SolutionCache
+from .compute import ComputeProcess, build_solver, lattice_run, model_version, remember
 from .faults import (
     BATCH_ASSEMBLY,
     DROP,
@@ -96,7 +108,6 @@ from .faults import (
     FaultInjector,
     WorkerDeath,
 )
-from .fused import FusedBatchRunner
 from .futures import (
     CircuitOpenError,
     DeadlineExceededError,
@@ -108,26 +119,12 @@ from .futures import (
     SolveFuture,
 )
 from .journal import RequestJournal
-from .megabatch import MegaBatchExecutor, solver_fusion_key
+from .megabatch import solver_fusion_key
 from .stats import ServingStats
 from .store import AdmissionController, RequestStore, TenantQuota, Waiter
 from .supervisor import BreakerBoard, WorkerSupervisor
 
 __all__ = ["Server", "default_solver_factory"]
-
-#: geometry groups and solvers a server keeps, as many as the lattice plans
-_COMPAT_ENTRIES = PLAN_CACHE.capacity
-
-
-def _remember(lru: OrderedDict, key, value):
-    """The value kept under ``key`` (``value`` if none), now most recent."""
-
-    value = lru.setdefault(key, value)
-    lru.move_to_end(key)
-    while len(lru) > _COMPAT_ENTRIES:
-        lru.popitem(last=False)
-    return value
-
 
 @dataclass
 class _PreparedBatch:
@@ -218,12 +215,17 @@ class Server:
         retry backoff instead of sleeping it out.  Tests pass a fake
         clock's ``advance`` so retry scenarios run without real sleeping.
     async_workers:
-        Size of the solve-worker thread pool.  ``0`` (default) keeps the
-        server fully synchronous — batches run inline on the submitting /
-        draining thread, exactly like the pre-async server.  ``>= 1``
-        enables :meth:`start`, which spawns the background dispatcher and
-        the pool; ``submit_async`` then never executes solves on the
-        caller's thread.
+        Number of solve workers.  ``0`` (default) keeps the server fully
+        synchronous — batches run inline on the submitting / draining
+        thread, exactly like the pre-async server.  ``>= 1`` enables
+        :meth:`start`, which spawns the background dispatcher and one
+        thread per worker; ``submit_async`` then never executes solves on
+        the caller's thread.  One worker computes in its thread; with two
+        or more, each worker's thread hands the arithmetic to its own
+        forked compute process, whose solvers come from the
+        ``solver_factory`` it inherited (a model updated in this process
+        later is picked up by re-forking, see
+        :mod:`~repro.serving.compute`).
     flight:
         Optional :class:`~repro.obs.flight.FlightRecorder` enabling
         tail-sampling flight records: requests that finish slow (rolling
@@ -256,11 +258,11 @@ class Server:
         (:class:`~repro.serving.faults.WorkerDeath` escaping a batch)
         requeue immediately, and both schedule capped-exponential-backoff
         restarts until the budget is spent — after which work fails instead
-        of looping.  The restart gate is the *modeled* worker-process
-        restart delay: it is surfaced in :meth:`health` and the supervisor
-        snapshot, not used to block this process's (simulated-worker)
-        dispatch.  ``None`` (default) disables supervision; requeue-on-death
-        still works.
+        of looping.  A worker's compute process that dies is such a death;
+        its replacement is forked at the worker's next run.  The restart
+        gate is surfaced in :meth:`health` and the supervisor snapshot, not
+        used to block dispatch.  ``None`` (default) disables supervision;
+        requeue-on-death still works.
     breakers:
         Per-backend circuit breakers (default on): ``True`` for a default
         :class:`~repro.serving.supervisor.BreakerBoard`, an instance for
@@ -277,10 +279,12 @@ class Server:
     (:func:`repro.obs.enable_tracing`): ``serving.submit`` (with
     ``serving.claim`` and ``serving.cache_lookup`` children and a
     ``serving.enqueue`` child for queued requests) and, per run,
-    ``serving.mega_batch`` with one ``serving.batch`` (with its
-    ``serving.batch_assembly``) per batch, ``serving.fused_solve`` (one per
-    attempt, with ``serving.retry`` spans between failed attempts) and one
-    ``serving.postprocess`` per batch.  Counters
+    ``serving.mega_batch`` (with ``solver_calls``, ``solver_rows`` and
+    ``worker_compute_s``, the seconds the lattice run took where it ran)
+    with one ``serving.batch`` (with its ``serving.batch_assembly``) per
+    batch, ``serving.fused_solve`` (one per attempt, with ``serving.retry``
+    spans between failed attempts) and one ``serving.postprocess`` per
+    batch.  Counters
     for retries, rejections, timeouts, failures and store replays live in
     ``self.stats.registry`` next to the latency/queue-wait histograms.
     An empty :meth:`drain` emits no spans and records no metrics.
@@ -360,8 +364,8 @@ class Server:
         self._batchers: dict[tuple, DynamicBatcher] = {}
         # group_key -> compatibility key (the group key itself when it never
         # cross-fuses), and compat key -> the solver answering its runs.
-        # Both are LRUs of `_COMPAT_ENTRIES`, so a long-lived server does not
-        # keep every geometry it ever served.
+        # Both are LRUs as long as the lattice plan cache, so a long-lived
+        # server does not keep every geometry it ever served.
         self._compat_keys: OrderedDict[tuple, tuple] = OrderedDict()
         self._mega_solvers: OrderedDict[tuple, object] = OrderedDict()
         self._completed: dict[str, SolveResult] = {}
@@ -374,6 +378,10 @@ class Server:
         self._wake = threading.Event()
         self._dispatch_thread: threading.Thread | None = None
         self._executor: ThreadPoolExecutor | None = None
+        # Slots of the solve workers with no run in flight, and with two or
+        # more workers started, each worker's compute process.
+        self._idle: list[int] = []
+        self._workers: list[ComputeProcess] = []
         # Persistent (never recreated) so an in-progress retry backoff can
         # observe close() no matter when start()/close() cycles happen.
         self._closing = threading.Event()
@@ -383,7 +391,9 @@ class Server:
     # -- async lifecycle -----------------------------------------------------------
 
     def start(self) -> "Server":
-        """Spawn the background dispatcher and the solve-worker pool.
+        """Spawn the background dispatcher and the solve workers.
+
+        With two or more workers each one's compute process is forked here.
 
         Requires ``async_workers >= 1``.  Idempotent; returns ``self`` so
         ``Server(...).start()`` composes, and the server works as a context
@@ -405,6 +415,18 @@ class Server:
             self._executor = ThreadPoolExecutor(
                 max_workers=self.async_workers, thread_name_prefix="serving-solve"
             )
+            self._idle = list(range(self.async_workers))
+            if self.async_workers >= 2:
+                # One worker has no partner to run beside and keeps computing
+                # in its thread; with two or more, each gets a process.
+                self._workers = [
+                    ComputeProcess(
+                        self._worker_name(slot), self.solver_factory, self.engine_profile
+                    )
+                    for slot in range(self.async_workers)
+                ]
+                for worker in self._workers:
+                    worker.fork()
             self._dispatch_thread = threading.Thread(
                 target=self._dispatch_loop, name="serving-dispatcher", daemon=True
             )
@@ -413,10 +435,11 @@ class Server:
         return self
 
     def close(self) -> None:
-        """Stop the dispatcher and worker pool after finishing in-flight work.
+        """Stop the dispatcher and worker pool after finishing queued work.
 
         Sets the closing event first, so a solve worker mid-way through a
         retry backoff wakes immediately instead of sleeping the backoff out.
+        Worker compute processes are stopped and joined last.
         """
 
         self._closing.set()
@@ -428,6 +451,8 @@ class Server:
             self._wake.set()
         thread.join(timeout=30.0)
         executor.shutdown(wait=True)
+        for worker in self._workers:
+            worker.stop()
         with self._lock:
             self._started = False
             self._dispatch_thread = None
@@ -718,10 +743,10 @@ class Server:
         # the in-flight request count moves atomically with the hand-off so
         # `pending` and `_wait_idle` never observe a gap.
         self._poll_locked()
-        if self._started and self._inflight_requests == 0:
-            # Work-conserving: with no dispatched run in flight, waiting out
-            # the window buys no company that could not also queue behind
-            # the run about to start, so everything queued goes now.
+        if self._started:
+            # Work-conserving: the dispatcher takes work only for an idle
+            # worker, and waiting out the window buys no company that could
+            # not also queue behind the run about to start.
             self._flush_locked("idle")
         elif self._ready:
             self._co_release_locked()
@@ -739,6 +764,44 @@ class Server:
             "co_release",
             [key for key in self._batchers if self._compat_key(key) in ready_keys],
         )
+
+    def _partition(self, batches: list[Batch], parts: int) -> list[list[Batch]]:
+        # Caller holds self._lock.  Split the ready batches into at most
+        # `parts` runs of balanced predicted rows (subdomains x budget),
+        # largest first onto the lightest run.  Requests the in-batch dedup
+        # would merge (one cache key) stay together.
+        if parts < 2:
+            return [batches] if batches else []
+        units: dict = {}
+        for batch in batches:
+            subdomains = batch.group_key[0].num_subdomains
+            for index, request in enumerate(batch.requests):
+                key = (
+                    self.cache.key_for(request) if self.cache is not None
+                    else request.request_id
+                )
+                unit = units.setdefault(key, [subdomains * request.max_iterations, []])
+                unit[1].append((id(batch), index))
+        if len(units) < 2:
+            return [batches]
+        loads = [0] * min(parts, len(units))
+        members: list[set] = [set() for _ in loads]
+        for cost, unit in sorted(units.values(), key=lambda u: -u[0]):
+            lightest = loads.index(min(loads))
+            loads[lightest] += cost
+            members[lightest].update(unit)
+        runs = []
+        for chosen in members:
+            run = []
+            for batch in batches:
+                kept = [i for i in range(len(batch)) if (id(batch), i) in chosen]
+                if kept:
+                    run.append(Batch(
+                        batch.group_key, [batch.requests[i] for i in kept],
+                        [batch.enqueued_at[i] for i in kept], batch.reason,
+                    ))
+            runs.append(run)
+        return runs
 
     def _mega_groups(self, batches: list[Batch]) -> list[tuple[tuple, list[Batch]]]:
         # Caller holds self._lock.  Partition ready batches by compatibility
@@ -773,8 +836,8 @@ class Server:
             grid = geometry.subdomain_grid()
             key = (grid.nx, grid.ny, tuple(grid.extent), fusion)
         if solver is not None:
-            _remember(self._mega_solvers, key, solver)
-        return _remember(self._compat_keys, group_key, key)
+            remember(self._mega_solvers, key, solver)
+        return remember(self._compat_keys, group_key, key)
 
     def _solver_for(self, compat_key: tuple, geometry):
         """The solver answering ``compat_key``'s runs; built and kept if evicted."""
@@ -786,40 +849,71 @@ class Server:
                 return solver
         solver = self._make_solver(geometry)
         with self._lock:
-            return _remember(self._mega_solvers, compat_key, solver)
+            return remember(self._mega_solvers, compat_key, solver)
 
     def _dispatch_loop(self) -> None:
         while not self._stop_event.is_set():
             self.check_workers()
-            with self._lock:
-                groups = self._mega_groups(self._take_ready())
-            if groups:
-                for compat_key, batches in groups:
-                    self._executor.submit(self._run_group, batches, compat_key)
+            if self._dispatch():
                 continue
-            timeout = self.poll_interval_seconds
-            with self._lock:
-                deadlines = [
-                    batcher.next_deadline() for batcher in self._batchers.values()
-                ]
-            if deadlines:
-                timeout = min(timeout, max(0.0, min(deadlines) - self.clock()))
-            self._wake.wait(timeout=timeout)
+            # Nothing to hand out, or no idle worker to take it: a submit or
+            # a finishing run sets the event.
+            self._wake.wait(timeout=self.poll_interval_seconds)
             self._wake.clear()
-        # Final sweep so close() never strands released batches.
-        with self._lock:
-            groups = self._mega_groups(self._take_ready())
-        for compat_key, batches in groups:
-            self._executor.submit(self._run_group, batches, compat_key)
+        # Final sweep so close() never strands queued work.
+        while True:
+            with self._lock:
+                if not (self._ready or self._batchers):
+                    return
+            if not self._dispatch():
+                self._wake.wait(timeout=self.poll_interval_seconds)
+                self._wake.clear()
 
-    def _run_group(self, batches: list[Batch], compat_key: tuple) -> None:
-        worker = self._supervise_begin(batches)
+    def _dispatch(self) -> bool:
+        """Hand everything queued to the idle workers, one partition each.
+
+        No more runs are in flight than there are workers: with none idle
+        the work stays queued, and a finishing run wakes the dispatcher.
+        Returns whether a run was handed out.
+        """
+
+        with self._lock:
+            if not self._idle or not (self._ready or self._batchers):
+                return False
+            jobs = [
+                (self._idle.pop(), self._mega_groups(batches))
+                for batches in self._partition(self._take_ready(), len(self._idle))
+            ]
+        for slot, groups in jobs:
+            self._executor.submit(self._run_job, slot, groups)
+        return bool(jobs)
+
+    def _run_job(self, slot: int, groups: list) -> None:
+        # One worker's partition: a run per fusion-compatibility key.
+        try:
+            for compat_key, batches in groups:
+                self._run_group(batches, compat_key, slot)
+        finally:
+            with self._lock:
+                self._idle.append(slot)
+            self._wake.set()
+
+    @staticmethod
+    def _worker_name(slot: int | None) -> str:
+        if slot is None:
+            return threading.current_thread().name
+        return f"serving-solve-{slot}"
+
+    def _run_group(
+        self, batches: list[Batch], compat_key: tuple, slot: int | None = None
+    ) -> None:
+        worker = self._supervise_begin(batches, slot)
         try:
             if self.faults is not None:
                 # Worker-death site, entry edge: the worker picked the group
                 # up and dies before any solve ran.
                 self.faults.fire(WORKER_DEATH)
-            self._execute_mega(batches, compat_key)
+            self._execute_mega(batches, compat_key, slot)
         except WorkerDeath as death:
             self._handle_worker_death(worker, batches, death)
         except Exception as exc:
@@ -835,15 +929,11 @@ class Server:
             with self._lock:
                 self._inflight_requests -= sum(len(batch) for batch in batches)
                 self._work_done.notify_all()
-                if self._started and self._inflight_requests == 0:
-                    # Whatever queued behind this run goes now, not at its
-                    # deadline or the dispatcher's next poll.
-                    self._wake.set()
 
     # -- supervision ---------------------------------------------------------------
 
-    def _supervise_begin(self, batches: list[Batch]) -> str:
-        worker = threading.current_thread().name
+    def _supervise_begin(self, batches: list[Batch], slot: int | None) -> str:
+        worker = self._worker_name(slot)
         if self.supervisor is not None:
             requests = [r for batch in batches for r in batch.requests]
             self.supervisor.begin(worker, requests, self.clock())
@@ -853,8 +943,8 @@ class Server:
         if self.supervisor is not None:
             self.supervisor.end(worker)
 
-    def _heartbeat(self) -> None:
-        """One supervision heartbeat from the current solve worker.
+    def _heartbeat(self, worker: str) -> None:
+        """One supervision heartbeat from a solve worker.
 
         Fired at the start of every fused-solve attempt.  The
         ``WORKER_HEARTBEAT`` fault site sits between the worker and the
@@ -870,7 +960,7 @@ class Server:
             spec = self.faults.fire(WORKER_HEARTBEAT)
             if spec is not None and spec.kind == DROP:
                 return
-        self.supervisor.heartbeat(threading.current_thread().name, self.clock())
+        self.supervisor.heartbeat(worker, self.clock())
 
     def check_workers(self) -> int:
         """Requeue the in-flight requests of every hung worker; returns count.
@@ -958,10 +1048,7 @@ class Server:
     def _make_solver(self, geometry):
         """``solver_factory(geometry)``, with kernel profiling switched on if asked."""
 
-        solver = self.solver_factory(geometry)
-        if self.engine_profile and isinstance(solver, SDNetSubdomainSolver):
-            solver.profile_kernels(self._kernel_profiler)
-        return solver
+        return build_solver(self.solver_factory, geometry, self._kernel_profiler)
 
     def kernel_report(self, n: int = 10) -> str:
         """Top-kernels table of this server's solvers (``engine_profile=True``)."""
@@ -1110,7 +1197,7 @@ class Server:
 
     # -- mega-batch execution ------------------------------------------------------
 
-    def _execute_mega(self, group: list[Batch], compat_key: tuple) -> None:
+    def _execute_mega(self, group: list[Batch], compat_key: tuple, slot: int | None) -> None:
         """Run one or more fusion-compatible batches as one lattice run.
 
         Each batch keeps its own expiry filter, dedup, fused-run accounting
@@ -1143,7 +1230,7 @@ class Server:
             if not prepared:
                 mega_span.set_attr("expired", total)
                 return
-            results = self._solve_mega_with_retries(compat_key, prepared, mega_span)
+            results = self._solve_mega_with_retries(compat_key, prepared, mega_span, slot)
             if results is None:
                 return  # waiters already resolved (failed or expired)
             if self.faults is not None:
@@ -1160,7 +1247,7 @@ class Server:
                 self.stats.record_mega_run(len(prepared))
 
     def _solve_mega_with_retries(
-        self, compat_key: tuple, prepared: list[_PreparedBatch], mega_span
+        self, compat_key: tuple, prepared: list[_PreparedBatch], mega_span, slot
     ):
         """Run one lattice solve with retries; returns aligned (prepared, outcomes).
 
@@ -1174,9 +1261,11 @@ class Server:
         """
 
         breaker = self.breakers.get(compat_key) if self.breakers is not None else None
+        worker = self._worker_name(slot)
+        process = self._workers[slot] if slot is not None and self._workers else None
         attempts = 0
         while True:
-            self._heartbeat()
+            self._heartbeat(worker)
             live = [request for p in prepared for request in p.live]
             try:
                 with span(
@@ -1189,21 +1278,25 @@ class Server:
                         self.faults.fire(WORKER_SOLVE, rank=0)
                     solver = self._solver_for(compat_key, prepared[0].geometry)
                     sessions = [
-                        FusedBatchRunner(
-                            p.geometry,
-                            solver,
-                            init_mode=p.init_mode,
-                            check_interval=p.check_interval,
-                        ).session(p.loops, p.tols, p.budgets)
+                        (p.geometry, p.init_mode, p.check_interval, p.loops, p.tols, p.budgets)
                         for p in prepared
                     ]
-                    executor = MegaBatchExecutor(
-                        solver,
-                        on_call=self.stats.record_mega_call if len(prepared) > 1 else None,
-                    )
-                    outcomes = executor.run(sessions)
-                    mega_span.set_attr("solver_calls", executor.calls)
-                    mega_span.set_attr("solver_rows", executor.rows)
+                    if process is None:
+                        began = time.perf_counter()
+                        outcomes, calls = lattice_run(solver, sessions)
+                        compute_s = time.perf_counter() - began
+                    else:
+                        outcomes, calls, compute_s, kernels = process.run(
+                            compat_key, model_version(solver), sessions
+                        )
+                        if kernels is not None:
+                            self._kernel_profiler.merge(kernels)
+                    mega_span.set_attr("solver_calls", len(calls))
+                    mega_span.set_attr("solver_rows", sum(rows for rows, _ in calls))
+                    mega_span.set_attr("worker_compute_s", compute_s)
+                if len(prepared) > 1:
+                    for rows, sessions_count in calls:
+                        self.stats.record_mega_call(rows, sessions_count)
                 if breaker is not None:
                     breaker.record_success()
                 return prepared, outcomes
@@ -1435,7 +1528,9 @@ class Server:
         tail-latency threshold); with circuit breakers, ``"breakers"``
         (per-backend states); with a supervisor, ``"supervisor"`` (flights,
         deaths, hangs, restart budget); with a journal, ``"journal"``
-        (append counts and fsync lag).
+        (append counts and fsync lag); with worker processes, ``"workers"``
+        (per worker: name, pid, alive, runs, forks, peak RSS in MB and the
+        report of its last stopped process).
 
         ``status`` is ``"draining"`` during :meth:`drain_and_close`, else
         ``"burning"`` when any objective's burn rate exceeds its threshold
@@ -1493,4 +1588,6 @@ class Server:
             snapshot["supervisor"] = self.supervisor.snapshot()
         if self.store.journal is not None:
             snapshot["journal"] = self.store.journal.stats()
+        if self._workers:
+            snapshot["workers"] = [worker.health() for worker in self._workers]
         return snapshot

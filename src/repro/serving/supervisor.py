@@ -10,9 +10,10 @@ resolves.  :meth:`check` flags flights whose last heartbeat is older than
 the timeout — covering both a hung solve and a live worker whose heartbeats
 are being lost — and hands their in-flight requests back to the server for
 requeueing.  Deaths (:class:`~repro.serving.faults.WorkerDeath` escaping a
-batch) and hangs both schedule a *restart* with capped exponential backoff:
-the dispatcher holds off taking new work until the gate passes, modelling a
-worker process coming back up.  The restart budget (``max_restarts``) bounds
+batch: injected, or a worker's compute process that really died, whose
+replacement the worker forks at its next run) and hangs both schedule a
+*restart* with capped exponential backoff, reported as a restart gate.  The
+restart budget (``max_restarts``) bounds
 crash loops: once exhausted the supervisor reports itself dead and the
 server fails requests instead of requeueing forever.
 
@@ -91,8 +92,8 @@ class WorkerSupervisor:
     restart_backoff_seconds, restart_backoff_cap:
         Capped exponential backoff between worker restarts:
         ``min(restart_backoff_seconds * 2**(n-1), restart_backoff_cap)``
-        for a worker's ``n``-th restart.  The dispatcher consults
-        :meth:`restart_gate_remaining` and holds new work until it passes.
+        for a worker's ``n``-th restart, reported by
+        :meth:`restart_gate_remaining`.
     max_restarts:
         Total restart budget across all workers; once spent the supervisor
         is ``exhausted`` and the server fails work instead of requeueing

@@ -364,18 +364,25 @@ class TestPlanAccountingOfDeadThreads:
                 geometry, lambda: SDNetSubdomainSolver(model))
             for _ in range(20):
                 distributed.run(2, loop, max_iterations=2, tol=0.0)
+            programs = (inference_program(model, geometry.center_line_local_coordinates()),
+                        inference_program(model, geometry.interior_local_coordinates()))
+            built = [program.stats.plan_builds for program in programs]
+            # Two workers compute in forked processes: the plans of served
+            # runs are built, and credited back, in the workers.
             with Server(solver_factory=lambda geom: SDNetSubdomainSolver(model),
                         async_workers=2) as server:
                 request = SolveRequest.create(geometry, loop, tol=0.0, max_iterations=2)
                 server.submit_async(request).result(timeout=60)
+            reports = [worker["exit"] for worker in server.health()["workers"]]
+            assert sum(report["plan_builds"] for report in reports) >= 2
+            assert all(report["plan_bytes_held"] == 0 for report in reports)
             gc.collect()
             stats = accountant.snapshot()["owners"][owner]
             assert stats["allocated_bytes"] > 0 and stats["frees"] > 0
             assert stats["allocated_bytes"] - stats["freed_bytes"] == stats["live_bytes"]
             assert stats["live_bytes"] == baseline
-            for program in (inference_program(model, geometry.center_line_local_coordinates()),
-                            inference_program(model, geometry.interior_local_coordinates())):
-                assert program.stats.plan_builds >= 2
+            for program, before in zip(programs, built):
+                assert program.stats.plan_builds == before >= 2  # none in the parent
                 assert program.stats.plan_bytes == 0
                 assert program.stats.traces == 3
         finally:

@@ -6,9 +6,13 @@ solutions the synchronous submit/drain path returns, under any thread
 interleaving, while admission control keeps the queue depth bounded.
 """
 
+import multiprocessing
+import os
+import queue
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -285,9 +289,13 @@ def _standalone(geometry, loop):
 
 
 class _GatedFDSolver(FDSubdomainSolver):
-    """FD solver whose first ``predict`` blocks until ``gate`` is set."""
+    """FD solver whose first ``predict`` blocks until ``gate`` is set.
 
-    def __init__(self, grid, entered: threading.Event, gate: threading.Event):
+    One worker computes in its thread: ``threading`` events do.  Two or more
+    compute in forked processes: pass ``multiprocessing`` events.
+    """
+
+    def __init__(self, grid, entered, gate):
         super().__init__(grid, method="direct")
         self._entered, self._gate = entered, gate
 
@@ -298,8 +306,29 @@ class _GatedFDSolver(FDSubdomainSolver):
         return super().predict(boundaries, points)
 
 
+class _RecordingFDSolver(FDSubdomainSolver):
+    """FD solver that reports ``(pid, rows, start, end)`` of every call."""
+
+    def __init__(self, grid, calls):
+        super().__init__(grid, method="direct")
+        self._calls = calls
+
+    def predict(self, boundaries, points):
+        began = time.monotonic()
+        out = super().predict(boundaries, points)
+        self._calls.put((os.getpid(), len(boundaries), began, time.monotonic()))
+        return out
+
+
+def _drain(records: queue.Queue) -> list:
+    items = []
+    while not records.empty():
+        items.append(records.get())
+    return items
+
+
 class TestWorkConservingDispatch:
-    """A started server waits for company only while a run is in flight."""
+    """A started server runs work whenever a worker is idle, and only then."""
 
     WINDOW = 5.0  # a batch window no test below can afford to sit out
 
@@ -341,6 +370,44 @@ class TestWorkConservingDispatch:
         with Server(
             solver_factory=lambda g: _GatedFDSolver(g.subdomain_grid(), entered, gate),
             policy=BatchPolicy(max_batch_size=16, max_wait_seconds=self.WINDOW),
+            async_workers=1,
+        ) as server:
+            first = server.submit_async(
+                SolveRequest.create(small_geometry, loops[0], max_iterations=40)
+            )
+            assert entered.wait(timeout=10)  # released at once, now mid-solve
+            behind = [
+                server.submit_async(
+                    SolveRequest.create(small_geometry, loop, max_iterations=40)
+                )
+                for loop in loops[1:]
+            ]
+            # The one worker is busy: the six wait behind its run for company.
+            time.sleep(0.2)
+            assert not any(f.done() for f in behind)
+            assert server.pending == 7
+            began = time.monotonic()
+            gate.set()
+            results = [f.result(timeout=self.WINDOW - 1.0) for f in [first] + behind]
+            elapsed = time.monotonic() - began
+        assert elapsed < 2.0  # the finishing run woke the dispatcher
+        assert results[0].batch_size == 1
+        assert [r.batch_size for r in results[1:]] == [6] * 6
+        assert server.stats.fused_runs == 2
+        for result, loop in zip(results, loops):
+            reference = _standalone(small_geometry, loop)
+            assert result.solution.tobytes() == reference.solution.tobytes()
+            assert result.iterations == reference.iterations
+
+    def test_an_idle_second_worker_takes_what_arrives_during_a_run(
+        self, small_geometry, harmonic_loops
+    ):
+        loops = harmonic_loops(7, seed=32)
+        fork = multiprocessing.get_context("fork")
+        entered, gate = fork.Event(), fork.Event()
+        with Server(
+            solver_factory=lambda g: _GatedFDSolver(g.subdomain_grid(), entered, gate),
+            policy=BatchPolicy(max_batch_size=16, max_wait_seconds=self.WINDOW),
             async_workers=2,
         ) as server:
             first = server.submit_async(
@@ -353,19 +420,13 @@ class TestWorkConservingDispatch:
                 )
                 for loop in loops[1:]
             ]
-            # A second worker is idle, but a run is in flight: size-or-deadline
-            # holds and the six wait behind it for company.
-            time.sleep(0.2)
-            assert not any(f.done() for f in behind)
-            assert server.pending == 7
-            began = time.monotonic()
+            # A run is in flight, but the second worker is idle: the six go
+            # to it at once and finish while the first run is still held.
+            results = [f.result(timeout=self.WINDOW - 1.0) for f in behind]
+            assert not first.done() and server.pending == 1
             gate.set()
-            results = [f.result(timeout=self.WINDOW - 1.0) for f in [first] + behind]
-            elapsed = time.monotonic() - began
-        assert elapsed < 2.0  # the finishing run woke the dispatcher
+            results.insert(0, first.result(timeout=self.WINDOW - 1.0))
         assert results[0].batch_size == 1
-        assert [r.batch_size for r in results[1:]] == [6] * 6
-        assert server.stats.fused_runs == 2
         for result, loop in zip(results, loops):
             reference = _standalone(small_geometry, loop)
             assert result.solution.tobytes() == reference.solution.tobytes()
@@ -485,3 +546,132 @@ class TestWorkConservingDispatch:
         assert len(sync._batchers) == 20
         assert len(sync.drain()) == 20
         assert sync._batchers == {}
+
+
+class TestTwoWorkersRunAtOnce:
+    """Each idle worker takes one balanced partition of what is queued."""
+
+    @staticmethod
+    def _geometries():
+        return [MosaicGeometry(9, 0.5, sx, sy) for sx, sy in ((2, 2), (3, 2), (2, 4), (4, 4))]
+
+    def test_eight_requests_on_four_geometries_run_as_two_overlapping_runs(self):
+        geometries = self._geometries()
+        budget = 40
+        calls = multiprocessing.get_context("fork").Queue()
+        server = Server(
+            solver_factory=lambda g: _RecordingFDSolver(g.subdomain_grid(), calls),
+            policy=BatchPolicy(max_batch_size=64, max_wait_seconds=5.0),
+            async_workers=2,
+        )
+        requests = [
+            SolveRequest.create(
+                g, g.boundary_from_function(lambda x, y, k=k: x * x - y * y + k * x),
+                tol=0.0, max_iterations=budget,
+            )
+            for g in geometries for k in range(2)
+        ]
+        alone = queue.Queue()  # the standalone runs record their rows here
+        references, rows_alone = [], []
+        for request in requests:
+            references.append(MosaicFlowPredictor(
+                request.geometry, _RecordingFDSolver(request.geometry.subdomain_grid(), alone)
+            ).run(request.boundary_loop, max_iterations=budget, tol=0.0))
+            rows_alone.append(sum(rows for _, rows, _, _ in _drain(alone)))
+        # Queued before start: the dispatcher's first pass finds both workers
+        # idle and all eight requests waiting.
+        futures = [server.submit_async(r) for r in requests]
+        with server:
+            results = [f.result(timeout=60) for f in futures]
+            # drained before close() joins the workers that wrote it
+            records = []
+            while sum(rows for _, rows, _, _ in records) < sum(rows_alone):
+                records.append(calls.get(timeout=30))
+        for result, reference in zip(results, references):
+            assert result.solution.tobytes() == reference.solution.tobytes()
+        by_pid: dict = {}
+        for pid, rows, began, ended in records:
+            by_pid.setdefault(pid, []).append((rows, began, ended))
+        assert len(by_pid) == 2 and os.getpid() not in by_pid
+        (rows_a, start_a, end_a), (rows_b, start_b, end_b) = [
+            (sum(r for r, _, _ in c), min(b for _, b, _ in c), max(e for _, _, e in c))
+            for c in by_pid.values()
+        ]
+        assert max(start_a, start_b) < min(end_a, end_b)  # the runs overlapped
+        # Balanced by predicted rows: within one geometry's row cost.
+        assert abs(rows_a - rows_b) <= max(rows_alone)
+        assert server.stats.solved_requests == 8
+
+    def test_runs_in_flight_never_exceed_the_workers(self, monkeypatch):
+        # Three subdomain grids: three fusion keys, which never share a run.
+        geometries = [MosaicGeometry(points, 0.5, 2, 3) for points in (5, 7, 9)]
+        lock, in_flight, peak = threading.Lock(), [0], [0]
+        submit = ThreadPoolExecutor.submit
+
+        def counting_submit(executor, fn, *args, **kwargs):
+            with lock:
+                in_flight[0] += 1
+                peak[0] = max(peak[0], in_flight[0])
+
+            def run():
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    with lock:
+                        in_flight[0] -= 1
+
+            return submit(executor, run)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", counting_submit)
+        server = Server(
+            policy=BatchPolicy(max_batch_size=64, max_wait_seconds=5.0), async_workers=2,
+        )
+        futures = [
+            server.submit_async(SolveRequest.create(
+                g, g.boundary_from_function(lambda x, y, k=k: k * x * y + y), max_iterations=8,
+            ))
+            for k in range(4) for g in geometries
+        ]
+        with server:
+            for future in futures:
+                future.result(timeout=60)
+        assert peak[0] <= 2
+        assert server.stats.solved_requests == 12
+
+    def test_partitions_balance_rows_and_keep_dedup_keys_together(self):
+        geometries = self._geometries()
+        server = Server(cache=SolutionCache(capacity=64))
+        loops = {
+            g: g.boundary_from_function(lambda x, y: x * y + 0.25 * x) for g in geometries
+        }
+        requests = []
+        for g in geometries:
+            requests.append(SolveRequest.create(g, loops[g], max_iterations=10))
+            # distinct store key, same quantised cache key: the in-batch dedup
+            # solves the two once, so they must share a run
+            requests.append(SolveRequest.create(g, loops[g] + 1e-13, max_iterations=10))
+            requests.append(SolveRequest.create(g, 2.0 * loops[g], max_iterations=10))
+        for request in requests:
+            server.submit_async(request)
+        with server._lock:
+            server._flush_locked("flush")
+            batches = list(server._ready)
+        for parts in (2, 3):
+            runs = server._partition(batches, parts)
+            assert len(runs) == parts
+            where = {
+                r.request_id: index
+                for index, run in enumerate(runs) for batch in run for r in batch.requests
+            }
+            assert sorted(where) == sorted(r.request_id for r in requests)
+            for first, twin in zip(requests[0::3], requests[1::3]):
+                assert where[first.request_id] == where[twin.request_id]
+            loads = []
+            for run in runs:
+                # predicted rows of what the run solves: one solve per cache key
+                solved = {
+                    server.cache.key_for(r): batch.group_key[0].num_subdomains * 10
+                    for batch in run for r in batch.requests
+                }
+                loads.append(sum(solved.values()))
+            assert max(loads) - min(loads) <= max(g.num_subdomains for g in geometries) * 10

@@ -7,8 +7,12 @@ path on a fake clock, and the test checks that the client sees a
 :class:`RequestValidationError` (a request the server cannot take).
 """
 
+import os
+import signal
+
 import pytest
 
+from repro.mosaic import FDSubdomainSolver
 from repro.obs.memory import (
     MemoryAccountant,
     disable_memory_accounting,
@@ -34,6 +38,7 @@ from repro.serving import (
     SolveError,
     SolveRequest,
     TenantQuota,
+    WorkerSupervisor,
 )
 
 
@@ -114,6 +119,24 @@ def _raising_solver_factory(clock, geometry, loops):
     return future
 
 
+class _SelfKillingFDSolver(FDSubdomainSolver):
+    def predict(self, boundaries, points):
+        os.kill(os.getpid(), signal.SIGKILL)  # a real crash of the worker process
+
+
+def _killed_worker_process(clock, geometry, loops):
+    # Two workers compute in forked processes (on the real clock); no
+    # restart budget, so the first death fails the run instead of requeueing.
+    server = Server(
+        solver_factory=lambda g: _SelfKillingFDSolver(g.subdomain_grid()),
+        async_workers=2, supervisor=WorkerSupervisor(max_restarts=0),
+    )
+    with server:
+        future = server.submit_async(_request(geometry, loops[0]))
+        future.exception(timeout=60)
+    return future
+
+
 def _submit_while_draining(clock, geometry, loops):
     server = _server(clock)
     server.drain_and_close()
@@ -139,6 +162,7 @@ SCENARIOS = [
     (_straggler, DeadlineExceededError),
     (_retry_exhaustion, RetryExhaustedError),
     (_raising_solver_factory, RetryExhaustedError),
+    (_killed_worker_process, RetryExhaustedError),
     (_submit_while_draining, ServerClosedError),
     (_duplicate_id, RequestValidationError),
     (_invalid_request, RequestValidationError),
