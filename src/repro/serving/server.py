@@ -205,7 +205,9 @@ class Server:
         ``stats.rejections``) instead of queueing unboundedly.
     max_retries:
         Failed fused solves are retried up to this many times before the
-        batch's requests fail with :class:`RetryExhaustedError`.
+        batch's requests fail with :class:`RetryExhaustedError`.  Without a
+        ``supervisor`` it also bounds worker-death requeues: a request whose
+        run killed its worker this many times fails on the next death.
     retry_backoff_seconds, retry_backoff_cap:
         Capped exponential backoff between retries:
         ``min(retry_backoff_seconds * 2**(attempt-1), retry_backoff_cap)``.
@@ -262,7 +264,8 @@ class Server:
         its replacement is forked at the worker's next run.  The restart
         gate is surfaced in :meth:`health` and the supervisor snapshot, not
         used to block dispatch.  ``None`` (default) disables supervision;
-        requeue-on-death still works.
+        requeue-on-death still works, bounded per request by
+        ``max_retries``.
     breakers:
         Per-backend circuit breakers (default on): ``True`` for a default
         :class:`~repro.serving.supervisor.BreakerBoard`, an instance for
@@ -386,7 +389,8 @@ class Server:
         # observe close() no matter when start()/close() cycles happen.
         self._closing = threading.Event()
         self._draining = False
-        self._requeued_ids: set[str] = set()
+        # request id -> times requeued after a worker death or hang
+        self._requeues: dict[str, int] = {}
 
     # -- async lifecycle -----------------------------------------------------------
 
@@ -712,7 +716,9 @@ class Server:
         for request_id in list(self._futures):
             if request_id not in self._inflight_ids:
                 del self._futures[request_id]
-        self._requeued_ids.intersection_update(self._inflight_ids)
+        self._requeues = {
+            rid: n for rid, n in self._requeues.items() if rid in self._inflight_ids
+        }
         return completed
 
     def _poll_locked(self) -> list[Batch]:
@@ -1004,6 +1010,26 @@ class Server:
                 self.stats.record_failure()
                 self._fail_requests(requests, error)
                 return
+        else:
+            # Unsupervised, the retry budget bounds requeues: a request whose
+            # run kills its worker every time must not loop forever.
+            with self._lock:
+                spent = [
+                    r for r in requests
+                    if r.request_id in self._inflight_ids
+                    and self._requeues.get(r.request_id, 0) >= self.max_retries
+                ]
+            if spent:
+                error = RetryExhaustedError(
+                    f"worker died on each of {self.max_retries + 1} attempt(s) "
+                    f"(max_retries={self.max_retries}); last death: {death}",
+                    attempts=self.max_retries + 1,
+                )
+                error.__cause__ = death
+                self.stats.record_failure()
+                self._fail_requests(spent, error)
+                failed = {r.request_id for r in spent}
+                requests = [r for r in requests if r.request_id not in failed]
         self._requeue(requests)
 
     def _requeue(self, requests: list) -> None:
@@ -1021,7 +1047,9 @@ class Server:
                 return
             self.stats.record_requeue(len(live))
             for request in live:
-                self._requeued_ids.add(request.request_id)
+                self._requeues[request.request_id] = (
+                    self._requeues.get(request.request_id, 0) + 1
+                )
                 self._ready.extend(self._batcher_for(request).enqueue(request))
             self._flush_locked("co_release", {r.group_key for r in live})
             if self._started:
@@ -1421,8 +1449,7 @@ class Server:
             # function of the request stream (deterministic under replay).
             reason = None
             with self._lock:
-                requeued = waiter.request.request_id in self._requeued_ids
-                self._requeued_ids.discard(waiter.request.request_id)
+                requeued = self._requeues.pop(waiter.request.request_id, 0) > 0
             if self.store.attempts(waiter.request) > 0:
                 reason = "retried"
             elif requeued:

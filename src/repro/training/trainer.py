@@ -42,8 +42,10 @@ class TrainingConfig:
     use_pde_loss: bool = True
     laplacian_method: str = "taylor"
     #: run the physics-loss forward+backward through the repro.engine jet
-    #: compiler (bitwise-identical gradients, compiled speed)
-    engine: bool = False
+    #: compiler (bitwise-identical gradients, compiled speed) wherever it
+    #: can: the Taylor method on a model with ``laplacian_taylor`` (SDNet).
+    #: Other models train on the eager tape; ``False`` forces it for all.
+    engine: bool = True
     seed: int = 0
 
 
@@ -115,7 +117,11 @@ class Trainer:
             pde_weight=config.pde_weight,
             laplacian_method=config.laplacian_method,
             use_pde_loss=config.use_pde_loss,
-            engine=config.engine,
+            engine=(
+                config.engine
+                and config.laplacian_method == "taylor"
+                and hasattr(model, "laplacian_taylor")
+            ),
         )
         self.optimizer = build_optimizer(model, config, config.max_lr)
         iterations = max(len(self._iterator(rank=0, world_size=1)) * config.epochs, 1)
@@ -166,7 +172,7 @@ class Trainer:
         # interchangeable — they produce bitwise-identical gradients.
         pde_value = 0.0
         if self.config.use_pde_loss:
-            with span("train.pde_loss", engine=self.config.engine):
+            with span("train.pde_loss", engine=self.loss_fn.engine):
                 x_coll = Tensor(batch.x_collocation)
                 pde_value, grads_pde = self.loss_fn.pde_term_and_grads(
                     self.model, g, x_coll

@@ -20,7 +20,9 @@ from repro.obs.memory import (
 )
 from repro.serving import (
     CRASH,
+    DEATH,
     DELAY,
+    WORKER_DEATH,
     WORKER_SOLVE,
     BatchPolicy,
     BreakerBoard,
@@ -137,6 +139,18 @@ def _killed_worker_process(clock, geometry, loops):
     return future
 
 
+def _worker_deaths_without_supervisor(clock, geometry, loops):
+    # Every run dies and nothing supervises: max_retries bounds the requeues.
+    faults = FaultInjector(
+        [FaultSpec(site=WORKER_DEATH, index=0, kind=DEATH, repeat=True)],
+        sleep=clock.advance,
+    )
+    server = _server(clock, faults=faults, max_retries=1)
+    future = server.submit_async(_request(geometry, loops[0]))
+    server.drain()
+    return future
+
+
 def _submit_while_draining(clock, geometry, loops):
     server = _server(clock)
     server.drain_and_close()
@@ -163,6 +177,7 @@ SCENARIOS = [
     (_retry_exhaustion, RetryExhaustedError),
     (_raising_solver_factory, RetryExhaustedError),
     (_killed_worker_process, RetryExhaustedError),
+    (_worker_deaths_without_supervisor, RetryExhaustedError),
     (_submit_while_draining, ServerClosedError),
     (_duplicate_id, RequestValidationError),
     (_invalid_request, RequestValidationError),

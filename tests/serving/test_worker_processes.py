@@ -95,6 +95,18 @@ class _RaisingFDSolver(FDSubdomainSolver):
         raise self._error()
 
 
+class _PoisonFDSolver(FDSubdomainSolver):
+    """Writes its process's pid to a pipe, then kills that process."""
+
+    def __init__(self, grid, pid_pipe: int):
+        super().__init__(grid, method="direct")
+        self._pid_pipe = pid_pipe
+
+    def predict(self, boundaries, points):
+        os.write(self._pid_pipe, struct.pack("i", os.getpid()))
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
 class _Unpicklable(Exception):
     def __init__(self):
         super().__init__("solver state went bad")
@@ -185,6 +197,27 @@ class TestRealCrashes:
             assert type(error) is RetryExhaustedError
             assert "restart budget is spent" in str(error)
             assert f"compute process {victim}" in str(error.__cause__)
+
+    def test_unsupervised_poison_request_fails_after_max_retries(self, small_geometry):
+        # No supervisor: the retry budget alone bounds requeues of a request
+        # that kills every worker process that runs it.
+        read, write = os.pipe()
+        server = Server(
+            solver_factory=lambda g: _PoisonFDSolver(g.subdomain_grid(), write),
+            max_retries=2, async_workers=2,
+        )
+        try:
+            with server:
+                future = server.submit_async(_requests(small_geometry, 1)[0])
+                error = future.exception(timeout=60)
+            pids = [pid for (pid,) in struct.iter_unpack("i", os.read(read, 4096))]
+        finally:
+            os.close(read)
+            os.close(write)
+        assert type(error) is RetryExhaustedError and error.attempts == 3
+        assert len(pids) == len(set(pids)) == 3  # each attempt a fresh process
+        assert f"compute process {pids[-1]}" in str(error)
+        assert server.stats.requeues == 2 and server.supervisor is None
 
 
 class TestForkSafety:

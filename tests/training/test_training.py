@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.models import SDNet
+from repro.data import generate_dataset
+from repro.models import ConcatSolver, SDNet
 from repro.training import (
     EvaluationMetrics,
     Trainer,
@@ -93,6 +94,58 @@ class TestTrainer:
         full = evaluate_validation_mse(small_sdnet, tiny_dataset)
         partial = evaluate_validation_mse(small_sdnet, tiny_dataset, max_instances=4)
         assert np.isfinite(full) and np.isfinite(partial)
+
+
+class TestCompiledPhysicsLossByDefault:
+    """``TrainingConfig()`` compiles the physics loss whenever the model can."""
+
+    @staticmethod
+    def _loss_after_one_step(model, dataset, **options):
+        config = TrainingConfig(epochs=1, batch_size=4, data_points_per_domain=8,
+                                collocation_points_per_domain=4, **options)
+        trainer = Trainer(model, config, dataset)
+        trainer.train_step(next(iter(trainer._iterator(0, 1))))
+        return trainer.loss_fn
+
+    def test_sdnet_compiles(self, tiny_dataset):
+        model = make_model(tiny_dataset)
+        loss = self._loss_after_one_step(model, tiny_dataset)
+        assert loss.engine
+        assert [entry[0] for entry in loss._compiled.values()] == [model]
+
+    def test_concat_solver_runs_eager(self, tiny_dataset):
+        model = ConcatSolver(boundary_size=tiny_dataset.grid.boundary_size,
+                             hidden_size=8, trunk_layers=1, rng=0)
+        loss = self._loss_after_one_step(model, tiny_dataset)
+        assert not loss.engine and loss._compiled == {}
+
+    def test_engine_false_runs_eager(self, tiny_dataset):
+        model = make_model(tiny_dataset)
+        loss = self._loss_after_one_step(model, tiny_dataset, engine=False)
+        assert not loss.engine and loss._compiled == {}
+
+    def test_served_model_recipe_is_bitwise_equal_to_eager(self):
+        # The recipe of the SDNet the benchmark serves, on fewer epochs.
+        dataset = generate_dataset(num_samples=256, resolution=9, extent=(0.5, 0.5), seed=0)
+        train, val = dataset.split(validation_fraction=0.125, seed=0)
+        runs = {}
+        for engine in (True, False):
+            model = SDNet(boundary_size=dataset.grid.boundary_size, hidden_size=24,
+                          trunk_layers=2, embedding_channels=(2,), rng=0)
+            options = {} if engine else {"engine": False}  # the default compiles
+            config = TrainingConfig(
+                epochs=2, batch_size=8, data_points_per_domain=32,
+                collocation_points_per_domain=16, max_lr=3e-3, seed=0, **options,
+            )
+            trainer = Trainer(model, config, train, val)
+            history = trainer.fit()
+            assert trainer.loss_fn.engine is engine
+            runs[engine] = (
+                [p.data.tobytes() for p in model.parameters()],
+                [np.array(getattr(history, name)).tobytes() for name in (
+                    "train_loss", "train_data_loss", "train_pde_loss", "validation_mse")],
+            )
+        assert runs[True] == runs[False]
 
 
 class TestMemoryStudy:
