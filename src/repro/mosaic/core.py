@@ -289,6 +289,10 @@ class Session:
     check_interval: int = 1
     chunk: int = ASSEMBLY_CHUNK
 
+    def __post_init__(self) -> None:
+        if self.check_interval < 1:
+            raise ValueError("check_interval must be at least 1")
+
 
 @dataclass
 class LatticeOutcome:

@@ -336,6 +336,8 @@ class DistributedMosaicFlowPredictor:
         assembled global solution.
         """
 
+        if check_interval < 1:
+            raise ValueError("check_interval must be at least 1")
         return run_spmd(
             world_size,
             self.run_rank,

@@ -10,11 +10,13 @@ points.  Two implementations are provided:
   network inference — here one compiled program per model and point set
   (:func:`inference_program`), shared by every solver wrapping the model.
 * :class:`FDSubdomainSolver` — solves each subdomain exactly with the finite
-  difference substrate, as one contraction of the boundary rows with the
-  grid's cached boundary-to-field operator.  With this solver the Mosaic Flow
-  predictor becomes a classical overlapping Schwarz iteration, which is used
-  to validate the predictor's convergence independently of training quality
-  and to isolate communication behaviour in the scaling benchmarks.
+  difference substrate, as one ``np.einsum`` contraction of the boundary rows
+  with the grid's cached boundary-to-field operator (numpy's own loop, not
+  BLAS, so a row's bits do not depend on its call).  With this solver the
+  Mosaic Flow predictor becomes a classical overlapping Schwarz iteration,
+  which is used to validate the predictor's convergence independently of
+  training quality and to isolate communication behaviour in the scaling
+  benchmarks.
 
 Both share the same interface so they are interchangeable everywhere, and
 both make a row's prediction independent of the rows it shares a call with.
@@ -68,7 +70,9 @@ __all__ = [
 #: most 32 rows, singletons padded to two) applied to the FD backend's
 #: ``(rows, 32) @ (32, q)`` product left 7 of 16 served solutions bitwise
 #: different from their standalone runs, which is why
-#: :class:`FDSubdomainSolver` does not call a GEMM at all.
+#: :class:`FDSubdomainSolver` contracts with ``np.einsum`` at its default
+#: ``optimize=False``: numpy's own sum-of-products loop, never dispatched to
+#: BLAS, whose order per output element does not depend on the row count.
 GEMM_STABLE_ROWS = 32
 
 #: distinct query-point sets a solver backend keeps state for — the operator
@@ -272,12 +276,14 @@ class FDSubdomainSolver:
     is one contraction of the boundary rows with the cached boundary-to-field
     operator of the grid (:func:`repro.fd.solve.laplace_loop_operator`, built
     once per grid and method and shared by every solver instance); nothing is
-    assembled or factorised per row.  The contraction accumulates the
-    boundary columns in a fixed order with elementwise operations, which
-    makes a row's prediction a pure function of ``(row, points)`` however
-    rows are grouped into calls.  The operator columns of a query-point set
-    are kept per distinct set (keyed by the points' bytes, so a caller that
-    rewrites its array gets the new contents' answer); the points are
+    assembled or factorised per row.  The contraction is one
+    ``np.einsum("bk,kq->bq")`` over C-contiguous operands, which numpy runs
+    without BLAS with the boundary index ``k`` outermost: each output element
+    is accumulated in boundary order by a separate multiply and add, so a
+    row's prediction is a pure function of ``(row, points)`` however rows are
+    grouped into calls.  The operator columns of a query-point set are kept,
+    contiguous, per distinct set (keyed by the points' bytes, so a caller
+    that rewrites its array gets the new contents' answer); the points are
     validated whenever a set is not in that small cache.
 
     Parameters
@@ -317,7 +323,10 @@ class FDSubdomainSolver:
         return row_idx, col_idx
 
     def predict(self, boundaries: np.ndarray, points: np.ndarray) -> np.ndarray:
-        boundaries = np.asarray(boundaries, dtype=float)
+        # einsum picks its loop order from the operands' strides (see the
+        # operator columns below); contiguous rows keep the caller's layout
+        # out of it.
+        boundaries = np.ascontiguousarray(boundaries, dtype=float)
         points = np.asarray(points, dtype=float)
         if boundaries.ndim != 2 or boundaries.shape[1] != self.boundary_size:
             raise ValueError(
@@ -329,7 +338,16 @@ class FDSubdomainSolver:
         weights = self._weights.get(key)
         if weights is None:
             rows, cols = self._point_indices(points)
-            weights = laplace_loop_operator(self.grid, self.method)[:, rows, cols]
+            # The fancy-indexed slice is a strided (boundary_size, q) view of
+            # a (q, boundary_size) block.  einsum would then loop over ``k``
+            # innermost and sum in another order: every call tried (1 to
+            # 4,000 rows) differed in some elements from the per-column
+            # accumulation, and serve_fd_burst's solution_mae moved
+            # (...342064 -> ...342781).  Contiguous columns keep ``k``
+            # outermost and the bytes of that loop.
+            weights = np.ascontiguousarray(
+                laplace_loop_operator(self.grid, self.method)[:, rows, cols]
+            )
             # Single dict operations, so threads sharing the solver need no
             # lock: a reader hits or misses, and a miss only recomputes.
             if len(self._weights) >= QUERY_SETS_KEPT:
@@ -337,9 +355,7 @@ class FDSubdomainSolver:
             self._weights[key] = weights
         # Not ``boundaries @ weights``: BLAS picks its kernel, and with it the
         # summation order, from the row count (see GEMM_STABLE_ROWS).
-        out = np.zeros((boundaries.shape[0], points.shape[0]))
-        for k in range(self.boundary_size):
-            out += boundaries[:, k : k + 1] * weights[k]
+        out = np.einsum("bk,kq->bq", boundaries, weights)
         self.inference_calls += boundaries.shape[0]
         self.points_evaluated += out.size
         return out

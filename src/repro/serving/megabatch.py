@@ -18,7 +18,8 @@ them.  No row cap splits that call: on CPU the SDNet forward costs the same
 per row from 32 rows up, and the solver chunks its own GEMMs.
 Solvers are row-batch invariant (``SDNetSubdomainSolver`` runs every call as
 fixed chunks of at most ``GEMM_STABLE_ROWS`` rows, ``FDSubdomainSolver``
-accumulates its cached operator's columns in a fixed order, elementwise) and
+contracts with its cached, contiguous operator columns in one non-BLAS
+``np.einsum`` that sums every element in boundary order) and
 the core checks convergence on each request's own lattice vector, so every
 request gets the bits of its standalone run, which stays the test oracle.
 

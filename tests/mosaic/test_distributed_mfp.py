@@ -165,6 +165,22 @@ class TestDistributedExecution:
             assert r.comm_stats["allgathers"] == 1
             assert {"inference", "sendrecv", "allgather", "boundaries_io"} <= set(r.timings)
 
+    @pytest.mark.parametrize("check_interval", [0, -1])
+    def test_check_interval_below_one_is_rejected_before_ranks_start(
+        self, problem, check_interval
+    ):
+        geo, grid, loop, reference = problem
+        built = []
+
+        def factory():
+            built.append(1)
+            return FDSubdomainSolver(geo.subdomain_grid(), method="direct")
+
+        predictor = DistributedMosaicFlowPredictor(geo, factory)
+        with pytest.raises(ValueError, match="check_interval must be at least 1"):
+            predictor.run(2, loop, max_iterations=4, check_interval=check_interval)
+        assert built == []
+
     def test_composite_geometry_rejected_at_construction(self):
         # The rank blocks split the bounding box's anchors, so an L-shape
         # would fail inside rank 0 with a boundary-length mismatch.

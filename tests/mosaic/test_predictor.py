@@ -112,6 +112,15 @@ class TestAssembly:
         with pytest.raises(ValueError):
             MosaicFlowPredictor(big_geo, fd_subdomain_solver)
 
+    @pytest.mark.parametrize("check_interval", [0, -1])
+    def test_check_interval_below_one_is_rejected(
+        self, small_geometry, fd_subdomain_solver, check_interval
+    ):
+        _, loop, _ = make_problem(small_geometry)
+        predictor = MosaicFlowPredictor(small_geometry, fd_subdomain_solver)
+        with pytest.raises(ValueError, match="check_interval must be at least 1"):
+            predictor.run(loop, max_iterations=4, check_interval=check_interval)
+
 
 class TestNeuralPredictor:
     def test_runs_with_sdnet_solver(self, small_geometry, small_sdnet):

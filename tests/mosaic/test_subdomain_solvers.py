@@ -63,6 +63,79 @@ class TestFDSubdomainSolver:
         assert solver.inference_calls == 3 and solver.points_evaluated == 0
 
 
+def _per_column_predict(grid, boundaries, points):
+    """The retired solve: one multiply and one add per boundary column, in order."""
+
+    rows = np.rint(points[:, 1] / grid.hy).astype(int)
+    cols = np.rint(points[:, 0] / grid.hx).astype(int)
+    weights = laplace_loop_operator(grid, "direct")[:, rows, cols]
+    out = np.zeros((boundaries.shape[0], points.shape[0]))
+    for k in range(grid.boundary_size):
+        out += boundaries[:, k : k + 1] * weights[k]
+    return out
+
+
+def _center_line_points(grid):
+    """The two centre lines of ``grid``, endpoints excluded, centre point once."""
+
+    row, col = grid.ny // 2, grid.nx // 2
+    across = np.arange(1, grid.nx - 1)
+    down = np.arange(1, grid.ny - 1)
+    down = down[down != row]
+    rows = np.concatenate([np.full(across.size, row), down])
+    cols = np.concatenate([across, np.full(down.size, col)])
+    return np.stack([cols * grid.hx, rows * grid.hy], axis=1)
+
+
+_GRIDS = pytest.mark.parametrize(
+    "grid",
+    [Grid2D(9, 9, (0.5, 0.5)), Grid2D(9, 7, (0.5, 0.3)), Grid2D(10, 12, (1.0, 0.7))],
+    ids=["9x9", "9x7", "10x12"],
+)
+_POINT_SETS = pytest.mark.parametrize(
+    "point_set",
+    [_center_line_points, Grid2D.interior_points, Grid2D.points],
+    ids=["centre-line", "interior", "full-grid"],
+)
+
+
+class TestFDPerColumnOracle:
+    """``predict`` is bitwise the retired per-column loop, whatever the row count."""
+
+    @_POINT_SETS
+    @_GRIDS
+    def test_equals_the_per_column_loop_bitwise(self, grid, point_set):
+        solver = FDSubdomainSolver(grid)
+        points = point_set(grid)
+        rng = np.random.default_rng(grid.nx * grid.ny)
+        for batch in [*range(301), 1000]:
+            loops = rng.normal(size=(batch, grid.boundary_size))
+            expected = _per_column_predict(grid, loops, points)
+            assert solver.predict(loops, points).tobytes() == expected.tobytes(), batch
+
+    @_GRIDS
+    def test_memory_layout_of_the_inputs_does_not_change_the_bytes(self, grid, rng):
+        solver = FDSubdomainSolver(grid)
+        points = grid.interior_points()
+        loops = rng.normal(size=(57, grid.boundary_size))
+        expected = solver.predict(loops, points).tobytes()
+
+        fortran = np.asfortranarray(loops)
+        assert not fortran.flags.c_contiguous
+        assert solver.predict(fortran, points).tobytes() == expected
+
+        spread = np.zeros((2 * loops.shape[0], grid.boundary_size))
+        spread[::2] = loops
+        assert solver.predict(spread[::2], points).tobytes() == expected
+
+        wide = np.zeros((points.shape[0], 4))
+        wide[:, ::2] = points
+        strided_points = wide[:, ::2]
+        assert not strided_points.flags.c_contiguous
+        fresh = FDSubdomainSolver(grid)
+        assert fresh.predict(loops, strided_points).tobytes() == expected
+
+
 def _consistent_loops(grid, rng, count):
     """Random loops whose two samples of each corner carry the same value."""
 
@@ -73,10 +146,17 @@ def _consistent_loops(grid, rng, count):
 class TestFDBoundaryOperator:
     """``predict`` as a contraction with the cached boundary-to-field operator."""
 
-    @pytest.mark.parametrize("batch", [0, 1, 2, 31, 32, 33, 1000])
-    def test_rows_do_not_depend_on_how_they_are_grouped(self, small_geometry, batch):
+    @pytest.mark.parametrize(
+        "point_set, batch",
+        [
+            pytest.param(point_set, batch, id=f"{prefix}{batch}")
+            for point_set, prefix in (("center_line", ""), ("interior", "interior-"))
+            for batch in (0, 1, 2, 31, 32, 33, 1000)
+        ],
+    )
+    def test_rows_do_not_depend_on_how_they_are_grouped(self, small_geometry, point_set, batch):
         solver = FDSubdomainSolver(small_geometry.subdomain_grid())
-        points = small_geometry.center_line_local_coordinates()
+        points = getattr(small_geometry, f"{point_set}_local_coordinates")()
         rng = np.random.default_rng(batch)
         loops = rng.normal(size=(batch, solver.boundary_size))
         together = solver.predict(loops, points)
@@ -97,11 +177,7 @@ class TestFDBoundaryOperator:
         assert mixed[5 : 5 + batch].tobytes() == together.tobytes()
 
     @pytest.mark.parametrize("method", ["direct", "auto", "cg", "multigrid"])
-    @pytest.mark.parametrize(
-        "grid",
-        [Grid2D(9, 9, (0.5, 0.5)), Grid2D(9, 7, (0.5, 0.3)), Grid2D(10, 12, (1.0, 0.7))],
-        ids=["9x9", "9x7", "10x12"],
-    )
+    @_GRIDS
     def test_agrees_with_per_row_solve(self, grid, method, rng):
         # The retired path solved every row on its own.  The direct methods
         # differ from it only in summation order.  cg, and multigrid once the
