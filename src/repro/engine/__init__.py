@@ -21,7 +21,7 @@ as the source module with **bitwise-identical outputs** (fusion removes
 dispatch, never reorders floating-point math).  It is the only inference
 path of the neural subdomain solver: every
 :class:`~repro.mosaic.solvers.SDNetSubdomainSolver` — under the predictors,
-the fused runner, the distributed ranks and the server alike — executes one
+the distributed ranks and the server alike — executes one
 compiled program per ``(model, point set)``, whose bucketed plan
 (:mod:`.bucketing`) serves every row count of the solver's chunks from one
 set of per-thread buffers.

@@ -15,9 +15,10 @@ is one gather, one solver call, one scatter and one convergence check however
 many requests take part.  A request's numbers never depend on its neighbours:
 it runs the phase sequence of a standalone run from iteration 1, its change
 is measured on its own lattice vector with its own tolerance, budget and
-check cadence, and once it stops its part of the buffer is left alone.  The
-predictor, the fused batch runner and the mega-batch executor are the
-one-request, one-session and many-session drivers; the distributed rank loop
+check cadence, and once it stops its part of the buffer is left alone.  It
+has two drivers: :class:`~repro.mosaic.predictor.MosaicFlowPredictor` runs
+one request, and the server (:func:`repro.serving.compute.lattice_run`)
+hands it the sessions of every batch it fuses.  The distributed rank loop
 takes its indices and its assembly from :func:`build_plan` and
 :func:`accumulate`.  The core opens no tracing span; spans are the drivers'.
 """
@@ -279,7 +280,11 @@ def accumulate(buffer: np.ndarray, total: np.ndarray, groups, predict) -> None:
 
 @dataclass
 class Session:
-    """Requests on one geometry that share an initialisation and a check cadence."""
+    """Requests on one geometry that share an initialisation and a check cadence.
+
+    ``loops`` is stored as a float ``(B, global boundary size)`` array and a
+    scalar ``tols`` or ``budgets`` is broadcast to every request.
+    """
 
     geometry: MosaicGeometry
     loops: np.ndarray       # (B, global boundary size)
@@ -292,6 +297,24 @@ class Session:
     def __post_init__(self) -> None:
         if self.check_interval < 1:
             raise ValueError("check_interval must be at least 1")
+        size = self.geometry.global_boundary_size
+        self.loops = np.asarray(self.loops, dtype=float)
+        if self.loops.ndim != 2 or self.loops.shape[1] != size:
+            raise ValueError(
+                f"boundary loops must have shape (B, {size}), got {self.loops.shape}")
+        count = len(self.loops)
+        self.tols = self._per_request("tols", np.asarray(self.tols, dtype=float), count)
+        self.budgets = self._per_request("budgets", np.asarray(self.budgets, dtype=int), count)
+        if np.any(self.budgets < 1):
+            raise ValueError("max_iterations must be at least 1")
+
+    @staticmethod
+    def _per_request(name: str, values: np.ndarray, count: int) -> np.ndarray:
+        if values.ndim > 1 or (values.ndim == 1 and len(values) != count):
+            raise ValueError(
+                f"{name} must be a scalar or hold one value per loop ({count}), "
+                f"got shape {values.shape}")
+        return np.broadcast_to(values, (count,))
 
 
 @dataclass
@@ -312,16 +335,17 @@ class LatticeRun:
     third argument is how many sessions contributed rows.  ``results`` holds
     one :class:`LatticeOutcome` per request in session order, filled in as the
     run proceeds.  ``timings`` accumulates the predictor's ``boundaries_io``
-    / ``inference`` / ``convergence_check`` sections.
+    / ``inference`` / ``convergence_check`` sections.  No sessions make an
+    empty run: nothing iterates and :meth:`outcomes` returns ``[]``.
     """
 
     def __init__(self, sessions: list[Session]):
         self.sessions = sessions
         plans = [PLAN_CACHE.get(session.geometry) for session in sessions]
-        self.center_coords, interior = plans[0].center_coords, plans[0].interior_coords
+        self.center_coords = plans[0].center_coords if plans else None
         for plan in plans[1:]:
             if not (np.array_equal(plan.center_coords, self.center_coords)
-                    and np.array_equal(plan.interior_coords, interior)):
+                    and np.array_equal(plan.interior_coords, plans[0].interior_coords)):
                 raise ValueError(
                     "mega-batched sessions disagree on query coordinates; "
                     "their geometries are not fusion-compatible"

@@ -113,10 +113,8 @@ class MosaicFlowPredictor:
             Skip the final dense assembly when only lattice values are needed.
         """
 
-        # The loop's length is checked where it is written into the field.
-        boundary_loop = np.asarray(boundary_loop, dtype=float)
         run = LatticeRun([Session(
-            self.geometry, boundary_loop[None], [tol], [max_iterations],
+            self.geometry, np.asarray(boundary_loop)[None], tol, max_iterations,
             self.init_mode, check_interval,
         )])
         mae_history: list[tuple[int, float]] = []

@@ -20,6 +20,9 @@ points.  Two implementations are provided:
 
 Both share the same interface so they are interchangeable everywhere, and
 both make a row's prediction independent of the rows it shares a call with.
+Each also states its ``fusion_key()``: servers fuse the solver calls of
+geometry groups whose solvers return equal keys (a solver without the
+method never fuses).
 """
 
 from __future__ import annotations
@@ -59,11 +62,11 @@ __all__ = [
 #: projection of the (shared) points is a constant of the compiled program.
 #: Executing every call as fixed-size chunks inside the grouping-invariant
 #: window makes a row's prediction a pure function of (row, points) — the
-#: invariant that lets cross-request mega-batching
-#: (:mod:`repro.serving.megabatch`) concatenate calls while staying bitwise
-#: identical to per-request execution.  It is also the capacity of the
-#: compiled programs' bucketed plans, so one plan per thread and point set
-#: serves every chunk, whatever its row count.
+#: invariant that lets cross-request mega-batching (one
+#: :class:`~repro.mosaic.core.LatticeRun` over many sessions) concatenate
+#: calls while staying bitwise identical to per-request execution.  It is
+#: also the capacity of the compiled programs' bucketed plans, so one plan
+#: per thread and point set serves every chunk, whatever its row count.
 #:
 #: The window is a measurement on the SDNet layer shapes (hidden widths of
 #: 24 to 256 columns), not a property of BLAS.  The same rule (chunks of at
@@ -231,6 +234,11 @@ class SDNetSubdomainSolver:
 
         self._profiled = _Programs(profiler)
 
+    def fusion_key(self) -> tuple:
+        """Equal for solvers on the same model object with the same batch cap."""
+
+        return ("sdnet", id(self.model), self.max_batch)
+
     def predict(self, boundaries: np.ndarray, points: np.ndarray) -> np.ndarray:
         boundaries = np.asarray(boundaries, dtype=float)
         points = np.asarray(points, dtype=float)
@@ -303,6 +311,12 @@ class FDSubdomainSolver:
         self.inference_calls = 0
         self.points_evaluated = 0
         self._weights: dict[bytes, np.ndarray] = {}
+
+    def fusion_key(self) -> tuple:
+        """Equal for solvers of the same exact finite-difference configuration."""
+
+        grid = self.grid
+        return ("fd", grid.nx, grid.ny, tuple(grid.extent), self.method)
 
     def _point_indices(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Map local physical coordinates to grid indices (must lie on grid points)."""

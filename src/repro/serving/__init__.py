@@ -8,7 +8,8 @@ idempotent request store so duplicates and retries never recompute
 (:mod:`.cache`), dynamically batched per geometry under one size-or-deadline
 policy (:mod:`.batcher`), and executed as lattice runs whose solver calls
 stack the rows of every fusion-compatible batch into one call
-(:mod:`.fused`, :mod:`.megabatch`).
+(:func:`.compute.lattice_run` over :class:`repro.mosaic.core.LatticeRun`;
+batches fuse when their solvers' ``fusion_key()`` values agree).
 
 The front-end (:mod:`.server`) is an async pipeline: non-blocking
 ``submit_async`` returning :mod:`.futures`, a background dispatcher handing
@@ -51,7 +52,6 @@ from .faults import (
     InjectedFault,
     WorkerDeath,
 )
-from .fused import FusedBatchRunner, FusedOutcome
 from .futures import (
     CircuitOpenError,
     DeadlineExceededError,
@@ -63,7 +63,6 @@ from .futures import (
     SolveFuture,
 )
 from .journal import JournalCorruptError, RecoveryReport, RequestJournal
-from .megabatch import MegaBatchExecutor, solver_fusion_key
 from .server import Server, default_solver_factory
 from .stats import ServingStats
 from .store import AdmissionController, RequestStore, TenantQuota
@@ -83,11 +82,6 @@ __all__ = [
     "DynamicBatcher",
     "CachedSolution",
     "SolutionCache",
-    "FusedBatchRunner",
-    "FusedOutcome",
-    # cross-request mega-batching
-    "MegaBatchExecutor",
-    "solver_fusion_key",
     "Server",
     "default_solver_factory",
     "ServingStats",

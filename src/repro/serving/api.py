@@ -7,14 +7,14 @@ iteration budget, lattice initialization).  Construction goes through
 :meth:`SolveRequest.create`, which validates and *canonicalizes* the BVP —
 the boundary loop becomes a contiguous float64 vector of the exact length the
 geometry prescribes — so that every component downstream (batcher, cache,
-fused runner) can rely on a normal form and hash it cheaply.
+lattice run) can rely on a normal form and hash it cheaply.
 
 Requests that share a :meth:`SolveRequest.group_key` are fusable: they can be
 stacked into one batched :class:`~repro.mosaic.MosaicFlowPredictor`-style run
 because they agree on everything that shapes the iteration (geometry,
 initialization, convergence-check cadence).  Per-request tolerance and
-iteration budgets do *not* enter the group key — the fused runner tracks
-convergence per request.
+iteration budgets do *not* enter the group key — the lattice run
+(:class:`~repro.mosaic.core.LatticeRun`) tracks convergence per request.
 """
 
 from __future__ import annotations

@@ -9,13 +9,13 @@ after the solver factory's model exists.
 
 The parent keeps everything except the arithmetic: admission, store,
 journal, batcher, retries, breakers, fault sites, supervision and delivery.
-For each solve attempt the worker thread sends the prepared sessions
-(geometry, boundary loops, tolerances, budgets, init mode, check interval)
-over a pipe.  The child runs :func:`lattice_run`, the same code a single
-worker runs in its own thread, on a solver it builds from the inherited
-factory.  It returns the outcomes plus the rows and session count of every
-solver call.  The same code runs on the same BLAS, so a served solution
-stays bitwise equal to its standalone run.
+For each solve attempt the worker thread sends the prepared
+:class:`~repro.mosaic.core.Session` objects over a pipe.  The child runs
+:func:`lattice_run`, the same code a single worker runs in its own thread,
+on a solver it builds from the inherited factory.  It returns the
+outcomes plus the rows and session count of every solver call.  The same
+code runs on the same BLAS, so a served solution stays bitwise equal to its
+standalone run.
 
 * A child that dies (EOF on its pipe) raises
   :class:`~repro.serving.faults.WorkerDeath` in its worker thread, and the
@@ -44,12 +44,10 @@ import time
 import weakref
 from collections import OrderedDict
 
-from ..mosaic.core import PLAN_CACHE
+from ..mosaic.core import PLAN_CACHE, LatticeRun, checked_solver
 from ..mosaic.solvers import _PROGRAMS, SDNetSubdomainSolver
 from ..obs.profile import KernelProfiler
 from .faults import WorkerDeath
-from .fused import FusedBatchRunner
-from .megabatch import MegaBatchExecutor
 
 __all__ = ["ComputeProcess", "build_solver", "lattice_run", "model_version", "remember"]
 
@@ -95,24 +93,25 @@ def model_version(solver) -> tuple | None:
 
 
 def lattice_run(solver, sessions) -> tuple[list, list]:
-    """Run prepared sessions through one :class:`MegaBatchExecutor`.
+    """Run ``sessions`` (one :class:`~repro.mosaic.core.Session` per batch) as
+    one :class:`~repro.mosaic.core.LatticeRun` on ``solver``.
 
-    ``sessions`` holds one ``(geometry, init_mode, check_interval, loops,
-    tols, budgets)`` per batch.  Returns the outcomes per session and one
+    Every iteration and every assembly chunk is one uncapped solver call over
+    the rows of all sessions.  Returns the outcomes per session and one
     ``(rows, sessions)`` pair per solver call.
     """
 
+    for session in sessions:
+        checked_solver(session.geometry, solver)
     calls: list = []
-    executor = MegaBatchExecutor(
-        solver, on_call=lambda rows, count: calls.append((rows, count))
-    )
-    outcomes = executor.run([
-        FusedBatchRunner(
-            geometry, solver, init_mode=init_mode, check_interval=check_interval
-        ).session(loops, tols, budgets)
-        for geometry, init_mode, check_interval, loops, tols, budgets in sessions
-    ])
-    return outcomes, calls
+
+    def predict(boundaries, points, count):
+        calls.append((boundaries.shape[0], count))
+        return solver.predict(boundaries, points)
+
+    run = LatticeRun(sessions)
+    run.iterate(predict)
+    return run.outcomes(predict), calls
 
 
 def peak_rss_mb(pid="self") -> float | None:
@@ -166,15 +165,13 @@ def _compute(conn, solver_factory, profiler) -> None:
         try:
             solver = solvers.get(compat_key)
             if solver is None:
-                solver = build_solver(solver_factory, sessions[0][0], profiler)
+                solver = build_solver(solver_factory, sessions[0].geometry, profiler)
             solver = remember(solvers, compat_key, solver)
             if model_version(solver) != version:
                 reply = (_STALE,)
             else:
-                sessions = [
-                    (remember(geometries, geometry, geometry), *rest)
-                    for geometry, *rest in sessions
-                ]
+                for session in sessions:
+                    session.geometry = remember(geometries, session.geometry, session.geometry)
                 outcomes, calls = lattice_run(solver, sessions)
                 reply = (
                     _OK, outcomes, calls, time.perf_counter() - began,

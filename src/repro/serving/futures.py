@@ -26,7 +26,7 @@ Error taxonomy (all subclasses of :class:`SolveError`):
   the memory budget (a :class:`QuotaExceededError` subclass, so existing
   quota handling sees it).
 * :class:`CircuitOpenError` — this request's solver backend (its
-  ``solver_fusion_key``) has its circuit breaker open after consecutive
+  solver's ``fusion_key()``) has its circuit breaker open after consecutive
   failures; the request is rejected fast instead of joining a retry storm.
 * :class:`ServerClosedError` — the server is draining
   (:meth:`~repro.serving.server.Server.drain_and_close`) or closed and no

@@ -22,9 +22,9 @@ rebuild it is a request *pipeline*:
   wakes the dispatcher.  ``BatchPolicy.max_wait_seconds`` therefore never
   delays a started server.  Each partition runs one way: its batches are
   grouped by fusion compatibility and each group — one batch or several —
-  is one :class:`~repro.mosaic.core.LatticeRun`
-  (:class:`~repro.serving.megabatch.MegaBatchExecutor`) over shared solver
-  calls, each request bitwise equal to its standalone run.  Only groups
+  is one :class:`~repro.mosaic.core.LatticeRun` over shared solver calls
+  (:func:`~repro.serving.compute.lattice_run`, one session per batch),
+  each request bitwise equal to its standalone run.  Only groups
   with queued requests keep a batcher, so a dispatcher pass costs what is
   waiting, not what was ever served;
 * with two or more workers, each worker computes in its own **forked
@@ -86,6 +86,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..mosaic.core import Session
 from ..mosaic.geometry import MosaicGeometry
 from ..mosaic.solvers import FDSubdomainSolver
 from ..obs import memory as obs_memory
@@ -119,7 +120,6 @@ from .futures import (
     SolveFuture,
 )
 from .journal import RequestJournal
-from .megabatch import solver_fusion_key
 from .stats import ServingStats
 from .store import AdmissionController, RequestStore, TenantQuota, Waiter
 from .supervisor import BreakerBoard, WorkerSupervisor
@@ -134,22 +134,8 @@ class _PreparedBatch:
     live: list
     solve_requests: list
     assignment: list
-    loops: np.ndarray
-    tols: np.ndarray
-    budgets: np.ndarray
+    session: Session
     occupancy: int = 1
-
-    @property
-    def geometry(self):
-        return self.batch.group_key[0]
-
-    @property
-    def init_mode(self) -> str:
-        return self.batch.group_key[1]
-
-    @property
-    def check_interval(self) -> int:
-        return self.batch.group_key[2]
 
 
 def default_solver_factory(geometry: MosaicGeometry) -> FDSubdomainSolver:
@@ -271,10 +257,10 @@ class Server:
         :class:`~repro.serving.supervisor.BreakerBoard`, an instance for
         custom policy, ``False``/``None`` to disable.  Breakers are keyed
         by the request group's mega-fusion compatibility key (its
-        ``solver_fusion_key``; the geometry group key for never-fusing
-        groups): consecutive solve failures trip that backend open and
-        further submissions fail fast with :class:`CircuitOpenError` until
-        a half-open probe succeeds.
+        solver's ``fusion_key()``; the geometry group key for groups whose
+        solver has none): consecutive solve failures trip that backend
+        open and further submissions fail fast with
+        :class:`CircuitOpenError` until a half-open probe succeeds.
 
     Observability
     -------------
@@ -819,11 +805,11 @@ class Server:
 
     def _compat_key(self, group_key: tuple) -> tuple:
         # Caller holds self._lock.  Mega compatibility of a geometry group:
-        # the subdomain grid parameters plus the solver fusion key — two
-        # groups with equal keys issue solver calls with identical query
+        # the subdomain grid parameters plus the solver's `fusion_key()` —
+        # two groups with equal keys issue solver calls with identical query
         # coordinates and an equivalent solver, so their rows concatenate
         # and share the solver kept in `_mega_solvers`.  A group whose
-        # solver has no fusion key is its own key and runs alone on its own
+        # solver has no key is its own key and runs alone on its own
         # solver; one whose factory raised keeps no solver, so every run
         # attempt calls the factory again and fails through the retry loop.
         # A group evicted from the LRU calls the factory again when next seen.
@@ -837,7 +823,8 @@ class Server:
             solver = self._make_solver(geometry)
         except Exception:
             solver = None
-        fusion = solver_fusion_key(solver)
+        fusion_key = getattr(solver, "fusion_key", None)
+        fusion = None if fusion_key is None else fusion_key()
         if fusion is not None:
             grid = geometry.subdomain_grid()
             key = (grid.nx, grid.ny, tuple(grid.extent), fusion)
@@ -1121,14 +1108,23 @@ class Server:
         with span("serving.batch_assembly"):
             if self.faults is not None:
                 self.faults.fire(BATCH_ASSEMBLY, size=len(live))
-            solve_requests, assignment = self._dedup(live)
-            loops = np.stack([r.boundary_loop for r in solve_requests])
-            tols = np.array([r.tol for r in solve_requests])
-            budgets = np.array([r.max_iterations for r in solve_requests])
-        return _PreparedBatch(
-            batch=batch, live=live, solve_requests=solve_requests,
-            assignment=assignment, loops=loops, tols=tols, budgets=budgets,
+            return _PreparedBatch(batch, live, *self._solve_set(batch.group_key, live))
+
+    def _solve_set(self, group_key: tuple, live: list, record: bool = True) -> tuple:
+        """``(solve_requests, assignment, session)`` of a batch's live requests.
+
+        The session holds one lattice request per unique BVP (see
+        :meth:`_dedup`, which ``record`` is passed to).
+        """
+
+        solve_requests, assignment = self._dedup(live, record)
+        geometry, init_mode, check_interval = group_key
+        session = Session(
+            geometry, np.stack([r.boundary_loop for r in solve_requests]),
+            [r.tol for r in solve_requests], [r.max_iterations for r in solve_requests],
+            init_mode, check_interval,
         )
+        return solve_requests, assignment, session
 
     def _dedup(self, live: list, record: bool = True) -> tuple[list, list]:
         """In-batch dedup on the cache key: identical BVPs are solved once.
@@ -1160,8 +1156,8 @@ class Server:
         Backoff can outlast a waiter's deadline; without this re-check the
         next attempt would solve for — and only then reject — requests that
         were already dead when the attempt started.  Expired waiters are
-        rejected immediately; the solve arrays are rebuilt over the
-        survivors.  Returns ``False`` when nothing is left to solve.
+        rejected immediately; the session is rebuilt over the survivors.
+        Returns ``False`` when nothing is left to solve.
         """
 
         now = self.clock()
@@ -1187,12 +1183,8 @@ class Server:
         prepared.live = live
         if not live:
             return False
-        solve_requests, assignment = self._dedup(live, record=False)
-        prepared.solve_requests = solve_requests
-        prepared.assignment = assignment
-        prepared.loops = np.stack([r.boundary_loop for r in solve_requests])
-        prepared.tols = np.array([r.tol for r in solve_requests])
-        prepared.budgets = np.array([r.max_iterations for r in solve_requests])
+        prepared.solve_requests, prepared.assignment, prepared.session = self._solve_set(
+            prepared.batch.group_key, live, record=False)
         return True
 
     def _postprocess(self, prepared: _PreparedBatch, outcomes) -> None:
@@ -1281,9 +1273,9 @@ class Server:
 
         Capped exponential backoff, a shared retry budget for the whole run,
         and a deadline re-check after every backoff sleep (batches whose
-        waiters all expired drop out of subsequent attempts).  Fresh
-        sessions are built per attempt — iteration state is never reused
-        across a failed solve.  A key whose ``solver_factory`` raised has no
+        waiters all expired drop out of subsequent attempts).  Every attempt
+        is a fresh lattice run — iteration state is never reused across a
+        failed solve.  A key whose ``solver_factory`` raised has no
         solver; each attempt calls the factory again, so it fails as a
         retried attempt too.
         """
@@ -1304,11 +1296,8 @@ class Server:
                 ):
                     if self.faults is not None:
                         self.faults.fire(WORKER_SOLVE, rank=0)
-                    solver = self._solver_for(compat_key, prepared[0].geometry)
-                    sessions = [
-                        (p.geometry, p.init_mode, p.check_interval, p.loops, p.tols, p.budgets)
-                        for p in prepared
-                    ]
+                    solver = self._solver_for(compat_key, prepared[0].session.geometry)
+                    sessions = [p.session for p in prepared]
                     if process is None:
                         began = time.perf_counter()
                         outcomes, calls = lattice_run(solver, sessions)

@@ -23,10 +23,11 @@ original worker turns out to still be alive produces a *duplicate delivery*
 (counted, waiters untouched) rather than a double resolution, so the effect
 of every request stays exactly-once no matter how the race resolves.
 
-:class:`CircuitBreaker` / :class:`BreakerBoard` — per-``solver_fusion_key``
-circuit breakers converting repeated backend failures into fast typed
-rejections (:class:`~repro.serving.futures.CircuitOpenError`) instead of
-retry storms.  The classic three-state machine:
+:class:`CircuitBreaker` / :class:`BreakerBoard` — per-backend circuit
+breakers (the server keys them by its solvers' ``fusion_key()``) converting
+repeated backend failures into fast typed rejections
+(:class:`~repro.serving.futures.CircuitOpenError`) instead of retry storms.
+The classic three-state machine:
 
 * **closed** — requests flow; ``failure_threshold`` *consecutive* solve
   failures trip the breaker;

@@ -13,7 +13,9 @@ from repro.mosaic import MosaicFlowPredictor, MosaicGeometry, SDNetSubdomainSolv
 from repro.mosaic.solvers import GEMM_STABLE_ROWS, inference_program
 from repro.models import SDNet
 from repro.nn import MLP
-from repro.serving import FusedBatchRunner, Server, SolveRequest
+from repro.mosaic.core import Session
+from repro.serving import Server, SolveRequest
+from repro.serving.compute import lattice_run
 from repro.utils import seeded_rng
 
 
@@ -196,11 +198,11 @@ class TestIntegrationParity:
         np.testing.assert_array_equal(eager.solution, engine.solution)
         np.testing.assert_array_equal(eager.lattice_field, engine.lattice_field)
 
-    def test_fused_runner_bitwise(self, engine_sdnet, eager_sdnet_solver):
+    def test_one_session_run_bitwise(self, engine_sdnet, eager_sdnet_solver):
         geometry, net = engine_sdnet
         loops = np.stack([_loop(geometry, seed) for seed in range(3)])
-        eager = FusedBatchRunner(geometry, eager_sdnet_solver(net)).run(loops, 1e-6, 24)
-        engine = FusedBatchRunner(geometry, SDNetSubdomainSolver(net)).run(loops, 1e-6, 24)
+        (eager,), _ = lattice_run(eager_sdnet_solver(net), [Session(geometry, loops, 1e-6, 24)])
+        (engine,), _ = lattice_run(SDNetSubdomainSolver(net), [Session(geometry, loops, 1e-6, 24)])
         for a, b in zip(eager, engine):
             assert a.iterations == b.iterations
             np.testing.assert_array_equal(a.solution, b.solution)

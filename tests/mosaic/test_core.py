@@ -1,4 +1,5 @@
-"""The lattice-iteration core: index plans, the bounded plan cache, FD query maps."""
+"""The lattice-iteration core: sessions, empty runs, index plans, the bounded
+plan cache, FD query maps."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import pytest
 
 from repro.domains import CompositeDomain, CompositeMosaicGeometry
 from repro.mosaic import FDSubdomainSolver, MosaicGeometry
-from repro.mosaic.core import PLAN_CACHE, PlanCache, build_plan
+from repro.mosaic.core import PLAN_CACHE, LatticeRun, PlanCache, Session, build_plan
 from repro.mosaic.solvers import QUERY_SETS_KEPT
 from repro.obs import memory as obs_memory
 from repro.serving import Server, SolveRequest
@@ -21,6 +22,56 @@ L_SHAPE = CompositeMosaicGeometry(9, 0.5, CompositeDomain.l_shape(6, 6, 3, 3))
 def _plan_arrays(plan):
     return [*plan.reads, *plan.writes, plan.lattice, plan.windows, plan.loop_offsets,
             plan.interior_offsets, plan.counts, plan.center_coords, plan.interior_coords]
+
+
+RECT = MosaicGeometry(9, 0.5, steps_x=4, steps_y=4)
+
+
+def _loops(count):
+    return np.random.default_rng(count).normal(size=(count, RECT.global_boundary_size))
+
+
+class TestSession:
+    def test_scalars_broadcast_and_loops_become_float(self):
+        loops = np.zeros((3, RECT.global_boundary_size), dtype=int)
+        session = Session(RECT, loops, 1e-6, 4)
+        assert session.loops.dtype == float and session.loops.shape == loops.shape
+        assert session.tols.tolist() == [1e-6] * 3 and session.budgets.tolist() == [4] * 3
+        assert Session(RECT, loops[0][None], [1e-3], [7]).budgets.tolist() == [7]
+
+    @pytest.mark.parametrize("tols, budgets", [
+        ([1e-6], [4]),                      # one value for two loops
+        ([1e-6, 1e-6, 1e-6], [4, 4]),       # more tolerances than loops
+        ([1e-6, 1e-6], [4, 4, 4]),
+        (1e-6, [[4, 4]]),                   # not a vector
+    ])
+    def test_per_request_values_must_match_the_loops(self, tols, budgets):
+        with pytest.raises(ValueError, match="one value per loop"):
+            Session(RECT, _loops(2), tols, budgets)
+
+    @pytest.mark.parametrize("budgets", [0, -3, [4, 0]])
+    def test_budgets_below_one_are_rejected(self, budgets):
+        with pytest.raises(ValueError, match="max_iterations must be at least 1"):
+            Session(RECT, _loops(2), 1e-6, budgets)
+
+    @pytest.mark.parametrize("shape", [(2, 5), (RECT.global_boundary_size,), (1, 2, 3)])
+    def test_loops_of_the_wrong_shape_are_rejected(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            Session(RECT, np.zeros(shape), 1e-6, 4)
+
+
+class TestEmptyRun:
+    def test_no_sessions_iterate_nothing(self):
+        run = LatticeRun([])
+        calls = []
+
+        def predict(boundaries, points, sessions):
+            calls.append(boundaries.shape)
+            return np.zeros((boundaries.shape[0], points.shape[0]))
+
+        run.iterate(predict)
+        assert run.outcomes(predict) == [] and run.outcomes() == []
+        assert run.results == [] and calls == []
 
 
 class TestLatticePlan:

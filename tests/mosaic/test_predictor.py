@@ -122,6 +122,16 @@ class TestAssembly:
             predictor.run(loop, max_iterations=4, check_interval=check_interval)
 
 
+    @pytest.mark.parametrize("max_iterations", [0, -3])
+    def test_budget_below_one_is_rejected(
+        self, small_geometry, fd_subdomain_solver, max_iterations
+    ):
+        _, loop, _ = make_problem(small_geometry)
+        predictor = MosaicFlowPredictor(small_geometry, fd_subdomain_solver)
+        with pytest.raises(ValueError, match="max_iterations must be at least 1"):
+            predictor.run(loop, max_iterations=max_iterations)
+
+
 class TestNeuralPredictor:
     def test_runs_with_sdnet_solver(self, small_geometry, small_sdnet):
         """An untrained SDNet will not be accurate, but the pipeline must run."""

@@ -10,7 +10,6 @@ from repro.fd import Grid2D, laplace_loop_operator, solve_laplace_from_loop
 from repro.mosaic import FDSubdomainSolver, SDNetSubdomainSolver
 from repro.mosaic.solvers import SubdomainSolver
 from repro.pde import HARMONIC_FUNCTIONS
-from repro.serving.megabatch import solver_fusion_key
 
 
 class TestFDSubdomainSolver:
@@ -250,7 +249,7 @@ class TestFDBoundaryOperator:
 
     def test_fusion_key_is_unchanged(self):
         solver = FDSubdomainSolver(Grid2D(9, 7, (0.5, 0.3), origin=(1.0, 2.0)), method="cg")
-        assert solver_fusion_key(solver) == ("fd", 9, 7, (0.5, 0.3), "cg")
+        assert solver.fusion_key() == ("fd", 9, 7, (0.5, 0.3), "cg")
 
 
 class TestSDNetSubdomainSolver:

@@ -79,8 +79,8 @@ class TestPackageExports:
     def test_every_serving_module_defines_all(self):
         import importlib
 
-        for module in ("api", "batcher", "cache", "fused",
-                       "megabatch", "server", "stats"):
+        for module in ("api", "batcher", "cache", "compute",
+                       "server", "stats"):
             mod = importlib.import_module(f"repro.serving.{module}")
             assert mod.__all__, module
             for name in mod.__all__:

@@ -1,5 +1,9 @@
 """Cross-request mega-batching: fusion keys, bitwise parity, hot-path bugfixes.
 
+Many sessions in one run go through :func:`repro.serving.compute.lattice_run`,
+the :class:`~repro.mosaic.core.LatticeRun` with a counting ``predict`` every
+served run uses.
+
 The oracles are the standalone ``MosaicFlowPredictor.run`` and one ``Server``
 per geometry group (nothing to fuse with): mega-batching only concatenates
 solver-call rows across fusion-compatible batches, so every request's
@@ -22,7 +26,8 @@ from repro.mosaic import (
     MosaicGeometry,
     SDNetSubdomainSolver,
 )
-from repro.mosaic.core import PLAN_CACHE
+from repro.mosaic.core import PLAN_CACHE, Session
+from repro.obs import FlightRecorder
 from repro.pde import HARMONIC_FUNCTIONS
 from repro.serving import (
     CRASH,
@@ -31,15 +36,13 @@ from repro.serving import (
     DeadlineExceededError,
     FaultInjector,
     FaultSpec,
-    FusedBatchRunner,
-    MegaBatchExecutor,
     Server,
     SolutionCache,
     SolveRequest,
     TenantQuota,
     default_solver_factory,
-    solver_fusion_key,
 )
+from repro.serving.compute import lattice_run
 from repro.utils import seeded_rng
 
 RECT = MosaicGeometry(subdomain_points=9, subdomain_extent=0.5, steps_x=4, steps_y=4)
@@ -107,28 +110,33 @@ def _mixed_stream(per_geometry=2, seed=31):
 class TestFusionKeys:
     def test_fd_solvers_fuse_on_identical_configuration(self):
         grid = RECT.subdomain_grid()
-        a = solver_fusion_key(FDSubdomainSolver(grid, method="direct"))
-        b = solver_fusion_key(FDSubdomainSolver(grid, method="direct"))
+        a = FDSubdomainSolver(grid, method="direct").fusion_key()
+        b = FDSubdomainSolver(grid, method="direct").fusion_key()
         assert a == b and a[0] == "fd"
         other_grid = Grid2D(11, 11, extent=(0.5, 0.5))
-        assert solver_fusion_key(FDSubdomainSolver(other_grid, method="direct")) != a
+        assert FDSubdomainSolver(other_grid, method="direct").fusion_key() != a
 
     def test_sdnet_solvers_fuse_only_on_the_same_model(self):
         model = SDNet(boundary_size=RECT.subdomain_grid().boundary_size,
                       hidden_size=16, trunk_layers=2, embedding_channels=(2,), rng=7)
         twin = SDNet(boundary_size=RECT.subdomain_grid().boundary_size,
                      hidden_size=16, trunk_layers=2, embedding_channels=(2,), rng=7)
-        a = solver_fusion_key(SDNetSubdomainSolver(model))
-        b = solver_fusion_key(SDNetSubdomainSolver(model))
+        a = SDNetSubdomainSolver(model).fusion_key()
+        b = SDNetSubdomainSolver(model).fusion_key()
         assert a == b and a[0] == "sdnet"
-        assert solver_fusion_key(SDNetSubdomainSolver(twin)) != a
+        assert SDNetSubdomainSolver(twin).fusion_key() != a
 
-    def test_unknown_solver_types_never_fuse(self):
+    def test_unknown_solver_types_never_fuse(self, fake_clock):
         class Mystery:
+            boundary_size = RECT.subdomain_grid().boundary_size
+
             def predict(self, boundaries, points):  # pragma: no cover
                 return np.zeros((boundaries.shape[0], points.shape[0]))
 
-        assert solver_fusion_key(Mystery()) is None
+        server = _server(fake_clock, solver_factory=lambda geometry: Mystery())
+        group_key = SolveRequest.create(RECT, _loops(RECT, 1, seed=1)[0]).group_key
+        with server._lock:
+            assert server._compat_key(group_key) == group_key
 
 
 class TestMegaParity:
@@ -259,9 +267,6 @@ class TestOneExecutePath:
         # serving estimator; nothing replaces them.
         with pytest.raises(TypeError, match="max_backlog_seconds"):
             TenantQuota(max_backlog_seconds=1.0)
-        solver = FDSubdomainSolver(RECT.subdomain_grid(), method="direct")
-        with pytest.raises(TypeError, match="max_rows_for"):
-            MegaBatchExecutor(solver, max_rows_for=lambda q: 8)
 
     def test_unkeyed_solver_groups_run_alone_on_one_solver_each(self, fake_clock):
         built = {id(RECT): 0, id(WIDE): 0}
@@ -277,7 +282,7 @@ class TestOneExecutePath:
             def predict(self, boundaries, points):
                 return self.inner.predict(boundaries, points)
 
-        assert solver_fusion_key(Opaque(RECT)) is None
+        assert not hasattr(Opaque(RECT), "fusion_key")
         built[id(RECT)] = 0
         server = _server(fake_clock, solver_factory=Opaque)
         for seed in (53, 54):
@@ -290,6 +295,43 @@ class TestOneExecutePath:
         assert built == {id(RECT): 1, id(WIDE): 1}
         assert server.stats.fused_runs == 4
         assert server.stats.mega_runs == 0
+
+    def test_a_wrapper_that_delegates_its_fusion_key_fuses(self, fake_clock):
+        class Wrapped:
+            """An FD solver behind a wrapper that states the inner solver's key."""
+
+            def __init__(self, geometry):
+                self.inner = FDSubdomainSolver(geometry.subdomain_grid(), method="direct")
+                self.boundary_size = self.inner.boundary_size
+
+            def fusion_key(self):
+                return self.inner.fusion_key()
+
+            def predict(self, boundaries, points):
+                return self.inner.predict(boundaries, points)
+
+        # One crashed attempt retains every request as a "retried" flight record.
+        faults = FaultInjector(
+            [FaultSpec(site=WORKER_SOLVE, index=0, kind=CRASH)], sleep=fake_clock.advance
+        )
+        server = _server(
+            fake_clock, solver_factory=Wrapped, faults=faults, max_retries=1,
+            sleep=fake_clock.advance, flight=FlightRecorder(),
+        )
+        stream = [(RECT, loop) for loop in _loops(RECT, 2, seed=55)]
+        stream.insert(1, (WIDE, _loops(WIDE, 1, seed=56)[0]))
+        ids, results = _serve_stream(server, stream)
+        assert server.stats.mega_runs >= 1
+        for request_id, (geometry, loop) in zip(ids, stream):
+            alone = _standalone(geometry, loop, 1e-6, 40)
+            assert results[request_id].solution.tobytes() == alone.solution.tobytes()
+        grid = RECT.subdomain_grid()
+        inner = Wrapped(RECT).inner.fusion_key()
+        records = server.flight.records("retried")
+        assert sorted(r.request_id for r in records) == sorted(ids)
+        assert {r.attrs["fusion_key"] for r in records} == {
+            repr((grid.nx, grid.ny, tuple(grid.extent), inner))
+        }
 
 
 class TestBoundedCompatMaps:
@@ -473,7 +515,7 @@ def _standalone(geometry, loop, tol, budget, init_mode="mean", check_interval=1)
     )
 
 
-class TestMegaExecutorProperty:
+class TestManySessionsProperty:
     """Hypothesis: N sessions in one run == each session alone == each request alone."""
 
     @given(
@@ -491,22 +533,22 @@ class TestMegaExecutorProperty:
             if count > 0
         ]
         sessions = [
-            FusedBatchRunner(geometry, solver).session(
-                np.stack(loops),
-                np.full(len(loops), 1e-6),
-                np.full(len(loops), 12),
-            )
+            Session(geometry, np.stack(loops), np.full(len(loops), 1e-6),
+                    np.full(len(loops), 12))
             for geometry, loops in populated
         ]
-        executor = MegaBatchExecutor(solver)
-        mega = executor.run(sessions)
+        mega, calls = lattice_run(solver, sessions)
         assert len(mega) == len(populated)
         if populated:
-            assert executor.calls > 0 and executor.rows > 0
+            assert len(calls) > 0 and sum(rows for rows, _ in calls) > 0
+        else:
+            assert calls == []
         for (geometry, loops), outcomes in zip(populated, mega):
-            alone = FusedBatchRunner(
-                geometry, FDSubdomainSolver(geometry.subdomain_grid(), method="direct")
-            ).run(np.stack(loops), np.full(len(loops), 1e-6), np.full(len(loops), 12))
+            (alone,), _ = lattice_run(
+                FDSubdomainSolver(geometry.subdomain_grid(), method="direct"),
+                [Session(geometry, np.stack(loops), np.full(len(loops), 1e-6),
+                         np.full(len(loops), 12))],
+            )
             assert [_digest(o) for o in outcomes] == [_digest(o) for o in alone]
             assert [_digest(o) for o in outcomes] == [
                 _digest(_standalone(geometry, loop, 1e-6, 12)) for loop in loops
@@ -541,15 +583,13 @@ class TestMegaExecutorProperty:
             tols = np.array([tol for tol, _ in requests])
             budgets = np.array([budget for _, budget in requests])
             built.append(
-                FusedBatchRunner(
-                    geometry, solver, init_mode=init_mode, check_interval=check_interval
-                ).session(np.stack(loops), tols, budgets)
+                Session(geometry, np.stack(loops), tols, budgets, init_mode, check_interval)
             )
             expected.append([
                 _digest(_standalone(geometry, loop, tol, budget, init_mode, check_interval))
                 for loop, tol, budget in zip(loops, tols, budgets)
             ])
-        mega = MegaBatchExecutor(solver).run(built)
+        mega, _ = lattice_run(solver, built)
         assert [[_digest(o) for o in outcomes] for outcomes in mega] == expected
 
     def test_requests_do_retire_at_different_iterations(self):
@@ -559,9 +599,8 @@ class TestMegaExecutorProperty:
         solver = FDSubdomainSolver(RECT.subdomain_grid(), method="direct")
         tols, budgets = np.array([1e-2, 1e-3, 0.0]), np.array([30, 30, 9])
         geometries = (RECT, WIDE, L_SHAPE, THIN)
-        mega = MegaBatchExecutor(solver).run([
-            FusedBatchRunner(geometry, solver).session(
-                np.stack(_loops(geometry, 3, seed=5 + index)), tols, budgets)
+        mega, _ = lattice_run(solver, [
+            Session(geometry, np.stack(_loops(geometry, 3, seed=5 + index)), tols, budgets)
             for index, geometry in enumerate(geometries)
         ])
         iterations = [[o.iterations for o in outcomes] for outcomes in mega]
@@ -581,27 +620,24 @@ class TestCounters:
 
     TOLS, BUDGETS = np.array([1e-2, 1e-3, 0.0]), np.array([30, 30, 9])
 
-    def test_fused_runner_totals(self):
+    def test_one_session_totals(self):
         loops = np.stack(_loops(WIDE, 3, seed=5))
-        runner = FusedBatchRunner(WIDE, FDSubdomainSolver(WIDE.subdomain_grid()))
-        runner.run(loops, self.TOLS, self.BUDGETS)
-        # 25 iterations of the longest request + 1 assembly chunk; rows drop
-        # as requests retire (values recorded at the parent commit).
-        assert (runner.predict_calls, runner.subdomains_solved) == (26, 219)
-
-    def test_mega_executor_calls_rows_and_on_call(self):
-        solver = FDSubdomainSolver(RECT.subdomain_grid(), method="direct")
-        seen = []
-        executor = MegaBatchExecutor(
-            solver, on_call=lambda rows, sessions: seen.append((rows, sessions))
+        _, calls = lattice_run(
+            FDSubdomainSolver(WIDE.subdomain_grid()),
+            [Session(WIDE, loops, self.TOLS, self.BUDGETS)],
         )
-        executor.run([
-            FusedBatchRunner(geometry, solver).session(
-                np.stack(_loops(geometry, 3, seed=5 + index)), self.TOLS, self.BUDGETS)
+        # 25 iterations of the longest request + 1 assembly chunk; rows drop
+        # as requests retire (values recorded before the one-core refactor).
+        assert (len(calls), sum(rows for rows, _ in calls)) == (26, 219)
+
+    def test_three_sessions_calls_rows_and_sessions_per_call(self):
+        solver = FDSubdomainSolver(RECT.subdomain_grid(), method="direct")
+        _, calls = lattice_run(solver, [
+            Session(geometry, np.stack(_loops(geometry, 3, seed=5 + index)),
+                    self.TOLS, self.BUDGETS)
             for index, geometry in enumerate((RECT, WIDE, L_SHAPE))
         ])
         # One solver call per gather: 25 iterations + 1 assembly chunk.
-        assert (executor.calls, executor.rows) == (26, 475)
-        assert len(seen) == 26 and sum(rows for rows, _ in seen) == 475
-        assert max(sessions for _, sessions in seen) == 3
-        assert min(sessions for _, sessions in seen) == 1  # WIDE's tight request, alone
+        assert (len(calls), sum(rows for rows, _ in calls)) == (26, 475)
+        assert max(sessions for _, sessions in calls) == 3
+        assert min(sessions for _, sessions in calls) == 1  # WIDE's tight request, alone

@@ -43,7 +43,6 @@ from repro.serving import (
     SolveRequest,
     TenantQuota,
     WorkerSupervisor,
-    solver_fusion_key,
 )
 
 ARTIFACTS = Path(__file__).resolve().parents[2] / "test-artifacts" / "serving"
@@ -217,7 +216,7 @@ class TestBoundedBreakerBoard:
             MosaicGeometry(5, 0.25 + 0.01 * (index % 50), steps_x=2 + index // 50, steps_y=2)
             for index in range(300)
         ]
-        assert solver_fusion_key(Opaque(geometries[0])) is None
+        assert not hasattr(Opaque(geometries[0]), "fusion_key")
         server = _server(fake_clock, solver_factory=Opaque)
         for geometry in geometries:
             loop = geometry.boundary_from_function(lambda x, y: x * x - y * y)
