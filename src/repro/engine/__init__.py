@@ -40,7 +40,6 @@ equal to the eager tape.  :class:`~repro.pde.losses.PinnLoss` and
 
 from .bucketing import BucketedPlan, BucketingError, bucket_capacity, build_template
 from .graph import Graph, GraphError, Node
-from .parallel import ParallelExecutionPlan, schedule_waves
 from .jet import CompiledValueAndGrad, JetStats, compile_value_and_grad
 from .kernels import KernelError, build_step, evaluate_node, step_bytes
 from .passes import (
@@ -94,8 +93,6 @@ __all__ = [
     "BUCKET_ROWS",
     "CompiledModule",
     "ExecutionPlan",
-    "ParallelExecutionPlan",
-    "schedule_waves",
     "PlanCache",
     "compile_module",
     "TraceError",

@@ -343,8 +343,6 @@ class CompiledProgram:
 
     #: what a ``validate=True`` mismatch is reported as
     _divergence = "compiled output diverges from the eager evaluation"
-    #: the plan type of exact-shape signatures
-    _plan_class = ExecutionPlan
     #: raise when a bucket's probes do not unify instead of falling back to
     #: exact-shape plans
     strict_buckets = False
@@ -483,7 +481,7 @@ class CompiledProgram:
         if plan is None:
             plan = self._built(
                 plans, key,
-                self._plan_class(self._graph(signature, arrays), profiler=self.profiler),
+                ExecutionPlan(self._graph(signature, arrays), profiler=self.profiler),
             )
         outputs = plan.run(arrays)
         self._check(key, arrays, outputs)
@@ -567,12 +565,6 @@ class CompiledModule(CompiledProgram):
         (:class:`~repro.obs.profile.KernelProfiler`; pass one to accumulate
         into it), along with plan-cache events.  Results stay bitwise
         identical; see :meth:`kernel_report`.
-    parallel:
-        Build :class:`~repro.engine.parallel.ParallelExecutionPlan` plans,
-        one per exact shape signature: independent steps of one dependency
-        wave overlap on a shared kernel thread pool.  Outputs stay bitwise
-        identical (the per-step math and the dependent-step order are
-        unchanged).
     bucket_rows:
         Capacity of the bucketed plans (default :data:`BUCKET_ROWS`).
     strict_buckets:
@@ -592,19 +584,13 @@ class CompiledModule(CompiledProgram):
         validate: bool = False,
         max_plan_bytes: int | None = None,
         profile=False,
-        parallel: bool = False,
         bucket_rows: int = BUCKET_ROWS,
         strict_buckets: bool = False,
     ):
         super().__init__(passes, max_plan_bytes, validate, copy_outputs, profile)
         self.module = module
-        self.parallel = bool(parallel)
         self.bucket_rows = int(bucket_rows)
         self.strict_buckets = bool(strict_buckets)
-        if self.parallel:
-            from .parallel import ParallelExecutionPlan
-
-            self._plan_class = ParallelExecutionPlan
         self._parameters = tuple(module.parameters())
         self._parameter_version = self._version_now()
 
@@ -625,7 +611,7 @@ class CompiledModule(CompiledProgram):
     # -- compilation -------------------------------------------------------------
 
     def _capacity(self, rows: int) -> int | None:
-        return self.bucket_rows if rows <= self.bucket_rows and not self.parallel else None
+        return self.bucket_rows if rows <= self.bucket_rows else None
 
     def _trace(self, arrays) -> Graph:
         return optimize(trace(self.module, *arrays), self.passes)
@@ -690,7 +676,6 @@ def compile_module(
     validate: bool = False,
     max_plan_bytes: int | None = None,
     profile=False,
-    parallel: bool = False,
 ) -> CompiledModule:
     """Compile ``module`` for inference; optionally pre-trace example inputs.
 
@@ -701,7 +686,7 @@ def compile_module(
 
     compiled = CompiledModule(
         module, passes=passes, copy_outputs=copy_outputs, validate=validate,
-        max_plan_bytes=max_plan_bytes, profile=profile, parallel=parallel,
+        max_plan_bytes=max_plan_bytes, profile=profile,
     )
     if example_inputs:
         compiled._execute(compiled._as_arrays(example_inputs))

@@ -16,11 +16,13 @@ many requests take part.  A request's numbers never depend on its neighbours:
 it runs the phase sequence of a standalone run from iteration 1, its change
 is measured on its own lattice vector with its own tolerance, budget and
 check cadence, and once it stops its part of the buffer is left alone.  It
-has two drivers: :class:`~repro.mosaic.predictor.MosaicFlowPredictor` runs
-one request, and the server (:func:`repro.serving.compute.lattice_run`)
-hands it the sessions of every batch it fuses.  The distributed rank loop
-takes its indices and its assembly from :func:`build_plan` and
-:func:`accumulate`.  The core opens no tracing span; spans are the drivers'.
+has three drivers: :class:`~repro.mosaic.predictor.MosaicFlowPredictor` runs
+one request, the server (:func:`repro.serving.compute.lattice_run`) hands it
+the sessions of every batch it fuses, and each rank of
+:class:`~repro.mosaic.distributed.DistributedMosaicFlowPredictor` runs one
+request over the plan of its own block, exchanging halos after each scatter
+and allreducing the sums of each check.  The core opens no tracing span;
+spans are the drivers'.
 """
 
 from __future__ import annotations
@@ -126,12 +128,15 @@ class LatticePlan:
     """Flat (raveled-field) indices of one lattice field; every array is read-only.
 
     ``reads[p]`` / ``writes[p]`` index phase ``p``'s boundary loops and centre
-    lines, one row per subdomain.  The dense assembly builds its indices per
-    chunk from ``windows`` (every anchor's corner, in assembly order) and the
-    two offset vectors, so a plan stays small next to the field.
+    lines, one row per subdomain.  ``offset`` is the global grid point of the
+    field's corner: ``(0, 0)`` unless the plan is a rank's block.  The dense
+    assembly builds its indices per chunk from ``windows`` (every anchor's
+    corner, in assembly order) and the two offset vectors, so a plan stays
+    small next to the field.
     """
 
     shape: tuple
+    offset: tuple
     reads: tuple
     writes: tuple
     phase_has_anchors: tuple     # over the whole geometry, also in a rank's plan
@@ -196,7 +201,8 @@ def build_plan(geometry, anchors=None, origin=(0, 0), shape=None, lattice_mask=N
     for array in arrays:
         array.setflags(write=False)
     return LatticePlan(
-        shape=(int(ny), int(nx)), reads=tuple(reads), writes=tuple(writes),
+        shape=(int(ny), int(nx)), offset=(origin[0] * geometry.half, origin[1] * geometry.half),
+        reads=tuple(reads), writes=tuple(writes),
         phase_has_anchors=tuple(
             bool(geometry.anchors_for_phase(phase)) for phase in range(PHASES)),
         lattice=lattice, windows=windows, loop_offsets=loop_offsets,
@@ -337,11 +343,16 @@ class LatticeRun:
     run proceeds.  ``timings`` accumulates the predictor's ``boundaries_io``
     / ``inference`` / ``convergence_check`` sections.  No sessions make an
     empty run: nothing iterates and :meth:`outcomes` returns ``[]``.
+
+    ``plans`` (one per session, default the cached whole-geometry plans) lets
+    a distributed rank run on the plan of its block: each field is the
+    session's initial field cropped at the plan's offset.
     """
 
-    def __init__(self, sessions: list[Session]):
+    def __init__(self, sessions: list[Session], plans=None):
         self.sessions = sessions
-        plans = [PLAN_CACHE.get(session.geometry) for session in sessions]
+        if plans is None:
+            plans = [PLAN_CACHE.get(session.geometry) for session in sessions]
         self.center_coords = plans[0].center_coords if plans else None
         for plan in plans[1:]:
             if not (np.array_equal(plan.center_coords, self.center_coords)
@@ -365,8 +376,10 @@ class LatticeRun:
         self.buffer = np.empty(self.bases.pop())
         loops = (loop for session in sessions for loop in session.loops)
         for request, (owner, loop) in enumerate(zip(self.owner, loops)):
-            self.field(request)[...] = initialize_lattice_field(
+            (row, col), (ny, nx) = self.plans[request].offset, self.plans[request].shape
+            initial = initialize_lattice_field(
                 sessions[owner].geometry, loop, sessions[owner].init_mode)
+            self.field(request)[...] = initial[row:row + ny, col:col + nx]
         self.results = [
             LatticeOutcome(None, self.field(r), 0, False, []) for r in range(len(self.plans))]
         self.timings = {"boundaries_io": 0.0, "inference": 0.0, "convergence_check": 0.0}
@@ -389,12 +402,16 @@ class LatticeRun:
         bounds = np.cumsum([0] + [part.size for part in parts]).tolist()
         return np.concatenate(parts), bounds
 
-    def iterate(self, predict, on_check=None) -> None:
+    def iterate(self, predict, on_check=None, exchange=None, reduce=None) -> None:
         """Iterate every request until it converges or its budget runs out.
 
         ``on_check(request, iteration, lattice_values) -> bool``, when given,
         runs at each of a request's convergence checks and may stop it (the
-        predictor's reference-MAE criterion).
+        predictor's reference-MAE criterion).  A distributed rank passes the
+        other two: ``exchange(iteration)`` runs after every scatter (its halo
+        exchange), and ``reduce(current, past, step)`` turns a request's
+        lattice vectors at a check into ``(step.step, past.past)`` (its
+        allreduce).
         """
 
         buffer, timings, clock = self.buffer, self.timings, time.perf_counter
@@ -421,6 +438,9 @@ class LatticeRun:
                 buffer[writes] = predictions
             toc = clock()
             timings["boundaries_io"] += toc - tic
+            if exchange is not None:
+                exchange(iteration)
+                toc = clock()
 
             due = tuple(r for r in active if iteration % every[r] == 0)
             if due:
@@ -433,11 +453,15 @@ class LatticeRun:
                 previous[lattice] = current
                 for position, request in enumerate(due):
                     lo, hi = bounds[position], bounds[position + 1]
-                    # The 1-D ``np.linalg.norm`` of a standalone run, spelled
-                    # out: sqrt(x.x) on the request's own lattice vector.
                     past, step = before[lo:hi], change[lo:hi]
-                    scale = math.sqrt(past.dot(past))
-                    delta = math.sqrt(step.dot(step)) / (scale if scale > 0 else 1.0)
+                    if reduce is None:
+                        # The 1-D ``np.linalg.norm`` of a standalone run, spelled
+                        # out: sqrt(x.x) on the request's own lattice vector.
+                        step_sq, past_sq = step.dot(step), past.dot(past)
+                    else:
+                        step_sq, past_sq = reduce(current[lo:hi], past, step)
+                    scale = math.sqrt(past_sq)
+                    delta = math.sqrt(step_sq) / (scale if scale > 0 else 1.0)
                     result = self.results[request]
                     result.deltas.append(delta)
                     if on_check is not None and on_check(request, iteration, current[lo:hi]):

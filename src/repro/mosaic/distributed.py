@@ -3,7 +3,9 @@
 The global domain is partitioned over a 2-D processor grid: each rank owns a
 contiguous block of atomic-subdomain anchors and stores the part of the
 interface lattice its subdomains touch (its *processor subdomain*, which
-overlaps its neighbours' by half a subdomain).  Every iteration a rank
+overlaps its neighbours' by half a subdomain).  Each rank runs the
+single-process iteration, :class:`~repro.mosaic.core.LatticeRun`, over the
+plan of its block, so every iteration it
 
 1. updates the centre lines of its own anchors for the current phase,
    applying updates immediately within the rank (as in the baseline), then
@@ -14,9 +16,11 @@ overlaps its neighbours' by half a subdomain).  Every iteration a rank
 3. checks the relative-change (and optionally MAE) stopping criteria with an
    allreduce.
 
-After the iteration loop every rank densely predicts its own subdomains,
-the per-rank accumulators are allgathered and overlapping predictions are
-averaged (Algorithm 2 lines 10-12).
+Steps 2 and 3 are the two callables the rank hands to
+:meth:`~repro.mosaic.core.LatticeRun.iterate`; the phase order and the stop
+rule are the core's.  After the iteration every rank densely predicts its
+own subdomains, the per-rank accumulators are allgathered and overlapping
+predictions are averaged (Algorithm 2 lines 10-12).
 
 The communication plan (which points go to which neighbour) is derived
 programmatically from anchor ownership, so the same code handles interior
@@ -36,16 +40,8 @@ from ..distributed.comm import Communicator, ReduceOp
 from ..distributed.simulated import run_spmd
 from ..obs.trace import span
 from ..utils.timer import Timings
-from .core import (
-    ASSEMBLY_CHUNK,
-    PHASES,
-    accumulate,
-    build_plan,
-    initialize_lattice_field,
-    overlap_average,
-)
+from .core import LatticeRun, Session, accumulate, build_plan, checked_solver, overlap_average
 from .geometry import MosaicGeometry
-from .solvers import SubdomainSolver
 
 __all__ = [
     "RankLayout",
@@ -116,6 +112,18 @@ class RankLayout:
         else:
             stop = self.part.col_stop * half
         return start, stop
+
+    def owned_lattice(self, geometry: MosaicGeometry) -> np.ndarray:
+        """Mask of the local field's lattice points this rank alone reduces over."""
+
+        half = geometry.half
+        rows = (np.arange(self.local_shape[0]) + self.row_offset) % half == 0
+        cols = (np.arange(self.local_shape[1]) + self.col_offset) % half == 0
+        (r0, r1), (c0, c1) = self.owned_row_range(geometry), self.owned_col_range(geometry)
+        owned = np.zeros(self.local_shape, dtype=bool)
+        owned[r0 - self.row_offset:r1 - self.row_offset,
+              c0 - self.col_offset:c1 - self.col_offset] = True
+        return owned & (rows[:, None] | cols[None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +296,6 @@ class DistributedMosaicFlowPredictor:
         each rank (keeps per-rank counters independent).
     ordering:
         Processor-to-grid mapping: ``"row"`` (paper) or ``"morton"``.
-    batched:
-        Batch each phase's subdomains into one solver call per rank.
     init_mode:
         Lattice initialization mode.
 
@@ -303,7 +309,6 @@ class DistributedMosaicFlowPredictor:
         geometry: MosaicGeometry,
         solver_factory,
         ordering: str = "row",
-        batched: bool = True,
         init_mode: str = "mean",
     ):
         if not geometry.is_rectangular:
@@ -314,7 +319,6 @@ class DistributedMosaicFlowPredictor:
         self.geometry = geometry
         self.solver_factory = solver_factory
         self.ordering = ordering
-        self.batched = bool(batched)
         self.init_mode = init_mode
 
     # -- driver ----------------------------------------------------------------
@@ -336,8 +340,10 @@ class DistributedMosaicFlowPredictor:
         assembled global solution.
         """
 
-        if check_interval < 1:
-            raise ValueError("check_interval must be at least 1")
+        # The session every rank builds, built once here so that a bad
+        # budget, cadence or loop length fails before any rank starts.
+        Session(self.geometry, np.asarray(boundary_loop, dtype=float)[None], tol,
+                max_iterations, self.init_mode, check_interval)
         return run_spmd(
             world_size,
             self.run_rank,
@@ -374,190 +380,114 @@ class DistributedMosaicFlowPredictor:
         """
 
         with span("mfp.rank", rank=comm.rank, world=comm.size):
-            return self._run_rank_impl(
-                comm, boundary_loop, max_iterations=max_iterations, tol=tol,
-                reference=reference, target_mae=target_mae,
-                check_interval=check_interval,
-            )
-
-    def _run_rank_impl(
-        self,
-        comm: Communicator,
-        boundary_loop: np.ndarray,
-        max_iterations: int = 200,
-        tol: float = 1e-4,
-        reference: np.ndarray | None = None,
-        target_mae: float | None = None,
-        check_interval: int = 1,
-    ) -> DistributedMFPResult:
-        geometry = self.geometry
-        timings = Timings()
-        tic = time.perf_counter()
-
-        grid = ProcessGrid(comm.size, ordering=self.ordering)
-        layouts = [RankLayout.build(geometry, grid, r) for r in range(comm.size)]
-        layout = layouts[comm.rank]
-        plan = HaloExchangePlan.build(geometry, grid, layouts, comm.rank)
-        solver = self.solver_factory()
-        expected = geometry.subdomain_grid().boundary_size
-        if solver.boundary_size != expected:
-            raise ValueError(
-                f"solver boundary size {solver.boundary_size} != subdomain boundary {expected}"
-            )
-
-        # Local field: slice of the global initial field covering this rank's
-        # processor subdomain ("Boundaries IO" in the paper's breakdown).
-        boundary_loop = np.asarray(boundary_loop, dtype=float)
-        global_init = initialize_lattice_field(geometry, boundary_loop, self.init_mode)
-        rows = slice(layout.row_offset, layout.row_offset + layout.local_shape[0])
-        cols = slice(layout.col_offset, layout.col_offset + layout.local_shape[1])
-        local = global_init[rows, cols].copy()
-        local_reference = None if reference is None else np.asarray(reference)[rows, cols]
-        timings["boundaries_io"] = time.perf_counter() - tic
-
-        # Owned (exclusive) region of the local field, for global reductions.
-        owned_r = layout.owned_row_range(geometry)
-        owned_c = layout.owned_col_range(geometry)
-        owned_rows = slice(owned_r[0] - layout.row_offset, owned_r[1] - layout.row_offset)
-        owned_cols = slice(owned_c[0] - layout.col_offset, owned_c[1] - layout.col_offset)
-        half = geometry.half
-        lattice_mask_local = np.zeros(layout.local_shape, dtype=bool)
-        lattice_mask_local[(np.arange(layout.local_shape[0]) + layout.row_offset) % half == 0, :] = True
-        lattice_mask_local[:, (np.arange(layout.local_shape[1]) + layout.col_offset) % half == 0] = True
-        owned_lattice = np.zeros_like(lattice_mask_local)
-        owned_lattice[owned_rows, owned_cols] = lattice_mask_local[owned_rows, owned_cols]
-
-        # The rank's share of the index plan: its own anchors by global phase
-        # over the local field, the owned lattice points as convergence
-        # vector.  ``flat`` aliases ``local``.
-        indices = build_plan(
-            geometry, layout.local_anchors(),
-            origin=(layout.part.row_start, layout.part.col_start),
-            shape=layout.local_shape, lattice_mask=owned_lattice,
-        )
-        flat = local.reshape(-1)
-        if local_reference is not None:
-            local_reference = np.ascontiguousarray(local_reference).reshape(-1)[indices.lattice]
-
-        previous = flat[indices.lattice]
-        deltas: list[float] = []
-        mae_history: list[tuple[int, float]] = []
-        converged = False
-        iterations = 0
-
-        for iteration in range(1, max_iterations + 1):
-            phase = (iteration - 1) % PHASES
-            reads, writes = indices.reads[phase], indices.writes[phase]
-            iterations = iteration
-
-            # (1) local subdomain inference and immediate updates
-            if reads.size:
-                tic = time.perf_counter()
-                loops = flat[reads]
-                timings["boundaries_io"] = timings.get("boundaries_io", 0.0) + time.perf_counter() - tic
-
-                tic = time.perf_counter()
-                if self.batched:
-                    predictions = solver.predict(loops, indices.center_coords)
-                else:
-                    predictions = np.empty((loops.shape[0], indices.center_coords.shape[0]))
-                    for i in range(loops.shape[0]):
-                        predictions[i] = solver.predict(loops[i: i + 1], indices.center_coords)[0]
-                timings["inference"] = timings.get("inference", 0.0) + time.perf_counter() - tic
-
-                tic = time.perf_counter()
-                flat[writes] = predictions
-                timings["boundaries_io"] = timings.get("boundaries_io", 0.0) + time.perf_counter() - tic
-
-            # (2) halo exchange: communicate_new_boundaries
+            geometry = self.geometry
+            timings = Timings()
             tic = time.perf_counter()
-            for peer in sorted(plan.sends):
-                send_rows, send_cols = plan.sends[peer]
-                comm.send(local[send_rows, send_cols].copy(), peer, tag=iteration)
-            for peer in sorted(plan.recvs):
-                recv_rows, recv_cols = plan.recvs[peer]
-                values = comm.recv(peer, tag=iteration)
-                local[recv_rows, recv_cols] = values
-            timings["sendrecv"] = timings.get("sendrecv", 0.0) + time.perf_counter() - tic
 
-            # (3) convergence checks
-            if iteration % check_interval == 0:
+            grid = ProcessGrid(comm.size, ordering=self.ordering)
+            layouts = [RankLayout.build(geometry, grid, r) for r in range(comm.size)]
+            layout = layouts[comm.rank]
+            plan = HaloExchangePlan.build(geometry, grid, layouts, comm.rank)
+            solver = checked_solver(geometry, self.solver_factory())
+
+            # The rank's share of the index plan: its own anchors by global
+            # phase over the local field, the owned lattice points as
+            # convergence vector.  The run's field is the global initial field
+            # cropped to this rank's processor subdomain ("Boundaries IO" in
+            # the paper's breakdown).
+            indices = build_plan(
+                geometry, layout.local_anchors(),
+                origin=(layout.part.row_start, layout.part.col_start),
+                shape=layout.local_shape, lattice_mask=layout.owned_lattice(geometry),
+            )
+            boundary_loop = np.asarray(boundary_loop, dtype=float)
+            run = LatticeRun([Session(
+                geometry, boundary_loop[None], tol, max_iterations, self.init_mode, check_interval,
+            )], plans=[indices])
+            local = run.field(0)
+            local_reference = 0.0
+            if reference is not None:
+                (row, col), (ny, nx) = indices.offset, indices.shape
+                local_reference = np.asarray(reference)[
+                    row:row + ny, col:col + nx].reshape(-1)[indices.lattice]
+            timings["boundaries_io"] = time.perf_counter() - tic
+
+            def solve(boundaries, points, _sessions=1):
+                return solver.predict(boundaries, points)
+
+            def exchange(iteration):
+                # communicate_new_boundaries, after every update
                 tic = time.perf_counter()
-                current = flat[indices.lattice]
-                local_stats = np.array(
-                    [
-                        float(np.sum((current - previous) ** 2)),
-                        float(np.sum(previous ** 2)),
-                        float(np.sum(np.abs(current - (local_reference if local_reference is not None else 0.0)))),
-                        float(current.size),
-                    ]
-                )
-                global_stats = comm.allreduce(local_stats, op=ReduceOp.SUM)
-                previous = current
-                denom = np.sqrt(global_stats[1]) if global_stats[1] > 0 else 1.0
-                delta = float(np.sqrt(global_stats[0]) / denom)
-                deltas.append(delta)
-                if reference is not None:
-                    mae = float(global_stats[2] / global_stats[3])
+                for peer in sorted(plan.sends):
+                    send_rows, send_cols = plan.sends[peer]
+                    comm.send(local[send_rows, send_cols], peer, tag=iteration)
+                for peer in sorted(plan.recvs):
+                    recv_rows, recv_cols = plan.recvs[peer]
+                    local[recv_rows, recv_cols] = comm.recv(peer, tag=iteration)
+                timings.add("sendrecv", time.perf_counter() - tic)
+
+            # [Σstep², Σpast², Σ|current - reference|, points] over every
+            # rank, allreduced at each check.  ``np.sum(x ** 2)`` rather than
+            # ``x.dot(x)``: a threaded BLAS ddot over a large block would
+            # oversubscribe the cores the other ranks run on.
+            totals = np.zeros(4)
+
+            def reduce(current, past, step):
+                totals[:] = comm.allreduce(np.array([
+                    float(np.sum(step ** 2)), float(np.sum(past ** 2)),
+                    float(np.sum(np.abs(current - local_reference))), float(current.size),
+                ]), op=ReduceOp.SUM)
+                return totals[0], totals[1]
+
+            mae_history: list[tuple[int, float]] = []
+            on_check = None
+            if reference is not None:
+                def on_check(_request, iteration, _lattice_values):
+                    mae = float(totals[2] / totals[3])
                     mae_history.append((iteration, mae))
-                    if target_mae is not None and mae < target_mae:
-                        converged = True
-                # As in the single-process predictor: a tolerance stop needs
-                # a phase that processed anchors (globally) since the last
-                # check, so all-empty windows never fake convergence.
-                window_active = any(
-                    indices.phase_has_anchors[(it - 1) % PHASES]
-                    for it in range(iteration - check_interval + 1, iteration + 1)
+                    return target_mae is not None and mae < target_mae
+
+            run.iterate(solve, on_check, exchange, reduce)
+            timings.merge(run.timings)
+            outcome = run.results[0]
+
+            # Dense assembly of the local anchors
+            with timings.measure("inference"):
+                accumulator = np.zeros(layout.local_shape)
+                accumulate(run.buffer, accumulator.reshape(-1), run.groups, solve)
+
+            # Allgather and overlap averaging
+            with timings.measure("allgather"):
+                payload = (
+                    layout.row_offset,
+                    layout.col_offset,
+                    accumulator,
+                    indices.counts,
                 )
-                if delta < tol and iteration >= PHASES and window_active:
-                    converged = True
-                timings["convergence_check"] = (
-                    timings.get("convergence_check", 0.0) + time.perf_counter() - tic
-                )
-                if converged:
-                    break
+                gathered = comm.allgather(payload)
 
-        # (4) dense assembly of the local anchors
-        with timings.measure("inference"):
-            accumulator = np.zeros(layout.local_shape)
-            accumulate(
-                flat, accumulator.reshape(-1),
-                [(indices, np.zeros(1, dtype=np.intp), ASSEMBLY_CHUNK)],
-                lambda boundaries, points, _sessions: solver.predict(boundaries, points),
+            solution = None
+            if comm.rank == 0:
+                with timings.measure("assembly"):
+                    global_sum = np.zeros((geometry.global_ny, geometry.global_nx))
+                    global_count = np.zeros_like(global_sum)
+                    for row_off, col_off, acc, cnt in gathered:
+                        r = slice(row_off, row_off + acc.shape[0])
+                        c = slice(col_off, col_off + acc.shape[1])
+                        global_sum[r, c] += acc
+                        global_count[r, c] += cnt
+                    solution = overlap_average(global_sum, global_count)
+                    solution = geometry.global_grid().insert_boundary(boundary_loop, solution)
+
+            return DistributedMFPResult(
+                rank=comm.rank,
+                world_size=comm.size,
+                solution=solution,
+                iterations=outcome.iterations,
+                converged=outcome.converged,
+                deltas=outcome.deltas,
+                mae_history=mae_history,
+                timings=timings.as_dict(),
+                comm_stats=comm.trace.as_dict(),
+                halo_bytes_per_iteration=plan.bytes_per_iteration(),
             )
-
-        # (5) allgather and overlap averaging
-        with timings.measure("allgather"):
-            payload = (
-                layout.row_offset,
-                layout.col_offset,
-                accumulator,
-                indices.counts,
-            )
-            gathered = comm.allgather(payload)
-
-        solution = None
-        if comm.rank == 0:
-            with timings.measure("assembly"):
-                global_sum = np.zeros((geometry.global_ny, geometry.global_nx))
-                global_count = np.zeros_like(global_sum)
-                for row_off, col_off, acc, cnt in gathered:
-                    r = slice(row_off, row_off + acc.shape[0])
-                    c = slice(col_off, col_off + acc.shape[1])
-                    global_sum[r, c] += acc
-                    global_count[r, c] += cnt
-                solution = overlap_average(global_sum, global_count)
-                solution = geometry.global_grid().insert_boundary(boundary_loop, solution)
-
-        return DistributedMFPResult(
-            rank=comm.rank,
-            world_size=comm.size,
-            solution=solution,
-            iterations=iterations,
-            converged=converged,
-            deltas=deltas,
-            mae_history=mae_history,
-            timings=timings.as_dict(),
-            comm_stats=comm.trace.as_dict(),
-            halo_bytes_per_iteration=plan.bytes_per_iteration(),
-        )

@@ -8,11 +8,18 @@ import numpy as np
 import pytest
 
 from repro.autodiff import Tensor, no_grad
-from repro.engine import BUCKET_ROWS, CompiledModule, compile_module
+from repro.engine import (
+    BUCKET_ROWS,
+    CompiledModule,
+    CompiledValueAndGrad,
+    ExecutionPlan,
+    compile_module,
+)
 from repro.mosaic import MosaicFlowPredictor, MosaicGeometry, SDNetSubdomainSolver
 from repro.mosaic.solvers import GEMM_STABLE_ROWS, inference_program
 from repro.models import SDNet
 from repro.nn import MLP
+from repro.pde.losses import laplace_residual_loss
 from repro.mosaic.core import Session
 from repro.serving import Server, SolveRequest
 from repro.serving.compute import lattice_run
@@ -139,6 +146,89 @@ class TestThreadSafety:
         assert compiled.stats.traces == 3  # one shared template
         assert compiled.stats.bucket_templates == 1
         assert compiled.stats.plan_builds == 4  # one plan per thread
+
+
+def _sdnet():
+    return SDNet(boundary_size=32, hidden_size=24, trunk_layers=3,
+                 embedding_channels=(2,), rng=5)
+
+
+def _sdnet_inputs(batch=6, points=11, seed=0):
+    rng = seeded_rng(seed)
+    return (
+        rng.normal(size=(batch, 32)),
+        rng.uniform(size=(points, 2)) * 0.5,
+    )
+
+
+class TestPlanOwnership:
+    def _run_in_thread(self, fn):
+        box = {}
+
+        def target():
+            try:
+                fn()
+            except BaseException as exc:  # noqa: BLE001 - relayed to the test
+                box["error"] = exc
+
+        thread = threading.Thread(target=target)
+        thread.start()
+        thread.join()
+        return box.get("error")
+
+    def test_execution_plan_rejects_second_thread(self):
+        compiled = compile_module(_sdnet())
+        arrays = [np.asarray(a) for a in _sdnet_inputs()]
+        plan = ExecutionPlan(compiled.graph_for(*arrays))
+        plan.run(list(arrays))  # binds the plan to this thread
+
+        error = self._run_in_thread(lambda: plan.run(list(arrays)))
+        assert isinstance(error, RuntimeError)
+        assert "one plan per thread" in str(error) or "not thread-safe" in str(error)
+
+    def test_bucketed_plan_rejects_second_thread(self):
+        model = SDNet(boundary_size=16, hidden_size=10, trunk_layers=2,
+                      embedding_channels=(2,), rng=3)
+        program = CompiledValueAndGrad(
+            lambda g, x: laplace_residual_loss(model, g, x, method="taylor"),
+            model, grad_transform=lambda l: 1.0 * l,
+        )
+        rng = seeded_rng(0)
+        g = rng.normal(size=(8, 16))
+        x = rng.uniform(size=(8, 4, 2)) * 0.5
+        program(g, x)  # builds + binds this thread's bucketed plan
+        plans = program._plans()._entries
+        bucketed = next(
+            plan for key, (plan, _) in plans.items() if key[0] == "bucket"
+        )
+        # The ownership check fires before any buffer is touched, so no
+        # arrays are needed to observe the rejection.
+        error = self._run_in_thread(lambda: bucketed.run([], bucketed.template.capacity))
+        assert isinstance(error, RuntimeError)
+        assert "not thread-safe" in str(error)
+
+    def test_per_thread_compiled_calls_still_work(self):
+        # CompiledModule hands each thread its own plan; concurrent calls
+        # through the module must not trip the ownership check.
+        model = _sdnet()
+        compiled = compile_module(model)
+        inputs = _sdnet_inputs(batch=4, points=7, seed=3)
+        expected = compiled.predict(*inputs).tobytes()
+        errors, outputs = [], []
+
+        def worker():
+            try:
+                outputs.append(compiled.predict(*inputs).tobytes())
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        assert all(out == expected for out in outputs)
 
 
 class TestModelOwnedPrograms:

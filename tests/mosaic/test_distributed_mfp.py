@@ -1,19 +1,37 @@
 """Distributed Mosaic Flow predictor (Algorithm 2) on the simulated cluster."""
 
+import time
+
 import numpy as np
 import pytest
 
-from repro.distributed import ProcessGrid
+from repro.distributed import ProcessGrid, ReduceOp, run_spmd
 from repro.fd import solve_laplace_from_loop
+from repro.models import SDNet
 from repro.mosaic import (
     DistributedMosaicFlowPredictor,
     FDSubdomainSolver,
     MosaicFlowPredictor,
     MosaicGeometry,
+    SDNetSubdomainSolver,
 )
-from repro.mosaic.distributed import HaloExchangePlan, RankLayout, _owner_anchor
+from repro.mosaic.core import (
+    ASSEMBLY_CHUNK,
+    PHASES,
+    accumulate,
+    build_plan,
+    initialize_lattice_field,
+    overlap_average,
+)
+from repro.mosaic.distributed import (
+    DistributedMFPResult,
+    HaloExchangePlan,
+    RankLayout,
+    _owner_anchor,
+)
 from repro.mosaic.domain import CompositeDomain
 from repro.pde import HARMONIC_FUNCTIONS
+from repro.utils.timer import Timings
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +45,152 @@ def problem():
 
 def solver_factory_for(geometry):
     return lambda: FDSubdomainSolver(geometry.subdomain_grid(), method="direct")
+
+
+@pytest.fixture(scope="module")
+def sdnet(problem):
+    geo, *_ = problem
+    return SDNet(boundary_size=geo.subdomain_grid().boundary_size, hidden_size=12,
+                 trunk_layers=2, embedding_channels=(2,), rng=7)
+
+
+def _retired_rank_program(predictor, comm, boundary_loop, max_iterations=200, tol=1e-4,
+                          reference=None, target_mae=None, check_interval=1):
+    """The rank's own copy of the iteration, before it ran ``LatticeRun``.
+
+    Kept verbatim (less its per-row ``batched=False`` branch) as the oracle
+    the rank program must equal byte for byte.
+    """
+
+    geometry = predictor.geometry
+    timings = Timings()
+    tic = time.perf_counter()
+
+    grid = ProcessGrid(comm.size, ordering=predictor.ordering)
+    layouts = [RankLayout.build(geometry, grid, r) for r in range(comm.size)]
+    layout = layouts[comm.rank]
+    plan = HaloExchangePlan.build(geometry, grid, layouts, comm.rank)
+    solver = predictor.solver_factory()
+
+    boundary_loop = np.asarray(boundary_loop, dtype=float)
+    global_init = initialize_lattice_field(geometry, boundary_loop, predictor.init_mode)
+    rows = slice(layout.row_offset, layout.row_offset + layout.local_shape[0])
+    cols = slice(layout.col_offset, layout.col_offset + layout.local_shape[1])
+    local = global_init[rows, cols].copy()
+    local_reference = None if reference is None else np.asarray(reference)[rows, cols]
+    timings["boundaries_io"] = time.perf_counter() - tic
+
+    owned_r = layout.owned_row_range(geometry)
+    owned_c = layout.owned_col_range(geometry)
+    owned_rows = slice(owned_r[0] - layout.row_offset, owned_r[1] - layout.row_offset)
+    owned_cols = slice(owned_c[0] - layout.col_offset, owned_c[1] - layout.col_offset)
+    half = geometry.half
+    lattice_mask_local = np.zeros(layout.local_shape, dtype=bool)
+    lattice_mask_local[(np.arange(layout.local_shape[0]) + layout.row_offset) % half == 0, :] = True
+    lattice_mask_local[:, (np.arange(layout.local_shape[1]) + layout.col_offset) % half == 0] = True
+    owned_lattice = np.zeros_like(lattice_mask_local)
+    owned_lattice[owned_rows, owned_cols] = lattice_mask_local[owned_rows, owned_cols]
+
+    indices = build_plan(
+        geometry, layout.local_anchors(),
+        origin=(layout.part.row_start, layout.part.col_start),
+        shape=layout.local_shape, lattice_mask=owned_lattice,
+    )
+    flat = local.reshape(-1)
+    if local_reference is not None:
+        local_reference = np.ascontiguousarray(local_reference).reshape(-1)[indices.lattice]
+
+    previous = flat[indices.lattice]
+    deltas, mae_history = [], []
+    converged = False
+    iterations = 0
+
+    for iteration in range(1, max_iterations + 1):
+        phase = (iteration - 1) % PHASES
+        reads, writes = indices.reads[phase], indices.writes[phase]
+        iterations = iteration
+
+        if reads.size:
+            tic = time.perf_counter()
+            loops = flat[reads]
+            timings["boundaries_io"] = timings.get("boundaries_io", 0.0) + time.perf_counter() - tic
+            tic = time.perf_counter()
+            predictions = solver.predict(loops, indices.center_coords)
+            timings["inference"] = timings.get("inference", 0.0) + time.perf_counter() - tic
+            tic = time.perf_counter()
+            flat[writes] = predictions
+            timings["boundaries_io"] = timings.get("boundaries_io", 0.0) + time.perf_counter() - tic
+
+        tic = time.perf_counter()
+        for peer in sorted(plan.sends):
+            send_rows, send_cols = plan.sends[peer]
+            comm.send(local[send_rows, send_cols].copy(), peer, tag=iteration)
+        for peer in sorted(plan.recvs):
+            recv_rows, recv_cols = plan.recvs[peer]
+            local[recv_rows, recv_cols] = comm.recv(peer, tag=iteration)
+        timings["sendrecv"] = timings.get("sendrecv", 0.0) + time.perf_counter() - tic
+
+        if iteration % check_interval == 0:
+            tic = time.perf_counter()
+            current = flat[indices.lattice]
+            local_stats = np.array([
+                float(np.sum((current - previous) ** 2)),
+                float(np.sum(previous ** 2)),
+                float(np.sum(np.abs(
+                    current - (local_reference if local_reference is not None else 0.0)))),
+                float(current.size),
+            ])
+            global_stats = comm.allreduce(local_stats, op=ReduceOp.SUM)
+            previous = current
+            denom = np.sqrt(global_stats[1]) if global_stats[1] > 0 else 1.0
+            delta = float(np.sqrt(global_stats[0]) / denom)
+            deltas.append(delta)
+            if reference is not None:
+                mae = float(global_stats[2] / global_stats[3])
+                mae_history.append((iteration, mae))
+                if target_mae is not None and mae < target_mae:
+                    converged = True
+            window_active = any(
+                indices.phase_has_anchors[(it - 1) % PHASES]
+                for it in range(iteration - check_interval + 1, iteration + 1)
+            )
+            if delta < tol and iteration >= PHASES and window_active:
+                converged = True
+            timings["convergence_check"] = (
+                timings.get("convergence_check", 0.0) + time.perf_counter() - tic
+            )
+            if converged:
+                break
+
+    with timings.measure("inference"):
+        accumulator = np.zeros(layout.local_shape)
+        accumulate(
+            flat, accumulator.reshape(-1),
+            [(indices, np.zeros(1, dtype=np.intp), ASSEMBLY_CHUNK)],
+            lambda boundaries, points, _sessions: solver.predict(boundaries, points),
+        )
+    with timings.measure("allgather"):
+        gathered = comm.allgather(
+            (layout.row_offset, layout.col_offset, accumulator, indices.counts))
+    solution = None
+    if comm.rank == 0:
+        with timings.measure("assembly"):
+            global_sum = np.zeros((geometry.global_ny, geometry.global_nx))
+            global_count = np.zeros_like(global_sum)
+            for row_off, col_off, acc, cnt in gathered:
+                r = slice(row_off, row_off + acc.shape[0])
+                c = slice(col_off, col_off + acc.shape[1])
+                global_sum[r, c] += acc
+                global_count[r, c] += cnt
+            solution = overlap_average(global_sum, global_count)
+            solution = geometry.global_grid().insert_boundary(boundary_loop, solution)
+
+    return DistributedMFPResult(
+        rank=comm.rank, world_size=comm.size, solution=solution, iterations=iterations,
+        converged=converged, deltas=deltas, mae_history=mae_history,
+        timings=timings.as_dict(), comm_stats=comm.trace.as_dict(),
+        halo_bytes_per_iteration=plan.bytes_per_iteration(),
+    )
 
 
 class TestRankLayout:
@@ -109,14 +273,71 @@ class TestHaloPlanConsistency:
         assert plan.bytes_per_iteration() > 0
 
 
-class TestDistributedExecution:
-    def test_single_rank_matches_sequential_exactly(self, problem):
+class TestRetiredRankLoopOracle:
+    """Every per-rank field equals the retired rank loop's byte for byte."""
+
+    @pytest.mark.parametrize("backend", ["fd", "sdnet"])
+    @pytest.mark.parametrize("world_size", [1, 2, 4])
+    @pytest.mark.parametrize("ordering", ["row", "morton"])
+    @pytest.mark.parametrize("criteria", [
+        dict(max_iterations=40, tol=1e-3),
+        dict(max_iterations=40, tol=0.0, target_mae=0.02, check_interval=3),
+    ], ids=["tolerance", "reference"])
+    def test_rank_results_are_bitwise_equal(
+        self, problem, sdnet, backend, world_size, ordering, criteria
+    ):
         geo, grid, loop, reference = problem
-        sequential = MosaicFlowPredictor(geo, solver_factory_for(geo)(), batched=True)
-        seq_result = sequential.run(loop, max_iterations=24, tol=0.0, assemble=True)
-        distributed = DistributedMosaicFlowPredictor(geo, solver_factory_for(geo))
-        dist_results = distributed.run(1, loop, max_iterations=24, tol=0.0)
-        assert np.allclose(dist_results[0].solution, seq_result.solution)
+        factory = solver_factory_for(geo) if backend == "fd" else (
+            lambda: SDNetSubdomainSolver(sdnet))
+        if "target_mae" in criteria:
+            criteria = dict(criteria, reference=reference)
+        predictor = DistributedMosaicFlowPredictor(geo, factory, ordering=ordering)
+        ours = predictor.run(world_size, loop, **criteria)
+        oracle = run_spmd(
+            world_size, lambda comm: _retired_rank_program(predictor, comm, loop, **criteria))
+        for mine, theirs in zip(ours, oracle):
+            assert mine.iterations == theirs.iterations
+            assert mine.converged == theirs.converged
+            assert np.array(mine.deltas).tobytes() == np.array(theirs.deltas).tobytes()
+            assert mine.mae_history == theirs.mae_history
+            assert mine.comm_stats == theirs.comm_stats
+            assert mine.halo_bytes_per_iteration == theirs.halo_bytes_per_iteration
+            assert set(mine.timings) == set(theirs.timings)
+            if theirs.solution is None:
+                assert mine.solution is None
+            else:
+                assert mine.solution.tobytes() == theirs.solution.tobytes()
+
+    def test_grid_reaches_both_stop_rules(self, problem):
+        """The oracle grid above is only as good as the paths it takes."""
+
+        geo, grid, loop, reference = problem
+        predictor = DistributedMosaicFlowPredictor(geo, solver_factory_for(geo))
+        assert predictor.run(2, loop, max_iterations=40, tol=1e-3)[0].converged
+        stopped = predictor.run(2, loop, max_iterations=40, tol=0.0, reference=reference,
+                                target_mae=0.02, check_interval=3)[0]
+        assert stopped.converged and stopped.iterations < 40
+
+
+class TestDistributedExecution:
+    @pytest.mark.parametrize("backend, steps", [
+        ("fd", (6, 4)), ("fd", (4, 4)), ("fd", (8, 8)), ("fd", (6, 10)),
+        ("sdnet", (4, 4)), ("sdnet", (16, 16)),
+    ])
+    def test_single_rank_matches_sequential_exactly(self, sdnet, backend, steps):
+        geo = MosaicGeometry(subdomain_points=9, subdomain_extent=0.5,
+                             steps_x=steps[0], steps_y=steps[1])
+        loop = geo.global_grid().boundary_from_function(HARMONIC_FUNCTIONS["exp_sine"])
+        factory = solver_factory_for(geo) if backend == "fd" else (
+            lambda: SDNetSubdomainSolver(sdnet))
+        sequential = MosaicFlowPredictor(geo, factory()).run(loop, max_iterations=24, tol=1e-4)
+        distributed = DistributedMosaicFlowPredictor(geo, factory).run(
+            1, loop, max_iterations=24, tol=1e-4)[0]
+        # ``deltas`` are left out: the rank's sums and the predictor's dot
+        # products round differently in the last bits.
+        assert distributed.iterations == sequential.iterations
+        assert distributed.converged == sequential.converged
+        assert distributed.solution.tobytes() == sequential.solution.tobytes()
 
     @pytest.mark.parametrize("world_size", [2, 4])
     def test_multirank_converges_to_reference(self, problem, world_size):
@@ -165,9 +386,16 @@ class TestDistributedExecution:
             assert r.comm_stats["allgathers"] == 1
             assert {"inference", "sendrecv", "allgather", "boundaries_io"} <= set(r.timings)
 
-    @pytest.mark.parametrize("check_interval", [0, -1])
-    def test_check_interval_below_one_is_rejected_before_ranks_start(
-        self, problem, check_interval
+    @pytest.mark.parametrize("run_kwargs, extra_points, message", [
+        (dict(check_interval=0), 0, "check_interval must be at least 1"),
+        (dict(check_interval=-1), 0, "check_interval must be at least 1"),
+        (dict(max_iterations=0), 0, "max_iterations must be at least 1"),
+        (dict(max_iterations=-3), 0, "max_iterations must be at least 1"),
+        ({}, -1, "boundary loops must have shape"),
+        ({}, 2, "boundary loops must have shape"),
+    ], ids=["interval-0", "interval-neg", "budget-0", "budget-neg", "loop-short", "loop-long"])
+    def test_bad_inputs_rejected_before_ranks_start(
+        self, problem, run_kwargs, extra_points, message
     ):
         geo, grid, loop, reference = problem
         built = []
@@ -177,8 +405,9 @@ class TestDistributedExecution:
             return FDSubdomainSolver(geo.subdomain_grid(), method="direct")
 
         predictor = DistributedMosaicFlowPredictor(geo, factory)
-        with pytest.raises(ValueError, match="check_interval must be at least 1"):
-            predictor.run(2, loop, max_iterations=4, check_interval=check_interval)
+        with pytest.raises(ValueError, match=message):
+            predictor.run(2, np.resize(loop, len(loop) + extra_points),
+                          **{"max_iterations": 4, **run_kwargs})
         assert built == []
 
     def test_composite_geometry_rejected_at_construction(self):
