@@ -63,7 +63,6 @@ _DOMAINS_EXPORTS = (
     "CompositeDomain",
     "CompositeMosaicGeometry",
     "composite_reference_solution",
-    "sharded_assemble",
 )
 
 #: inference-engine names re-exported at the package top level

@@ -6,7 +6,6 @@ from .cartesian import (
     block_range,
     choose_grid_dims,
     morton_encode,
-    shard_anchors,
 )
 from .comm import CommunicationTrace, Communicator, ReduceOp, payload_bytes
 from .costmodel import INTERCONNECTS, AlphaBetaModel, estimate_trace_time
@@ -26,7 +25,6 @@ __all__ = [
     "block_range",
     "choose_grid_dims",
     "morton_encode",
-    "shard_anchors",
     "AlphaBetaModel",
     "INTERCONNECTS",
     "estimate_trace_time",

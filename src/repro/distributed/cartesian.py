@@ -21,7 +21,6 @@ __all__ = [
     "ProcessGrid",
     "block_range",
     "BlockPartition",
-    "shard_anchors",
 ]
 
 
@@ -61,33 +60,6 @@ def block_range(total: int, parts: int, index: int) -> tuple[int, int]:
     start = index * base + min(index, remainder)
     stop = start + base + (1 if index < remainder else 0)
     return start, stop
-
-
-def shard_anchors(
-    anchors, parts: int, ordering: str = "row"
-) -> list[list[tuple[int, int]]]:
-    """Load-balanced sharding of an *arbitrary* anchor list over ``parts`` ranks.
-
-    Block partitioning (:meth:`ProcessGrid.partition`) assumes a dense
-    rectangular anchor lattice; composite domains enumerate an irregular
-    subset of it, so an anchor-count-balanced split is used instead: anchors
-    are ordered (``"row"`` keeps the given row-major order, ``"morton"``
-    re-orders by Z-curve for locality) and cut into ``parts`` contiguous
-    shards whose sizes differ by at most one.  Ranks beyond the anchor count
-    receive empty shards.
-    """
-
-    anchors = [(int(r), int(c)) for r, c in anchors]
-    if parts <= 0:
-        raise ValueError("parts must be positive")
-    if ordering == "morton":
-        anchors.sort(key=lambda rc: morton_encode(rc[0], rc[1]))
-    elif ordering != "row":
-        raise ValueError("ordering must be 'row' or 'morton'")
-    return [
-        anchors[slice(*block_range(len(anchors), parts, index))]
-        for index in range(parts)
-    ]
 
 
 @dataclass(frozen=True)

@@ -12,19 +12,19 @@ irregular part:
   :class:`~repro.mosaic.MosaicGeometry`, from such a shape; the predictor,
   the serving layer and the dense assembly see no other geometry type,
 * :func:`composite_reference_solution` — the masked finite-difference ground
-  truth on the composite grid,
-* :func:`sharded_assemble` — load-balanced (anchor-count, not block)
-  distributed dense assembly for irregular anchor sets.
+  truth on the composite grid.
+
+Composite geometries are solved and served by the single-process lattice
+iteration; :class:`~repro.mosaic.DistributedMosaicFlowPredictor` partitions
+rectangles only.
 """
 
 from ..mosaic.domain import CompositeDomain
 from .geometry import CompositeMosaicGeometry
 from .reference import composite_reference_solution
-from .sharded import sharded_assemble
 
 __all__ = [
     "CompositeDomain",
     "CompositeMosaicGeometry",
     "composite_reference_solution",
-    "sharded_assemble",
 ]

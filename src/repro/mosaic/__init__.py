@@ -1,6 +1,6 @@
 """Mosaic Flow: interface-lattice geometry, subdomain solvers and predictors."""
 
-from .assembly import accumulate_dense_predictions, assemble_solution, overlap_average
+from .core import overlap_average
 from .distributed import (
     DistributedMFPResult,
     DistributedMosaicFlowPredictor,
@@ -24,7 +24,5 @@ __all__ = [
     "DistributedMFPResult",
     "HaloExchangePlan",
     "RankLayout",
-    "accumulate_dense_predictions",
-    "assemble_solution",
     "overlap_average",
 ]

@@ -42,8 +42,8 @@ from .geometry import PHASE_OFFSETS, MosaicGeometry
 
 __all__ = [
     "ASSEMBLY_CHUNK", "LatticeOutcome", "LatticePlan", "LatticeRun", "PLAN_CACHE", "PlanCache",
-    "Session", "accumulate", "build_plan", "checked_solver", "initialize_lattice_field",
-    "overlap_average",
+    "Session", "accumulate", "build_plan", "checked_reference", "checked_solver",
+    "initialize_lattice_field", "overlap_average",
 ]
 
 PHASES = len(PHASE_OFFSETS)
@@ -118,6 +118,25 @@ def checked_solver(geometry, solver):
             f"geometry's subdomain boundary size {expected}"
         )
     return solver
+
+
+def checked_reference(geometry, reference, target_mae):
+    """``reference`` as an array if it covers ``geometry``'s global grid.
+
+    ``target_mae`` stops a run on the MAE against ``reference``, so it is
+    refused without one.
+    """
+
+    if reference is None:
+        if target_mae is not None:
+            raise ValueError("target_mae needs a reference solution to measure the MAE against")
+        return None
+    reference = np.asarray(reference)
+    expected = (geometry.global_ny, geometry.global_nx)
+    if reference.shape != expected:
+        raise ValueError(
+            f"reference must have the global grid's shape {expected}, got {reference.shape}")
+    return reference
 
 
 # -- index plans ---------------------------------------------------------------------
@@ -255,18 +274,19 @@ os.register_at_fork(after_in_child=lambda: setattr(PLAN_CACHE, "_lock", threadin
 def accumulate(buffer: np.ndarray, total: np.ndarray, groups, predict) -> None:
     """Add every subdomain's dense prediction and boundary loop into ``total``.
 
-    ``groups`` holds one ``(plan, bases, chunk)`` per session: the offsets of
-    its requests' fields in the flat ``buffer`` / ``total`` and how many
-    anchors per request one call may carry.  Call ``k`` takes anchors
-    ``[k * chunk, (k + 1) * chunk)`` of every request of every group that
-    still has some, in plan order, predictions first and loops second: the
-    accumulation order per grid point of a standalone run.
+    ``groups`` holds one ``(plan, bases)`` per session: the offsets of its
+    requests' fields in the flat ``buffer`` / ``total``.  Call ``k`` takes
+    anchors ``[k * ASSEMBLY_CHUNK, (k + 1) * ASSEMBLY_CHUNK)`` of every
+    request of every group that still has some, in plan order, predictions
+    first and loops second: the accumulation order per grid point of a
+    standalone run.  This is the one dense assembly (Algorithm 2, lines
+    10-12): :meth:`LatticeRun.outcomes` and each distributed rank call it.
     """
 
-    call = 0
+    call, chunk = 0, ASSEMBLY_CHUNK
     while True:
         parts = []
-        for plan, bases, chunk in groups:
+        for plan, bases in groups:
             windows = plan.windows[call * chunk:(call + 1) * chunk]
             if windows.size:
                 corners = (bases[:, None] + windows).reshape(-1, 1)
@@ -289,7 +309,9 @@ class Session:
     """Requests on one geometry that share an initialisation and a check cadence.
 
     ``loops`` is stored as a float ``(B, global boundary size)`` array and a
-    scalar ``tols`` or ``budgets`` is broadcast to every request.
+    scalar ``tols`` or ``budgets`` is broadcast to every request.  The dense
+    assembly carries :data:`ASSEMBLY_CHUNK` anchors per request per solver
+    call whatever the session.
     """
 
     geometry: MosaicGeometry
@@ -298,7 +320,6 @@ class Session:
     budgets: np.ndarray     # (B,) iteration budgets
     init_mode: str = "mean"
     check_interval: int = 1
-    chunk: int = ASSEMBLY_CHUNK
 
     def __post_init__(self) -> None:
         if self.check_interval < 1:
@@ -370,8 +391,8 @@ class LatticeRun:
         self.every = [sessions[index].check_interval for index in self.owner]
         self.groups = [
             (plan, np.array([b for b, o in zip(self.bases, self.owner) if o == index],
-                            dtype=np.intp), session.chunk)
-            for index, (session, plan) in enumerate(zip(sessions, plans))
+                            dtype=np.intp))
+            for index, plan in enumerate(plans)
         ]
         self.buffer = np.empty(self.bases.pop())
         loops = (loop for session in sessions for loop in session.loops)

@@ -40,7 +40,10 @@ from ..distributed.comm import Communicator, ReduceOp
 from ..distributed.simulated import run_spmd
 from ..obs.trace import span
 from ..utils.timer import Timings
-from .core import LatticeRun, Session, accumulate, build_plan, checked_solver, overlap_average
+from .core import (
+    LatticeRun, Session, accumulate, build_plan, checked_reference, checked_solver,
+    overlap_average,
+)
 from .geometry import MosaicGeometry
 
 __all__ = [
@@ -300,8 +303,8 @@ class DistributedMosaicFlowPredictor:
         Lattice initialization mode.
 
     The block partition (:class:`RankLayout`) splits a rectangle's anchor
-    grid, so a composite geometry is rejected here; its dense assembly can
-    be sharded with :func:`repro.domains.sharded_assemble`.
+    grid, so a composite geometry is rejected here; it is solved by the
+    single-process :class:`~repro.mosaic.MosaicFlowPredictor`.
     """
 
     def __init__(
@@ -341,7 +344,9 @@ class DistributedMosaicFlowPredictor:
         """
 
         # The session every rank builds, built once here so that a bad
-        # budget, cadence or loop length fails before any rank starts.
+        # budget, cadence, loop length or reference fails before any rank
+        # starts.
+        reference = checked_reference(self.geometry, reference, target_mae)
         Session(self.geometry, np.asarray(boundary_loop, dtype=float)[None], tol,
                 max_iterations, self.init_mode, check_interval)
         return run_spmd(

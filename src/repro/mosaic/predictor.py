@@ -22,7 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..utils.timer import Timings
-from .core import LatticeOutcome, LatticeRun, Session, checked_solver, initialize_lattice_field
+from .core import (
+    LatticeOutcome, LatticeRun, Session, checked_reference, checked_solver,
+    initialize_lattice_field,
+)
 from .geometry import MosaicGeometry
 from .solvers import SubdomainSolver
 
@@ -102,17 +105,19 @@ class MosaicFlowPredictor:
             Relative-change convergence threshold on the lattice values
             (Algorithm 2, line 5-8).
         reference:
-            Optional reference solution on the global grid; enables the
-            MAE-based stopping criterion used in the paper's scaling studies.
+            Optional reference solution of shape ``(global_ny, global_nx)``;
+            enables the MAE-based stopping criterion used in the paper's
+            scaling studies.
         target_mae:
             Stop once the assembled-lattice MAE against ``reference`` drops
-            below this value.
+            below this value; requires ``reference``.
         check_interval:
             How often (in iterations) convergence checks are evaluated.
         assemble:
             Skip the final dense assembly when only lattice values are needed.
         """
 
+        reference = checked_reference(self.geometry, reference, target_mae)
         run = LatticeRun([Session(
             self.geometry, np.asarray(boundary_loop)[None], tol, max_iterations,
             self.init_mode, check_interval,
@@ -120,7 +125,7 @@ class MosaicFlowPredictor:
         mae_history: list[tuple[int, float]] = []
         on_check = None
         if reference is not None:
-            lattice_reference = np.asarray(reference).reshape(-1)[run.plans[0].lattice]
+            lattice_reference = reference.reshape(-1)[run.plans[0].lattice]
 
             def on_check(_request, iteration, lattice_values):
                 mae = float(np.mean(np.abs(lattice_values - lattice_reference)))

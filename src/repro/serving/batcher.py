@@ -120,21 +120,26 @@ class DynamicBatcher:
                 del self._queues[key]
         return released
 
-    def flush(self, reason: str = "flush") -> list[Batch]:
-        """Release every queued request regardless of size or deadline.
+    def groups(self) -> list[tuple]:
+        """Keys of the groups with requests queued, in queue order."""
 
-        ``reason`` is recorded on the released batches; the server flushes a
-        group for an explicit drain (``"flush"``), because a worker is idle
-        (``"idle"``), or to ride a compatible mega-batch (``"co_release"``).
+        return list(self._queues)
+
+    def flush(self, reason: str = "flush", keys=None) -> list[Batch]:
+        """Release queued requests regardless of size or deadline.
+
+        ``keys`` names the groups to release (default: every queued group);
+        they come out in queue order.  ``reason`` is recorded on the released
+        batches; the server flushes for an explicit drain (``"flush"``),
+        because a worker is idle (``"idle"``), or to ride a compatible
+        mega-batch (``"co_release"``).
         """
 
-        released = [
-            self._make_batch(key, queue, reason)
-            for key, queue in self._queues.items()
-            if queue
-        ]
-        self._queues.clear()
-        return released
+        if keys is None:
+            keys = list(self._queues)
+        else:
+            keys = [key for key in self._queues if key in keys]
+        return [self._make_batch(key, self._queues.pop(key), reason) for key in keys]
 
     @staticmethod
     def _make_batch(

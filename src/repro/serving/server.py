@@ -9,8 +9,9 @@ rebuild it is a request *pipeline*:
   submissions attach to the in-flight solve, completed keys replay their
   stored result), consults the LRU
   :class:`~repro.serving.cache.SolutionCache`, enqueues cache misses into
-  the per-geometry :class:`~repro.serving.batcher.DynamicBatcher`, and
-  returns a :class:`~repro.serving.futures.SolveFuture` immediately;
+  the :class:`~repro.serving.batcher.DynamicBatcher` (one queue per geometry
+  group), and returns a :class:`~repro.serving.futures.SolveFuture`
+  immediately;
 * a background **dispatcher thread** (``async_workers >= 1`` +
   :meth:`~Server.start`) hands released work to the **solve workers**.  A
   run is formed only when a worker is idle: with ``k`` workers idle,
@@ -24,9 +25,9 @@ rebuild it is a request *pipeline*:
   grouped by fusion compatibility and each group — one batch or several —
   is one :class:`~repro.mosaic.core.LatticeRun` over shared solver calls
   (:func:`~repro.serving.compute.lattice_run`, one session per batch),
-  each request bitwise equal to its standalone run.  Only groups
-  with queued requests keep a batcher, so a dispatcher pass costs what is
-  waiting, not what was ever served;
+  each request bitwise equal to its standalone run.  One batcher queues
+  every group and keeps only the groups with requests waiting, so a
+  dispatcher pass costs what is waiting, not what was ever served;
 * with two or more workers, each worker computes in its own **forked
   process** (:class:`~repro.serving.compute.ComputeProcess`, forked in
   :meth:`~Server.start`), so two runs really execute at once; two threads
@@ -350,7 +351,7 @@ class Server:
 
         self._lock = threading.RLock()
         self._work_done = threading.Condition(self._lock)
-        self._batchers: dict[tuple, DynamicBatcher] = {}
+        self._batcher = DynamicBatcher(self.policy, clock=self.clock)
         # group_key -> compatibility key (the group key itself when it never
         # cross-fuses), and compat key -> the solver answering its runs.
         # Both are LRUs as long as the lattice plan cache, so a long-lived
@@ -565,8 +566,7 @@ class Server:
 
             with span("serving.enqueue"):
                 with self._lock:
-                    self._ready.extend(self._batcher_for(request).enqueue(request))
-                    self._poll_locked()
+                    self._ready.extend(self._batcher.enqueue(request))
             if self._started:
                 self._wake.set()
         return future
@@ -653,7 +653,7 @@ class Server:
         in the dict — their typed error lives on their future.
 
         A drain with nothing queued or in flight returns immediately
-        without touching the batchers and without emitting any spans or
+        without touching the batcher and without emitting any spans or
         metrics.
         """
 
@@ -689,7 +689,7 @@ class Server:
 
         with self._lock:
             return (
-                sum(batcher.queue_depth for batcher in self._batchers.values())
+                self._batcher.queue_depth
                 + sum(len(batch) for batch in self._ready)
                 + self._inflight_requests
             )
@@ -709,26 +709,19 @@ class Server:
 
     def _poll_locked(self) -> list[Batch]:
         # Caller holds self._lock.  Size/deadline releases of every queued
-        # group, moved to `_ready`.  A group whose queue emptied leaves the
-        # map, so this scan (and every other one over `_batchers`) is bounded
-        # by the groups that have requests waiting, not by the groups served.
-        released: list[Batch] = []
-        for key, batcher in list(self._batchers.items()):
-            released.extend(batcher.poll())
-            if not batcher.queue_depth:
-                del self._batchers[key]
+        # group, moved to `_ready`.
+        released = self._batcher.poll()
         self._ready.extend(released)
         return released
 
     def _flush_locked(self, reason: str, keys=None) -> None:
         # Caller holds self._lock.  Release the whole queue of the named
         # groups (default: every queued group) whatever its size or age.
-        for key in list(self._batchers) if keys is None else keys:
-            self._ready.extend(self._batchers.pop(key).flush(reason))
+        self._ready.extend(self._batcher.flush(reason, keys))
 
     def _idle_locked(self) -> bool:
         # Caller holds self._lock.
-        return not self._ready and self._inflight_requests == 0 and not self._batchers
+        return not self._ready and self._inflight_requests == 0 and not self._batcher.num_groups
 
     def _take_ready(self) -> list[Batch]:
         # Caller holds self._lock.  Deadline-expired batches ride along, and
@@ -754,7 +747,7 @@ class Server:
         ready_keys = {self._compat_key(batch.group_key) for batch in self._ready}
         self._flush_locked(
             "co_release",
-            [key for key in self._batchers if self._compat_key(key) in ready_keys],
+            {key for key in self._batcher.groups() if self._compat_key(key) in ready_keys},
         )
 
     def _partition(self, batches: list[Batch], parts: int) -> list[list[Batch]]:
@@ -856,7 +849,7 @@ class Server:
         # Final sweep so close() never strands queued work.
         while True:
             with self._lock:
-                if not (self._ready or self._batchers):
+                if not (self._ready or self._batcher.num_groups):
                     return
             if not self._dispatch():
                 self._wake.wait(timeout=self.poll_interval_seconds)
@@ -871,7 +864,7 @@ class Server:
         """
 
         with self._lock:
-            if not self._idle or not (self._ready or self._batchers):
+            if not self._idle or not (self._ready or self._batcher.num_groups):
                 return False
             jobs = [
                 (self._idle.pop(), self._mega_groups(batches))
@@ -1023,8 +1016,8 @@ class Server:
         """Exactly-once requeue of a dead/hung worker's in-flight requests.
 
         Only requests whose waiters are still unresolved go back through the
-        batchers (a death after postprocess has nothing left to requeue);
-        their batchers are flushed immediately so requeued work re-dispatches
+        batcher (a death after postprocess has nothing left to requeue);
+        their groups are flushed immediately so requeued work re-dispatches
         without waiting out a fresh batching deadline.
         """
 
@@ -1037,7 +1030,7 @@ class Server:
                 self._requeues[request.request_id] = (
                     self._requeues.get(request.request_id, 0) + 1
                 )
-                self._ready.extend(self._batcher_for(request).enqueue(request))
+                self._ready.extend(self._batcher.enqueue(request))
             self._flush_locked("co_release", {r.group_key for r in live})
             if self._started:
                 self._wake.set()
@@ -1047,18 +1040,6 @@ class Server:
             return self._work_done.wait_for(self._idle_locked, timeout=timeout)
 
     # -- internals ----------------------------------------------------------------
-
-    def _batcher_for(self, request: SolveRequest) -> DynamicBatcher:
-        # Caller holds self._lock.  One batcher per queued group, all under
-        # `self.policy`: a Batch holds one group, and `_flush_locked` releases
-        # groups by key.  It lives while the group has requests queued
-        # (`_poll_locked`/`_flush_locked` drop it), so the map holds only
-        # what is waiting, not every geometry served.
-        batcher = self._batchers.get(request.group_key)
-        if batcher is None:
-            batcher = DynamicBatcher(self.policy, clock=self.clock)
-            self._batchers[request.group_key] = batcher
-        return batcher
 
     def _make_solver(self, geometry):
         """``solver_factory(geometry)``, with kernel profiling switched on if asked."""

@@ -5,8 +5,7 @@ timed out, a queue redelivered, or two dashboard tabs asked for the same
 figure.  The store makes those duplicates free and *safe*:
 
 * every request is keyed by its canonical content (geometry, solve
-  parameters, exact boundary bytes — ``decimals=None`` — or quantized bytes
-  when a ``decimals`` is configured), never by its request id;
+  parameters, exact boundary bytes), never by its request id;
 * the first submission of a key **claims** it: exactly one solve runs, no
   matter how many identical submissions race in behind it (they *attach* as
   extra waiters on the in-flight entry);
@@ -43,8 +42,6 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from ..obs import memory as obs_memory
 from .api import SolveRequest
@@ -125,10 +122,6 @@ class RequestStore:
     capacity:
         Maximum number of *completed* (DONE or FAILED) entries retained for
         replay, LRU-evicted.  In-flight entries are never evicted.
-    decimals:
-        Optional boundary-loop quantization of the canonical key (like
-        :class:`~repro.serving.cache.SolutionCache`).  ``None`` keys on the
-        exact float64 bytes — duplicates must be bitwise resubmissions.
     journal:
         Optional :class:`~repro.serving.journal.RequestJournal` making the
         store durable: claim/complete/fail transitions are appended (write-
@@ -136,14 +129,10 @@ class RequestStore:
         fresh store to rebuild state from a journal after a restart.
     """
 
-    def __init__(self, capacity: int = 2048, decimals: int | None = None,
-                 journal: RequestJournal | None = None):
+    def __init__(self, capacity: int = 2048, journal: RequestJournal | None = None):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
-        if decimals is not None and decimals < 0:
-            raise ValueError("decimals must be non-negative (or None for exact keys)")
         self.capacity = int(capacity)
-        self.decimals = decimals
         self.journal = journal
         self._lock = threading.Lock()
         self._inflight: dict[tuple, StoreEntry] = {}
@@ -169,19 +158,19 @@ class RequestStore:
     # -- keys ---------------------------------------------------------------------
 
     def key_for(self, request: SolveRequest) -> tuple:
-        """Canonical content key of a request (excludes id, tenant, deadline)."""
+        """Canonical content key of a request (excludes id, tenant, deadline).
 
-        loop = request.boundary_loop
-        if self.decimals is not None:
-            # Normalize -0.0 so quantized keys are sign-insensitive.
-            loop = np.round(loop, self.decimals) + 0.0
+        The boundary loop enters as its exact float64 bytes: duplicates must
+        be bitwise resubmissions.
+        """
+
         return (
             request.geometry,
             request.init_mode,
             request.check_interval,
             request.tol,
             request.max_iterations,
-            loop.tobytes(),
+            request.boundary_loop.tobytes(),
         )
 
     # -- claim --------------------------------------------------------------------

@@ -141,52 +141,3 @@ class TestTraceEstimation:
         estimate = estimate_trace_time(CommunicationTrace(), AlphaBetaModel(1e-6, 1e9), 4)
         assert estimate["total"] == 0.0
 
-
-class TestShardAnchors:
-    """Load-balanced sharding of irregular (composite-domain) anchor lists."""
-
-    def _l_anchors(self):
-        # anchor set of an L-shaped domain: irregular counts per block row
-        return [(r, c) for r in range(5) for c in range(5) if not (r >= 2 and c >= 2)]
-
-    @pytest.mark.parametrize("parts", [1, 2, 3, 5, 7, 16])
-    @pytest.mark.parametrize("ordering", ["row", "morton"])
-    def test_shards_partition_and_balance(self, parts, ordering):
-        from repro.distributed import shard_anchors
-
-        anchors = self._l_anchors()
-        shards = shard_anchors(anchors, parts, ordering=ordering)
-        assert len(shards) == parts
-        merged = [a for shard in shards for a in shard]
-        assert sorted(merged) == sorted(anchors)
-        sizes = [len(s) for s in shards]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_row_ordering_preserves_input_order(self):
-        from repro.distributed import shard_anchors
-
-        anchors = self._l_anchors()
-        shards = shard_anchors(anchors, 3, ordering="row")
-        assert [a for s in shards for a in s] == anchors
-
-    def test_morton_ordering_is_z_curve(self):
-        from repro.distributed import shard_anchors
-
-        anchors = self._l_anchors()
-        merged = [a for s in shard_anchors(anchors, 4, ordering="morton") for a in s]
-        keys = [morton_encode(r, c) for r, c in merged]
-        assert keys == sorted(keys)
-
-    def test_more_parts_than_anchors_gives_empty_shards(self):
-        from repro.distributed import shard_anchors
-
-        shards = shard_anchors([(0, 0), (0, 1)], 5)
-        assert [len(s) for s in shards] == [1, 1, 0, 0, 0]
-
-    def test_validation(self):
-        from repro.distributed import shard_anchors
-
-        with pytest.raises(ValueError):
-            shard_anchors([(0, 0)], 0)
-        with pytest.raises(ValueError):
-            shard_anchors([(0, 0)], 2, ordering="hilbert")

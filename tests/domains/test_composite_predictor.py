@@ -14,9 +14,9 @@ from repro.domains import (
     CompositeDomain,
     CompositeMosaicGeometry,
     composite_reference_solution,
-    sharded_assemble,
 )
 from repro.mosaic import FDSubdomainSolver, MosaicFlowPredictor, MosaicGeometry
+from repro.mosaic.core import ASSEMBLY_CHUNK, LatticeRun, Session
 from repro.mosaic.predictor import initialize_lattice_field
 
 
@@ -135,13 +135,100 @@ class TestCompositeInitialization:
         np.testing.assert_allclose(field[interior], float(loop.mean()))
 
 
-class TestShardedAssembly:
-    @pytest.mark.parametrize("world_size", [1, 2, 3, 5])
-    @pytest.mark.parametrize("ordering", ["row", "morton"])
-    def test_matches_sequential_assembly(self, l_geometry, l_run, world_size, ordering):
-        loop, result = l_run
-        solution = sharded_assemble(
-            result.lattice_field, l_geometry, _solver, world_size,
-            boundary_loop=loop, ordering=ordering,
-        )
-        np.testing.assert_allclose(solution, result.solution, atol=1e-12, rtol=0)
+
+def _loops(geometry, requests):
+    base = geometry.boundary_from_function(_harmonic)
+    return np.stack([(1.0 + 0.5 * k) * base - 0.25 * k for k in range(requests)])
+
+
+def _per_anchor_assembly(geometry, solver, field, loop):
+    """Algorithm 2, lines 10-12, one anchor at a time: the assembly oracle."""
+
+    m = geometry.subdomain_points
+    loop_rows, loop_cols = geometry.boundary_loop_local_indices()
+    inner_rows, inner_cols = geometry.interior_local_indices()
+    points = geometry.interior_local_coordinates()
+    total, counts = np.zeros(field.shape), np.zeros(field.shape)
+    for anchor in geometry.anchors():
+        row0, col0 = geometry.anchor_window(anchor)
+        window = (slice(row0, row0 + m), slice(col0, col0 + m))
+        boundary = field[window][loop_rows, loop_cols]
+        total[window][inner_rows, inner_cols] += solver.predict(boundary[None, :], points)[0]
+        counts[window][inner_rows, inner_cols] += 1
+        # the loop lists each subdomain corner twice, and both samples count
+        np.add.at(total[window], (loop_rows, loop_cols), boundary)
+        np.add.at(counts[window], (loop_rows, loop_cols), 1)
+    average = np.zeros(field.shape)
+    average[counts > 0] = total[counts > 0] / counts[counts > 0]
+    rows, cols = geometry.global_boundary_indices()
+    average[rows, cols] = loop
+    return average
+
+
+def _run(sessions, solver):
+    run = LatticeRun(sessions)
+    predict = lambda boundaries, points, _sessions: solver.predict(boundaries, points)  # noqa: E731
+    run.iterate(predict)
+    return run.outcomes(predict)
+
+
+SHAPES = {
+    "l": CompositeDomain.l_shape(6, 6, 3, 3),
+    "plus": CompositeDomain.plus_shape(2, 2),
+    "t": CompositeDomain.t_shape(6, 2, 2, 2),
+    "staircase": CompositeDomain.from_rects([(0, 0, 2, 4), (1, 2, 3, 4)]),
+    "rectangle": CompositeDomain.rectangle(5, 3),
+}
+
+
+class TestDenseAssembly:
+    """``LatticeRun.outcomes`` is the one dense assembly, composite domains included."""
+
+    @pytest.mark.parametrize("requests", [1, 3])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_matches_per_anchor_assembly(self, shape, requests):
+        geometry = CompositeMosaicGeometry(9, 0.5, SHAPES[shape])
+        solver = _solver(geometry)
+        loops = _loops(geometry, requests)
+        # different budgets: requests retire at different iterations
+        session = Session(geometry, loops, tols=0.0, budgets=[3, 8, 13][:requests])
+        (outcomes,) = _run([session], solver)
+        assert [o.iterations for o in outcomes] == [3, 8, 13][:requests]
+        for outcome, loop in zip(outcomes, loops):
+            expected = _per_anchor_assembly(geometry, solver, outcome.lattice_field, loop)
+            np.testing.assert_allclose(outcome.solution, expected, atol=1e-12, rtol=0)
+            assert (outcome.solution[~geometry.valid_mask()] == 0).all()
+
+    @pytest.mark.parametrize("requests", [1, 2])
+    @pytest.mark.parametrize(
+        "domain",
+        [CompositeDomain.rectangle(24, 24), CompositeDomain.l_shape(30, 30, 15, 15)],
+        ids=["rectangle", "l"],
+    )
+    def test_matches_per_anchor_assembly_across_chunks(self, domain, requests):
+        geometry = CompositeMosaicGeometry(5, 0.5, domain)
+        # more than two solver calls' worth of anchors per request
+        assert len(geometry.anchors()) > 2 * ASSEMBLY_CHUNK
+        solver = _solver(geometry)
+        loops = _loops(geometry, requests)
+        (outcomes,) = _run([Session(geometry, loops, tols=0.0, budgets=4)], solver)
+        for outcome, loop in zip(outcomes, loops):
+            expected = _per_anchor_assembly(geometry, solver, outcome.lattice_field, loop)
+            np.testing.assert_allclose(outcome.solution, expected, atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("first", ["l", "plus", "rectangle"])
+    def test_fused_sessions_assemble_like_separate_runs(self, first):
+        order = [first] + [name for name in ("l", "plus", "rectangle") if name != first]
+        geometries = [CompositeMosaicGeometry(9, 0.5, SHAPES[name]) for name in order]
+        solver = _solver(geometries[0])
+        sessions = [
+            Session(geometry, _loops(geometry, 2), tols=1e-9, budgets=[5, 40])
+            for geometry in geometries
+        ]
+        fused = _run(sessions, solver)
+        for session, outcomes in zip(sessions, fused):
+            (alone,) = _run([session], solver)
+            for outcome, reference in zip(outcomes, alone):
+                assert outcome.iterations == reference.iterations
+                np.testing.assert_array_equal(outcome.lattice_field, reference.lattice_field)
+                np.testing.assert_array_equal(outcome.solution, reference.solution)

@@ -16,7 +16,6 @@ from repro.mosaic import (
     SDNetSubdomainSolver,
 )
 from repro.mosaic.core import (
-    ASSEMBLY_CHUNK,
     PHASES,
     accumulate,
     build_plan,
@@ -166,7 +165,7 @@ def _retired_rank_program(predictor, comm, boundary_loop, max_iterations=200, to
         accumulator = np.zeros(layout.local_shape)
         accumulate(
             flat, accumulator.reshape(-1),
-            [(indices, np.zeros(1, dtype=np.intp), ASSEMBLY_CHUNK)],
+            [(indices, np.zeros(1, dtype=np.intp))],
             lambda boundaries, points, _sessions: solver.predict(boundaries, points),
         )
     with timings.measure("allgather"):

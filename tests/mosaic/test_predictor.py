@@ -5,10 +5,10 @@ import pytest
 
 from repro.fd import solve_laplace_from_loop
 from repro.mosaic import (
+    DistributedMosaicFlowPredictor,
     FDSubdomainSolver,
     MosaicFlowPredictor,
     MosaicGeometry,
-    assemble_solution,
     initialize_lattice_field,
 )
 from repro.pde import HARMONIC_FUNCTIONS
@@ -99,8 +99,9 @@ class TestBatchedEqualsUnbatched:
 class TestAssembly:
     def test_assembled_solution_covers_every_point(self, small_geometry, fd_subdomain_solver):
         grid, loop, _ = make_problem(small_geometry)
-        field = initialize_lattice_field(small_geometry, loop, "linear")
-        solution = assemble_solution(field, small_geometry, fd_subdomain_solver, boundary_loop=loop)
+        solution = MosaicFlowPredictor(
+            small_geometry, fd_subdomain_solver, init_mode="linear"
+        ).run(loop, max_iterations=1, tol=0.0).solution
         assert solution.shape == grid.shape
         assert np.all(np.isfinite(solution))
 
@@ -130,6 +131,60 @@ class TestAssembly:
         predictor = MosaicFlowPredictor(small_geometry, fd_subdomain_solver)
         with pytest.raises(ValueError, match="max_iterations must be at least 1"):
             predictor.run(loop, max_iterations=max_iterations)
+
+
+class TestReferenceValidation:
+    """Both predictors refuse a reference off the global grid, or a
+    ``target_mae`` without a reference, before any subdomain is solved."""
+
+    @staticmethod
+    def _run(kind, geometry, loop, solvers, **kwargs):
+        def factory():
+            solvers.append(FDSubdomainSolver(geometry.subdomain_grid(), method="direct"))
+            return solvers[-1]
+
+        kwargs.update(max_iterations=20, tol=0.0)
+        if kind == "single":
+            return MosaicFlowPredictor(geometry, factory()).run(loop, **kwargs)
+        return DistributedMosaicFlowPredictor(geometry, factory).run(2, loop, **kwargs)[0]
+
+    @staticmethod
+    def _assert_nothing_solved(kind, solvers):
+        if kind == "single":  # the predictor holds its solver from construction
+            assert [solver.inference_calls for solver in solvers] == [0]
+        else:  # no rank started
+            assert solvers == []
+
+    @pytest.mark.parametrize("kind", ["single", "distributed"])
+    def test_global_reference_stops_on_target_mae(self, small_geometry, kind):
+        _, loop, reference = make_problem(small_geometry)
+        result = self._run(kind, small_geometry, loop, [], reference=reference, target_mae=1e-3)
+        assert result.converged and result.iterations < 20
+        assert result.mae_history[-1][1] < 1e-3
+
+    @pytest.mark.parametrize("kind", ["single", "distributed"])
+    @pytest.mark.parametrize(
+        "shape", [(20, 20), (17, 16), (17 * 17,)], ids=["padded", "cropped", "flat"])
+    def test_reference_off_the_global_grid_is_rejected(self, small_geometry, kind, shape):
+        _, loop, reference = make_problem(small_geometry)
+        wrong = np.zeros(shape)
+        if wrong.ndim == 2:  # the right reference in the top-left corner
+            rows, cols = min(shape[0], 17), min(shape[1], 17)
+            wrong[:rows, :cols] = reference[:rows, :cols]
+        else:
+            wrong[:] = reference.reshape(-1)
+        solvers = []
+        with pytest.raises(ValueError, match="global grid's shape"):
+            self._run(kind, small_geometry, loop, solvers, reference=wrong, target_mae=1e-3)
+        self._assert_nothing_solved(kind, solvers)
+
+    @pytest.mark.parametrize("kind", ["single", "distributed"])
+    def test_target_mae_without_reference_is_rejected(self, small_geometry, kind):
+        _, loop, _ = make_problem(small_geometry)
+        solvers = []
+        with pytest.raises(ValueError, match="target_mae needs a reference"):
+            self._run(kind, small_geometry, loop, solvers, target_mae=1e-3)
+        self._assert_nothing_solved(kind, solvers)
 
 
 class TestNeuralPredictor:

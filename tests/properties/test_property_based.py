@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.autodiff import Tensor, grad, ops
-from repro.distributed import ProcessGrid, block_range, choose_grid_dims, shard_anchors
+from repro.distributed import ProcessGrid, block_range, choose_grid_dims
 from repro.domains import CompositeDomain, CompositeMosaicGeometry
 from repro.fd import Grid2D, apply_laplacian, solve_laplace
 from repro.mosaic import FDSubdomainSolver, MosaicGeometry
@@ -356,16 +356,6 @@ class TestCompositeDomainProperties:
         assert np.array_equal(rows_c, rows_b) and np.array_equal(cols_c, cols_b)
         assert np.array_equal(composite.lattice_mask(), box.lattice_mask())
         assert composite.valid_mask().all()
-
-    @COMMON_SETTINGS
-    @given(composite_geometries(), st.integers(1, 8), st.sampled_from(["row", "morton"]))
-    def test_anchor_shards_balance_irregular_counts(self, geometry, parts, ordering):
-        anchors = geometry.anchors()
-        shards = shard_anchors(anchors, parts, ordering=ordering)
-        merged = [a for shard in shards for a in shard]
-        assert sorted(merged) == sorted(anchors)
-        sizes = [len(s) for s in shards]
-        assert max(sizes) - min(sizes) <= 1
 
 
 class TestFDSubdomainSolverProperties:

@@ -508,7 +508,7 @@ class TestWorkConservingDispatch:
                 assert failures == []
                 # A future resolves before its run's in-flight count drops.
                 assert server._wait_idle(timeout=10)
-                assert server.pending == 0 and server._batchers == {}
+                assert server.pending == 0 and server._batcher.groups() == []
                 assert server.stats.solved_requests == 120
         finally:
             sys.setswitchinterval(interval)
@@ -537,15 +537,15 @@ class TestWorkConservingDispatch:
                 future.result(timeout=60)
             assert server._wait_idle(timeout=10)
             assert server.pending == 0
-            assert server._batchers == {}
-        # The sync path prunes too: a drained group leaves no batcher behind.
+            assert server._batcher.groups() == []
+        # The sync path prunes too: a drained group leaves no queue behind.
         sync = Server(policy=BatchPolicy(max_batch_size=2, max_wait_seconds=1e9))
         for geometry in geometries[:20]:
             loop = geometry.global_grid().boundary_from_function(lambda x, y: x + y)
             sync.submit(SolveRequest.create(geometry, loop, max_iterations=1))
-        assert len(sync._batchers) == 20
+        assert len(sync._batcher.groups()) == 20
         assert len(sync.drain()) == 20
-        assert sync._batchers == {}
+        assert sync._batcher.groups() == []
 
 
 class TestTwoWorkersRunAtOnce:

@@ -115,6 +115,26 @@ class TestDynamicBatcher:
         assert sorted(len(b) for b in released) == [1, 3]
         assert batcher.queue_depth == 0 and batcher.num_groups == 0
 
+    def test_flush_keys_releases_named_groups_in_queue_order(self, small_geometry, fake_clock):
+        geometries = [
+            MosaicGeometry(subdomain_points=9, subdomain_extent=0.5, steps_x=steps, steps_y=4)
+            for steps in (4, 6, 8)
+        ]
+        batcher = DynamicBatcher(
+            BatchPolicy(max_batch_size=10, max_wait_seconds=100.0), clock=fake_clock
+        )
+        for geometry in geometries:
+            batcher.enqueue(_request(geometry, 0.0))
+            batcher.enqueue(_request(geometry, 1.0))
+        first, second, third = batcher.groups()
+        released = batcher.flush("co_release", keys={third, first})
+        assert [batch.group_key for batch in released] == [first, third]
+        assert [len(batch) for batch in released] == [2, 2]
+        assert all(batch.reason == "co_release" for batch in released)
+        assert batcher.groups() == [second] and batcher.queue_depth == 2
+        assert batcher.flush(keys=set()) == []
+        assert batcher.groups() == [second]
+
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             BatchPolicy(max_batch_size=0)
