@@ -2,17 +2,17 @@
 
 The demo drives ``repro.obs`` across every layer it instruments:
 
-1. enable tracing, stand up a :class:`repro.serving.Server` with per-kernel
-   profiling of the compiled inference programs on, and submit a stream of
-   boundary value problems (with deliberate repeats so the cache
+1. enable tracing, stand up a :class:`repro.serving.Server` and submit a
+   stream of boundary value problems (with deliberate repeats so the cache
    participates),
 2. print the hierarchical span tree of the served requests — queue wait,
    batch assembly, fused solve, postprocess — plus a
    Chrome trace file loadable in ``chrome://tracing`` / Perfetto,
 3. print the unified metrics snapshot (``Server.stats()``'s counters and
    bounded histograms) in both JSON and Prometheus text exposition,
-4. print the engine's top-kernels report: where the compiled plans actually
-   spent their time, per numpy kernel, with call counts and bytes moved,
+4. compile the model with ``compile_module(..., profile=True)`` and print
+   its top-kernels report: where a compiled forward spends its time, per
+   numpy kernel, with call counts and bytes moved,
 5. print the tail-sampled flight records (the requests that finished above
    the rolling latency quantile, with their span trees and attribution),
    the per-owner memory accounting, and the ``Server.health()`` snapshot
@@ -32,6 +32,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.data import generate_dataset
+from repro.engine import compile_module
 from repro.models import SDNet
 from repro.mosaic import MosaicGeometry, SDNetSubdomainSolver
 from repro.obs import (
@@ -107,15 +108,13 @@ def main() -> None:
     )
     loops = request_stream(geometry, args.requests, args.seed)
 
-    # 1. tracing + memory accounting on; per-kernel profiling of the model's
-    #    compiled inference programs on;
-    #    flight recorder tail-samples above the rolling median so a quiet
-    #    demo run still retains a few "slow" traces to show.
+    # 1. tracing + memory accounting on; the flight recorder tail-samples
+    #    above the rolling median so a quiet demo run still retains a few
+    #    "slow" traces to show.
     tracer = enable_tracing()
     accountant = enable_memory_accounting()
     server = Server(
         solver_factory=lambda geom: SDNetSubdomainSolver(model),
-        engine_profile=True,
         flight=FlightRecorder(min_samples=8, latency_quantile=50.0),
     )
     for loop in loops:
@@ -135,9 +134,16 @@ def main() -> None:
     print("\n=== metrics (Prometheus text exposition) ===")
     print(to_prometheus(stats["obs"]), end="")
 
-    # 4. where the compiled plans spent their time.
+    # 4. where a compiled forward spends its time: the model compiled with a
+    #    profiler, on a batch of boundary loops and subdomain query points.
+    rng = seeded_rng(args.seed)
+    program = compile_module(model, profile=True)
+    program.predict(
+        rng.normal(size=(32, model.boundary_size)),
+        rng.uniform(0.0, SUBDOMAIN_EXTENT, size=(32, 16, 2)),
+    )
     print("\n=== per-kernel profile ===")
-    print(server.kernel_report())
+    print(program.kernel_report())
 
     # 5. the tail: which requests were slow, why, and what they were doing.
     print("\n=== flight recorder (tail-sampled slow requests) ===")

@@ -41,7 +41,6 @@ from ..fd.grid import Grid2D
 from ..fd.solve import laplace_loop_operator
 from ..models.base import NeuralSolver
 from ..nn.module import Module
-from ..obs.profile import KernelProfiler
 
 __all__ = [
     "SubdomainSolver",
@@ -132,8 +131,7 @@ class _SharedPointsForward(Module):
 class _Programs:
     """Compiled inference programs by point set, oldest dropped first."""
 
-    def __init__(self, profiler: KernelProfiler | None = None):
-        self.profiler = profiler
+    def __init__(self):
         self.by_points: "OrderedDict[bytes, CompiledModule]" = OrderedDict()
         self._lock = threading.Lock()
 
@@ -150,7 +148,7 @@ class _Programs:
                     # is an error here, not a plan per row count.
                     program = self.by_points[key] = CompiledModule(
                         _SharedPointsForward(model, points),
-                        copy_outputs=False, profile=self.profiler,
+                        copy_outputs=False,
                         bucket_rows=GEMM_STABLE_ROWS, strict_buckets=True,
                     )
         return program
@@ -221,18 +219,6 @@ class SDNetSubdomainSolver:
         self.max_batch = max_batch
         self.inference_calls = 0
         self.points_evaluated = 0
-        self._profiled: _Programs | None = None
-
-    def profile_kernels(self, profiler: KernelProfiler) -> None:
-        """Time every kernel of this solver's forwards into ``profiler`` from now on.
-
-        The solver then runs programs of its own, compiled with the profiler,
-        instead of the model's shared ones: other solvers, servers and
-        threads on the model are neither clocked nor re-traced.  Profiled
-        plans run the identical kernels, so predictions do not change.
-        """
-
-        self._profiled = _Programs(profiler)
 
     def fusion_key(self) -> tuple:
         """Equal for solvers on the same model object with the same batch cap."""
@@ -253,10 +239,7 @@ class SDNetSubdomainSolver:
         out = np.empty((batch, q))
         step = batch if self.max_batch is None else max(int(self.max_batch), 1)
         step = min(max(step, 1), GEMM_STABLE_ROWS)
-        if self._profiled is None:
-            forward = inference_program(self.model, points).predict
-        else:
-            forward = self._profiled.get(self.model, points).predict
+        forward = inference_program(self.model, points).predict
         for start in range(0, batch, step):
             stop = min(start + step, batch)
             rows = boundaries[start:stop]

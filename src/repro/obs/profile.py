@@ -55,25 +55,6 @@ class KernelProfiler:
         with self._lock:
             self._events[event] = self._events.get(event, 0) + amount
 
-    def take(self) -> "KernelProfiler":
-        """A profiler holding what this one recorded; this one starts afresh.
-
-        Picklable, so a worker process can send it for :meth:`merge`.
-        """
-
-        taken = KernelProfiler()
-        with self._lock:
-            taken._ops, self._ops = self._ops, {}
-            taken._events, self._events = self._events, {}
-        return taken
-
-    def __getstate__(self):
-        return self._snapshot_raw()
-
-    def __setstate__(self, state) -> None:
-        self.__init__()
-        self._ops, self._events = state
-
     # -- reads --------------------------------------------------------------------
 
     @property

@@ -45,11 +45,10 @@ import weakref
 from collections import OrderedDict
 
 from ..mosaic.core import PLAN_CACHE, LatticeRun, checked_solver
-from ..mosaic.solvers import _PROGRAMS, SDNetSubdomainSolver
-from ..obs.profile import KernelProfiler
+from ..mosaic.solvers import _PROGRAMS
 from .faults import WorkerDeath
 
-__all__ = ["ComputeProcess", "build_solver", "lattice_run", "model_version", "remember"]
+__all__ = ["ComputeProcess", "lattice_run", "model_version", "remember"]
 
 _FORK = multiprocessing.get_context("fork")
 #: one fork at a time, so no child inherits a pipe end that is half set up
@@ -72,15 +71,6 @@ def remember(lru: OrderedDict, key, value):
     while len(lru) > PLAN_CACHE.capacity:
         lru.popitem(last=False)
     return value
-
-
-def build_solver(solver_factory, geometry, profiler: KernelProfiler | None = None):
-    """``solver_factory(geometry)``; its neural forwards timed into ``profiler``."""
-
-    solver = solver_factory(geometry)
-    if profiler is not None and isinstance(solver, SDNetSubdomainSolver):
-        solver.profile_kernels(profiler)
-    return solver
 
 
 def model_version(solver) -> tuple | None:
@@ -137,18 +127,24 @@ def _portable(exc: Exception) -> Exception:
     return exc
 
 
-def _plan_totals() -> tuple[int, int]:
-    """Plans built and plan bytes held by every compiled inference program."""
+def _programs() -> list:
+    """Every compiled inference program of this process's models."""
 
-    stats = [
-        program.stats
+    return [
+        program
         for programs in list(_PROGRAMS.values())
         for program in programs.by_points.values()
     ]
+
+
+def _plan_totals(programs) -> tuple[int, int]:
+    """Plans built and plan bytes held by ``programs``."""
+
+    stats = [program.stats for program in programs]
     return sum(s.plan_builds for s in stats), sum(s.plan_bytes for s in stats)
 
 
-def _compute(conn, solver_factory, profiler) -> None:
+def _compute(conn, solver_factory) -> None:
     """The child's loop: one reply per run until the parent says stop."""
 
     solvers: OrderedDict = OrderedDict()
@@ -165,7 +161,7 @@ def _compute(conn, solver_factory, profiler) -> None:
         try:
             solver = solvers.get(compat_key)
             if solver is None:
-                solver = build_solver(solver_factory, sessions[0].geometry, profiler)
+                solver = solver_factory(sessions[0].geometry)
             solver = remember(solvers, compat_key, solver)
             if model_version(solver) != version:
                 reply = (_STALE,)
@@ -173,29 +169,30 @@ def _compute(conn, solver_factory, profiler) -> None:
                 for session in sessions:
                     session.geometry = remember(geometries, session.geometry, session.geometry)
                 outcomes, calls = lattice_run(solver, sessions)
-                reply = (
-                    _OK, outcomes, calls, time.perf_counter() - began,
-                    profiler.take() if profiler is not None else None,
-                )
+                reply = (_OK, outcomes, calls, time.perf_counter() - began)
         except Exception as exc:  # noqa: BLE001 - sent to the parent's retry loop
             reply = (_ERROR, _portable(exc))
         conn.send(reply)
 
 
-def _child_main(conn, inherited, solver_factory, profile: bool) -> None:
+def _child_main(conn, inherited, solver_factory) -> None:
     for end in inherited:
         end.close()
-    built, held = _plan_totals()
+    # Kept alive to the end: a program of a model that was already garbage
+    # at the fork, and is collected here, must count at both ends.
+    forked_with = _programs()
+    built, held = _plan_totals(forked_with)
     # The runs execute on a thread of their own: when it exits, its plans
     # are credited back exactly as for any thread that used a program.
     compute = threading.Thread(
-        target=_compute, name="serving-compute",
-        args=(conn, solver_factory, KernelProfiler() if profile else None),
+        target=_compute, name="serving-compute", args=(conn, solver_factory)
     )
     compute.start()
     compute.join()
     gc.collect()
-    now_built, now_held = _plan_totals()
+    now_built, now_held = _plan_totals(
+        {id(program): program for program in forked_with + _programs()}.values()
+    )
     try:
         conn.send({
             "plan_builds": now_built - built,
@@ -213,10 +210,9 @@ class ComputeProcess:
     is done.
     """
 
-    def __init__(self, name: str, solver_factory, profile: bool = False):
+    def __init__(self, name: str, solver_factory):
         self.name = name
         self._solver_factory = solver_factory
-        self._profile = bool(profile)
         self._process = None
         self._conn = None
         #: lattice runs answered, and children forked (the first one included)
@@ -242,7 +238,7 @@ class ComputeProcess:
             ours, theirs = _FORK.Pipe()
             process = _FORK.Process(
                 target=_child_main, name=self.name, daemon=True,
-                args=(theirs, [*_PARENT_ENDS, ours], self._solver_factory, self._profile),
+                args=(theirs, [*_PARENT_ENDS, ours], self._solver_factory),
             )
             process.start()
             theirs.close()
@@ -273,10 +269,7 @@ class ComputeProcess:
             self._conn = None
 
     def run(self, compat_key, version, sessions) -> tuple:
-        """One lattice run in the child: ``(outcomes, calls, compute_s, kernels)``.
-
-        ``kernels`` is the child's :meth:`KernelProfiler.take` when profiling.
-        """
+        """One lattice run in the child: ``(outcomes, calls, compute_s)``."""
 
         while True:
             if not self.alive:

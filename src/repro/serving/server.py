@@ -84,6 +84,7 @@ import time
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -92,13 +93,12 @@ from ..mosaic.geometry import MosaicGeometry
 from ..mosaic.solvers import FDSubdomainSolver
 from ..obs import memory as obs_memory
 from ..obs.flight import FlightRecord, FlightRecorder
-from ..obs.profile import KernelProfiler
 from ..obs.slo import SLOTracker
 from ..obs.trace import get_tracer, span
 from .api import RequestValidationError, SolveRequest, SolveResult
 from .batcher import Batch, BatchPolicy, DynamicBatcher
 from .cache import CachedSolution, SolutionCache
-from .compute import ComputeProcess, build_solver, lattice_run, model_version, remember
+from .compute import ComputeProcess, lattice_run, model_version, remember
 from .faults import (
     BATCH_ASSEMBLY,
     DROP,
@@ -126,6 +126,9 @@ from .store import AdmissionController, RequestStore, TenantQuota, Waiter
 from .supervisor import BreakerBoard, WorkerSupervisor
 
 __all__ = ["Server", "default_solver_factory"]
+
+#: how long an idle dispatcher sleeps before its next supervision sweep
+_POLL_INTERVAL_SECONDS = 0.01
 
 @dataclass
 class _PreparedBatch:
@@ -169,13 +172,6 @@ class Server:
         path of :class:`~repro.mosaic.solvers.SDNetSubdomainSolver`, so there
         is nothing left to switch.  Kept until the benchmark, which passes
         it, is next revised.
-    engine_profile:
-        Time every kernel of this server's neural solvers' forwards: the
-        solvers it builds run programs of their own, compiled with the
-        server's profiler
-        (:meth:`~repro.mosaic.solvers.SDNetSubdomainSolver.profile_kernels`),
-        so nothing else on the same model is clocked; see
-        :meth:`kernel_report`.  Served results are bitwise identical either way.
     store:
         The idempotent :class:`RequestStore`; a default one (exact keys,
         2048 settled entries) is created when omitted.  Duplicate
@@ -245,12 +241,11 @@ class Server:
         :meth:`check_workers` requeues the in-flight requests of hung
         workers (no heartbeat within the timeout), worker deaths
         (:class:`~repro.serving.faults.WorkerDeath` escaping a batch)
-        requeue immediately, and both schedule capped-exponential-backoff
-        restarts until the budget is spent — after which work fails instead
-        of looping.  A worker's compute process that dies is such a death;
-        its replacement is forked at the worker's next run.  The restart
-        gate is surfaced in :meth:`health` and the supervisor snapshot, not
-        used to block dispatch.  ``None`` (default) disables supervision;
+        requeue immediately, and both count against the supervisor's
+        restart budget — once it is spent, work fails instead of looping.
+        A worker's compute process that dies is such a death; its
+        replacement is forked at the worker's next run.  ``None`` (default)
+        disables supervision;
         requeue-on-death still works, bounded per request by
         ``max_retries``.
     breakers:
@@ -287,7 +282,6 @@ class Server:
         cache: SolutionCache | None = None,
         clock=time.monotonic,
         engine: bool = False,
-        engine_profile: bool = False,
         store: RequestStore | None = None,
         faults: FaultInjector | None = None,
         quotas: dict | TenantQuota | None = None,
@@ -296,7 +290,6 @@ class Server:
         retry_backoff_cap: float = 0.1,
         sleep=None,
         async_workers: int = 0,
-        poll_interval_seconds: float = 0.01,
         flight: FlightRecorder | None = None,
         slo: SLOTracker | None = None,
         journal=None,
@@ -307,13 +300,7 @@ class Server:
         self.policy = policy or BatchPolicy()
         self.cache = cache
         self.clock = clock
-        self.engine_profile = bool(engine_profile)
-        self._kernel_profiler = KernelProfiler() if self.engine_profile else None
-        self.stats = ServingStats(
-            kernel_profile_provider=(
-                (lambda: self._kernel_profiler) if self.engine_profile else None
-            ),
-        )
+        self.stats = ServingStats()
         self.store = store if store is not None else RequestStore()
         self.faults = faults
         #: recovery report when a journal was replayed at construction
@@ -344,7 +331,6 @@ class Server:
         if async_workers < 0:
             raise ValueError("async_workers must be non-negative")
         self.async_workers = int(async_workers)
-        self.poll_interval_seconds = float(poll_interval_seconds)
 
         self.flight = flight
         self.slo = slo if slo is not None else SLOTracker(clock=clock)
@@ -411,9 +397,7 @@ class Server:
                 # One worker has no partner to run beside and keeps computing
                 # in its thread; with two or more, each gets a process.
                 self._workers = [
-                    ComputeProcess(
-                        self._worker_name(slot), self.solver_factory, self.engine_profile
-                    )
+                    ComputeProcess(self._worker_name(slot), self.solver_factory)
                     for slot in range(self.async_workers)
                 ]
                 for worker in self._workers:
@@ -492,8 +476,10 @@ class Server:
         Validation errors (not a :class:`SolveRequest`, an id already in
         flight or completed) raise :class:`RequestValidationError`, and a
         draining server raises :class:`ServerClosedError`, synchronously.
-        Everything else — quota rejection, deadline expiry, retry exhaustion,
-        or the solved result — resolves the returned :class:`SolveFuture`.
+        Everything else — quota rejection, a claim the journal refused,
+        deadline expiry, retry exhaustion, or the solved result — resolves
+        the returned :class:`SolveFuture`, and every admitted request leaves
+        through :meth:`_settle`.
         """
 
         if not isinstance(request, SolveRequest):
@@ -530,22 +516,33 @@ class Server:
                 future._set_exception(error)
                 return future
             # Admitted: the anchor-row payload is now retained until the
-            # waiter resolves (released in _finish_waiter/_reject_waiter).
+            # waiter resolves (released in _settle).
             obs_memory.add(
                 obs_memory.REQUEST_PAYLOADS, int(request.boundary_loop.nbytes)
             )
 
-            with span("serving.claim") as claim_span:
-                claim = self.store.claim(request, waiter)
-                claim_span.set_attr("owner", claim.owner)
-                claim_span.set_attr("replay", claim.replay)
+            try:
+                with span("serving.claim") as claim_span:
+                    claim = self.store.claim(request, waiter)
+                    claim_span.set_attr("owner", claim.owner)
+                    claim_span.set_attr("replay", claim.replay)
+            except Exception as exc:
+                # The journal refused the claim record (written before the
+                # store changes), so no entry holds this waiter.
+                error = SolveError(
+                    f"request {request.request_id!r} could not be claimed: {exc!r}"
+                )
+                error.__cause__ = exc
+                self.stats.record_failure()
+                self._settle(waiter, error)
+                return future
             if claim.replay:
                 # Idempotent replay: the canonical key was solved before;
                 # resolve from the stored result, bitwise-identical.
                 self.stats.record_store_hit()
-                self._finish_waiter(
-                    waiter, claim.entry.result, cache_hit=True, batch_size=0,
-                    store_hit=True,
+                self._settle(
+                    waiter, claim.entry.result, cache_hit=True, store_hit=True,
+                    occupancy=1,
                 )
                 return future
             if not claim.owner:
@@ -561,7 +558,7 @@ class Server:
                 if entry is not None:
                     self.stats.record_cache_hit()
                     for hit_waiter in self.store.fulfill(request, entry):
-                        self._finish_waiter(hit_waiter, entry, cache_hit=True, batch_size=0)
+                        self._settle(hit_waiter, entry, cache_hit=True, occupancy=1)
                     return future
 
             with span("serving.enqueue"):
@@ -702,9 +699,6 @@ class Server:
         for request_id in list(self._futures):
             if request_id not in self._inflight_ids:
                 del self._futures[request_id]
-        self._requeues = {
-            rid: n for rid, n in self._requeues.items() if rid in self._inflight_ids
-        }
         return completed
 
     def _poll_locked(self) -> list[Batch]:
@@ -813,7 +807,7 @@ class Server:
         geometry = group_key[0]
         key = group_key
         try:
-            solver = self._make_solver(geometry)
+            solver = self.solver_factory(geometry)
         except Exception:
             solver = None
         fusion_key = getattr(solver, "fusion_key", None)
@@ -833,7 +827,7 @@ class Server:
             if solver is not None:
                 self._mega_solvers.move_to_end(compat_key)
                 return solver
-        solver = self._make_solver(geometry)
+        solver = self.solver_factory(geometry)
         with self._lock:
             return remember(self._mega_solvers, compat_key, solver)
 
@@ -844,7 +838,7 @@ class Server:
                 continue
             # Nothing to hand out, or no idle worker to take it: a submit or
             # a finishing run sets the event.
-            self._wake.wait(timeout=self.poll_interval_seconds)
+            self._wake.wait(timeout=_POLL_INTERVAL_SECONDS)
             self._wake.clear()
         # Final sweep so close() never strands queued work.
         while True:
@@ -852,7 +846,7 @@ class Server:
                 if not (self._ready or self._batcher.num_groups):
                     return
             if not self._dispatch():
-                self._wake.wait(timeout=self.poll_interval_seconds)
+                self._wake.wait(timeout=_POLL_INTERVAL_SECONDS)
                 self._wake.clear()
 
     def _dispatch(self) -> bool:
@@ -905,11 +899,10 @@ class Server:
         except Exception as exc:
             # _execute_mega handles solver failures itself; anything escaping
             # here (assembly faults, bugs) must still resolve the waiters.
-            error = RetryExhaustedError(f"batch execution failed: {exc!r}", attempts=1)
-            error.__cause__ = exc
-            self.stats.record_failure()
-            for batch in batches:
-                self._fail_requests(batch.requests, error)
+            self._give_up(
+                [r for batch in batches for r in batch.requests],
+                f"batch execution failed: {exc!r}", 1, exc,
+            )
         finally:
             self._supervise_end(worker)
             with self._lock:
@@ -964,14 +957,13 @@ class Server:
         stale = self.supervisor.check(self.clock())
         for flight in stale:
             if self.supervisor.exhausted:
-                error = RetryExhaustedError(
+                self._give_up(
+                    flight.requests,
                     f"worker {flight.worker!r} sent no heartbeat for "
                     f"{self.supervisor.heartbeat_timeout_seconds}s and the "
                     f"supervisor's restart budget is spent",
-                    attempts=1,
+                    1,
                 )
-                self.stats.record_failure()
-                self._fail_requests(flight.requests, error)
             else:
                 self._requeue(flight.requests)
         return len(stale)
@@ -979,16 +971,14 @@ class Server:
     def _handle_worker_death(self, worker, batches, death: WorkerDeath) -> None:
         requests = [r for batch in batches for r in batch.requests]
         if self.supervisor is not None:
-            self.supervisor.record_death(worker, self.clock())
+            self.supervisor.record_death(worker)
             if self.supervisor.exhausted:
-                error = RetryExhaustedError(
+                self._give_up(
+                    requests,
                     f"worker died and the supervisor's restart budget is "
                     f"spent: {death!r}",
-                    attempts=1,
+                    1, death,
                 )
-                error.__cause__ = death
-                self.stats.record_failure()
-                self._fail_requests(requests, error)
                 return
         else:
             # Unsupervised, the retry budget bounds requeues: a request whose
@@ -1000,14 +990,12 @@ class Server:
                     and self._requeues.get(r.request_id, 0) >= self.max_retries
                 ]
             if spent:
-                error = RetryExhaustedError(
+                self._give_up(
+                    spent,
                     f"worker died on each of {self.max_retries + 1} attempt(s) "
                     f"(max_retries={self.max_retries}); last death: {death}",
-                    attempts=self.max_retries + 1,
+                    self.max_retries + 1, death,
                 )
-                error.__cause__ = death
-                self.stats.record_failure()
-                self._fail_requests(spent, error)
                 failed = {r.request_id for r in spent}
                 requests = [r for r in requests if r.request_id not in failed]
         self._requeue(requests)
@@ -1041,20 +1029,6 @@ class Server:
 
     # -- internals ----------------------------------------------------------------
 
-    def _make_solver(self, geometry):
-        """``solver_factory(geometry)``, with kernel profiling switched on if asked."""
-
-        return build_solver(self.solver_factory, geometry, self._kernel_profiler)
-
-    def kernel_report(self, n: int = 10) -> str:
-        """Top-kernels table of this server's solvers (``engine_profile=True``)."""
-
-        if not self.engine_profile:
-            raise RuntimeError(
-                "per-kernel profiling is off; build the server with engine_profile=True"
-            )
-        return self._kernel_profiler.report(n)
-
     def _prepare(self, batch: Batch, batch_span) -> _PreparedBatch | None:
         """Expiry-filter and dedup one batch; ``None`` when nothing is live.
 
@@ -1064,24 +1038,10 @@ class Server:
         """
 
         now = self.clock()
-        # Deadline fail-fast: a request all of whose waiters have expired is
-        # failed here instead of occupying solver capacity.
-        live: list[SolveRequest] = []
-        for request, enqueued in zip(batch.requests, batch.enqueued_at):
-            expired = self.store.expire(request, now)
-            if expired is None:
-                live.append(request)
-                self.stats.record_queue_wait(now - enqueued)
-                continue
-            for waiter in expired:
-                self._reject_waiter(
-                    waiter,
-                    DeadlineExceededError(
-                        f"request {waiter.request.request_id!r} missed its "
-                        f"{waiter.request.deadline_seconds}s deadline "
-                        f"before dispatch"
-                    ),
-                )
+        alive = self._unexpired(batch.requests, now, "before dispatch")
+        for enqueued in compress(batch.enqueued_at, alive):
+            self.stats.record_queue_wait(now - enqueued)
+        live = list(compress(batch.requests, alive))
         if not live:
             batch_span.set_attr("expired", len(batch.requests))
             return None
@@ -1131,42 +1091,26 @@ class Server:
                 solve_requests[slot] = request
         return solve_requests, assignment
 
-    def _refresh_expired(self, prepared: _PreparedBatch) -> bool:
-        """Re-run deadline fail-fast between retry attempts (post-backoff).
+    def _unexpired(self, requests: list, now: float, when: str) -> list[bool]:
+        """Deadline fail-fast: which of ``requests`` someone still waits for.
 
-        Backoff can outlast a waiter's deadline; without this re-check the
-        next attempt would solve for — and only then reject — requests that
-        were already dead when the attempt started.  Expired waiters are
-        rejected immediately; the session is rebuilt over the survivors.
-        Returns ``False`` when nothing is left to solve.
+        A request all of whose waiters are past their deadline at ``now`` is
+        failed in the store and its waiters settled with
+        :class:`DeadlineExceededError` (``when`` names the phase), instead of
+        occupying solver capacity.  Runs before dispatch and again after
+        every retry backoff, which can outlast a deadline.
         """
 
-        now = self.clock()
-        live: list[SolveRequest] = []
-        dropped = False
-        for request in prepared.live:
+        alive = []
+        for request in requests:
             expired = self.store.expire(request, now)
-            if expired is None:
-                live.append(request)
-                continue
-            dropped = True
-            for waiter in expired:
-                self._reject_waiter(
-                    waiter,
-                    DeadlineExceededError(
-                        f"request {waiter.request.request_id!r} missed its "
-                        f"{waiter.request.deadline_seconds}s deadline "
-                        f"during retry backoff"
-                    ),
-                )
-        if not dropped:
-            return True
-        prepared.live = live
-        if not live:
-            return False
-        prepared.solve_requests, prepared.assignment, prepared.session = self._solve_set(
-            prepared.batch.group_key, live, record=False)
-        return True
+            alive.append(expired is None)
+            for waiter in expired or ():
+                self._settle(waiter, DeadlineExceededError(
+                    f"request {waiter.request.request_id!r} missed its "
+                    f"{waiter.request.deadline_seconds}s deadline {when}"
+                ))
+        return alive
 
     def _postprocess(self, prepared: _PreparedBatch, outcomes) -> None:
         batch_size = len(prepared.solve_requests)
@@ -1191,9 +1135,8 @@ class Server:
                 # waiters and only bumps its counter.
                 waiters.extend(self.store.fulfill(request, entry))
             for waiter in waiters:
-                self._finish_waiter(
-                    waiter, entry, cache_hit=False, batch_size=batch_size,
-                    occupancy=prepared.occupancy,
+                self._settle(
+                    waiter, entry, batch_size=batch_size, occupancy=prepared.occupancy
                 )
 
     # -- mega-batch execution ------------------------------------------------------
@@ -1219,12 +1162,9 @@ class Server:
                     except Exception as exc:
                         # An assembly fault in one batch must not take down
                         # the whole mega run.
-                        error = RetryExhaustedError(
-                            f"batch execution failed: {exc!r}", attempts=1
+                        self._give_up(
+                            batch.requests, f"batch execution failed: {exc!r}", 1, exc
                         )
-                        error.__cause__ = exc
-                        self.stats.record_failure()
-                        self._fail_requests(batch.requests, error)
                         continue
                     if p is not None:
                         prepared.append(p)
@@ -1284,11 +1224,9 @@ class Server:
                         outcomes, calls = lattice_run(solver, sessions)
                         compute_s = time.perf_counter() - began
                     else:
-                        outcomes, calls, compute_s, kernels = process.run(
+                        outcomes, calls, compute_s = process.run(
                             compat_key, model_version(solver), sessions
                         )
-                        if kernels is not None:
-                            self._kernel_profiler.merge(kernels)
                     mega_span.set_attr("solver_calls", len(calls))
                     mega_span.set_attr("solver_rows", sum(rows for rows, _ in calls))
                     mega_span.set_attr("worker_compute_s", compute_s)
@@ -1305,15 +1243,13 @@ class Server:
                 for request in live:
                     self.store.record_attempt(request)
                 if attempts > self.max_retries:
-                    self.stats.record_failure()
                     mega_span.set_attr("failed", type(exc).__name__)
-                    error = RetryExhaustedError(
+                    self._give_up(
+                        live,
                         f"fused solve failed after {attempts} attempt(s); "
                         f"last error: {exc!r}",
-                        attempts=attempts,
+                        attempts, exc,
                     )
-                    error.__cause__ = exc
-                    self._fail_requests(live, error)
                     return None
                 self.stats.record_retry()
                 backoff = min(
@@ -1327,7 +1263,15 @@ class Server:
                     error=type(exc).__name__,
                 ):
                     self._backoff_wait(backoff)
-                prepared = [p for p in prepared if self._refresh_expired(p)]
+                now = self.clock()
+                for p in prepared:
+                    alive = self._unexpired(p.live, now, "during retry backoff")
+                    if not all(alive):
+                        p.live = list(compress(p.live, alive))
+                        if p.live:  # rebuild the session over the survivors
+                            p.solve_requests, p.assignment, p.session = self._solve_set(
+                                p.batch.group_key, p.live, record=False)
+                prepared = [p for p in prepared if p.live]
                 if not prepared:
                     mega_span.set_attr("expired_in_backoff", True)
                     return None
@@ -1361,114 +1305,103 @@ class Server:
         else:
             self._closing.wait(seconds)
 
-    def _fail_requests(self, requests, error: BaseException) -> None:
+    def _give_up(self, requests, message: str, attempts: int, cause=None) -> None:
+        """Fail ``requests`` in the store with one :class:`RetryExhaustedError`."""
+
+        error = RetryExhaustedError(message, attempts=attempts)
+        error.__cause__ = cause
+        self.stats.record_failure()
         for request in requests:
             for waiter in self.store.fail(request, error):
-                self._reject_waiter(waiter, error)
+                self._settle(waiter, error)
 
-    def _finish_waiter(
+    def _settle(
         self,
         waiter: Waiter,
-        entry: CachedSolution,
-        cache_hit: bool,
-        batch_size: int,
+        outcome: CachedSolution | SolveError,
+        cache_hit: bool = False,
         store_hit: bool = False,
-        occupancy: int = 1,
+        batch_size: int = 0,
+        occupancy: int = 0,
     ) -> None:
+        """Resolve one admitted submission: its only way out of the server.
+
+        ``outcome`` is the solved entry or the typed error.  Frees what
+        admission took (the id, the payload bytes, the tenant's slot),
+        records the SLO sample and the flight record, and resolves the
+        future.  A solve that lands after the waiter's deadline settles as a
+        straggler's :class:`DeadlineExceededError`.
+        """
+
+        request = waiter.request
         now = self.clock()
-        deadline = waiter.deadline_at
-        if deadline is not None and now > deadline:
+        latency = now - waiter.submitted_at
+        reason = None
+        if (
+            isinstance(outcome, CachedSolution)
+            and waiter.deadline_at is not None
+            and now > waiter.deadline_at
+        ):
             # The solve finished, but past the waiter's deadline: a straggler,
             # not a fail-fast — classified separately in the flight recorder.
-            self._reject_waiter(
-                waiter,
-                DeadlineExceededError(
-                    f"request {waiter.request.request_id!r} completed after its "
-                    f"{waiter.request.deadline_seconds}s deadline"
-                ),
-                reason="straggler",
-                batch_size=batch_size,
-                occupancy=occupancy,
+            outcome = DeadlineExceededError(
+                f"request {request.request_id!r} completed after its "
+                f"{request.deadline_seconds}s deadline"
             )
-            return
-        latency = now - waiter.submitted_at
-        self.stats.record_latency(latency)
-        result = SolveResult(
-            request_id=waiter.request.request_id,
-            solution=entry.solution.copy(),
-            iterations=entry.iterations,
-            converged=entry.converged,
-            cache_hit=cache_hit,
-            batch_size=batch_size,
-            latency_seconds=latency,
-            deltas=list(entry.deltas),
-        )
+            reason = "straggler"
+        solved = isinstance(outcome, CachedSolution)
+        if solved:
+            self.stats.record_latency(latency)
+            result = SolveResult(
+                request_id=request.request_id,
+                solution=outcome.solution.copy(),
+                iterations=outcome.iterations,
+                converged=outcome.converged,
+                cache_hit=cache_hit,
+                batch_size=batch_size,
+                latency_seconds=latency,
+                deltas=list(outcome.deltas),
+            )
+        elif isinstance(outcome, DeadlineExceededError):
+            self.stats.record_timeout()
         with self._lock:
-            self._inflight_ids.discard(waiter.request.request_id)
-            self._completed[waiter.request.request_id] = result
+            self._inflight_ids.discard(request.request_id)
+            requeued = self._requeues.pop(request.request_id, 0) > 0
+            if solved:
+                self._completed[request.request_id] = result
             self._work_done.notify_all()
-        obs_memory.sub(
-            obs_memory.REQUEST_PAYLOADS, int(waiter.request.boundary_loop.nbytes)
-        )
-        if self.admission is not None:
-            self.admission.release(waiter.request.tenant)
-        self.slo.record(True, latency)
+        obs_memory.sub(obs_memory.REQUEST_PAYLOADS, int(request.boundary_loop.nbytes))
+        self.admission.release(request.tenant)
+        self.slo.record(solved, latency)
         if self.flight is not None:
             # Decide-then-observe: the slowness verdict uses the threshold
             # from *previous* samples only, so the retained set is a pure
             # function of the request stream (deterministic under replay).
-            reason = None
-            with self._lock:
-                requeued = self._requeues.pop(waiter.request.request_id, 0) > 0
-            if self.store.attempts(waiter.request) > 0:
+            if not solved:
+                reason = reason or (
+                    "deadline" if isinstance(outcome, DeadlineExceededError) else "failed"
+                )
+            elif self.store.attempts(request) > 0:
                 reason = "retried"
             elif requeued:
                 reason = "requeued"
             elif self.flight.is_slow(latency):
                 reason = "slow"
             if reason is not None:
-                self._retain_flight(
-                    waiter, reason, latency=latency, cache_hit=cache_hit,
-                    store_hit=store_hit, batch_size=batch_size,
-                    occupancy=occupancy,
+                record = self._retain_flight(
+                    waiter, reason, latency=latency,
+                    error=None if solved else outcome, cache_hit=cache_hit,
+                    store_hit=store_hit, batch_size=batch_size, occupancy=occupancy,
                 )
-            self.flight.observe_latency(latency)
-        waiter.future._set_result(result)
-
-    def _reject_waiter(
-        self,
-        waiter: Waiter,
-        error: BaseException,
-        reason: str | None = None,
-        batch_size: int = 0,
-        occupancy: int = 0,
-    ) -> None:
-        if isinstance(error, DeadlineExceededError):
-            self.stats.record_timeout()
-        with self._lock:
-            self._inflight_ids.discard(waiter.request.request_id)
-            self._work_done.notify_all()
-        obs_memory.sub(
-            obs_memory.REQUEST_PAYLOADS, int(waiter.request.boundary_loop.nbytes)
-        )
-        if self.admission is not None:
-            self.admission.release(waiter.request.tenant)
-        latency = self.clock() - waiter.submitted_at
-        self.slo.record(False, latency)
-        if self.flight is not None:
-            if reason is None:
-                reason = (
-                    "deadline"
-                    if isinstance(error, DeadlineExceededError)
-                    else "failed"
-                )
-            record = self._retain_flight(
-                waiter, reason, latency=latency, error=error,
-                batch_size=batch_size, occupancy=occupancy,
-            )
-            # Let callers holding only the exception reach the trace.
-            error.flight_record = record
-        waiter.future._set_exception(error)
+                if not solved:
+                    # Let callers holding only the exception reach the trace.
+                    outcome.flight_record = record
+            if solved:
+                self.flight.observe_latency(latency)
+        if solved:
+            waiter.future._set_result(result)
+        else:
+            waiter.future._set_exception(outcome)
 
     def _retain_flight(
         self,

@@ -17,9 +17,7 @@ rings — a long-lived server no longer grows per-request Python lists without
 bound.  The public surface (attribute counters, ``as_dict`` keys,
 ``report()``) is unchanged; ``as_dict`` additionally carries the raw
 registry snapshot under ``"obs"`` (exportable with
-:func:`repro.obs.to_json` / :func:`repro.obs.to_prometheus`) and, when the
-server profiles its compiled modules, the top-kernels table under
-``"kernels"``.
+:func:`repro.obs.to_json` / :func:`repro.obs.to_prometheus`).
 """
 
 from __future__ import annotations
@@ -44,18 +42,9 @@ class ServingStats:
     window:
         Ring window of the bounded latency/batch-size/queue-wait histograms
         — the memory ceiling replacing the old unbounded lists.
-    kernel_profile_provider:
-        Zero-argument callable returning a merged
-        :class:`~repro.obs.profile.KernelProfiler` (or ``None``); set by the
-        server when ``engine_profile=True``.
     """
 
-    def __init__(
-        self,
-        registry: MetricsRegistry | None = None,
-        window: int = 4096,
-        kernel_profile_provider=None,
-    ):
+    def __init__(self, registry: MetricsRegistry | None = None, window: int = 4096):
         self.registry = registry if registry is not None else MetricsRegistry()
         self._requests = self.registry.counter("serving.requests")
         self._cache_hits = self.registry.counter("serving.cache_hits")
@@ -85,7 +74,6 @@ class ServingStats:
         )
         self._memory_sheds = self.registry.counter("serving.memory_sheds")
         self._requeues = self.registry.counter("serving.requeues")
-        self.kernel_profile_provider = kernel_profile_provider
 
     def __call__(self) -> dict:
         return self.as_dict()
@@ -293,7 +281,7 @@ class ServingStats:
         return self._latencies.percentile(percentile)
 
     def as_dict(self) -> dict:
-        report = {
+        return {
             "requests": self.requests,
             "cache_hits": self.cache_hits,
             "dedup_hits": self.dedup_hits,
@@ -319,11 +307,6 @@ class ServingStats:
             "latency_p99": self.latency_percentile(99),
             "obs": self.registry.snapshot(),
         }
-        if self.kernel_profile_provider is not None:
-            profiler = self.kernel_profile_provider()
-            if profiler is not None:
-                report["kernels"] = profiler.as_dict()
-        return report
 
     def report(self) -> str:
         """Human-readable multi-line summary."""
@@ -348,12 +331,4 @@ class ServingStats:
             f"{d['latency_mean']*1e3:.2f} / {d['latency_p50']*1e3:.2f} / "
             f"{d['latency_p99']*1e3:.2f} ms",
         ]
-        kernels = d.get("kernels")
-        if kernels is not None and kernels["kernels"]:
-            top = kernels["kernels"][0]
-            lines.append(
-                f"hottest kernel    : {top['op']} "
-                f"({top['fraction']:.1%} of {kernels['total_seconds']*1e3:.2f} ms "
-                f"over {kernels['total_calls']} kernel calls)"
-            )
         return "\n".join(lines)

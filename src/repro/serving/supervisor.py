@@ -11,11 +11,10 @@ the timeout — covering both a hung solve and a live worker whose heartbeats
 are being lost — and hands their in-flight requests back to the server for
 requeueing.  Deaths (:class:`~repro.serving.faults.WorkerDeath` escaping a
 batch: injected, or a worker's compute process that really died, whose
-replacement the worker forks at its next run) and hangs both schedule a
-*restart* with capped exponential backoff, reported as a restart gate.  The
-restart budget (``max_restarts``) bounds
-crash loops: once exhausted the supervisor reports itself dead and the
-server fails requests instead of requeueing forever.
+replacement the worker forks at its next run) and hangs both count as a
+*restart*.  The restart budget (``max_restarts``) bounds crash loops: once
+exhausted the supervisor reports itself dead and the server fails requests
+instead of requeueing forever.
 
 Requeue safety is inherited from the idempotent
 :class:`~repro.serving.store.RequestStore`: a requeued request whose
@@ -82,7 +81,7 @@ class WorkerFlight:
 
 
 class WorkerSupervisor:
-    """Heartbeat supervision of the solve workers, with capped-backoff restarts.
+    """Heartbeat supervision of the solve workers, with a restart budget.
 
     Parameters
     ----------
@@ -90,11 +89,6 @@ class WorkerSupervisor:
         Monotonic time source (injectable for deterministic tests).
     heartbeat_timeout_seconds:
         A flight whose last heartbeat is older than this is declared hung.
-    restart_backoff_seconds, restart_backoff_cap:
-        Capped exponential backoff between worker restarts:
-        ``min(restart_backoff_seconds * 2**(n-1), restart_backoff_cap)``
-        for a worker's ``n``-th restart, reported by
-        :meth:`restart_gate_remaining`.
     max_restarts:
         Total restart budget across all workers; once spent the supervisor
         is ``exhausted`` and the server fails work instead of requeueing
@@ -105,29 +99,22 @@ class WorkerSupervisor:
         self,
         clock=time.monotonic,
         heartbeat_timeout_seconds: float = 30.0,
-        restart_backoff_seconds: float = 0.05,
-        restart_backoff_cap: float = 5.0,
         max_restarts: int = 16,
     ):
         if heartbeat_timeout_seconds <= 0:
             raise ValueError("heartbeat_timeout_seconds must be positive")
-        if restart_backoff_seconds < 0 or restart_backoff_cap < 0:
-            raise ValueError("restart backoff must be non-negative")
         if max_restarts < 0:
             raise ValueError("max_restarts must be non-negative")
         self.clock = clock
         self.heartbeat_timeout_seconds = float(heartbeat_timeout_seconds)
-        self.restart_backoff_seconds = float(restart_backoff_seconds)
-        self.restart_backoff_cap = float(restart_backoff_cap)
         self.max_restarts = int(max_restarts)
         self._lock = threading.Lock()
         self._flights: dict[str, WorkerFlight] = {}
         self._restarts_by_worker: dict[str, int] = {}
-        self._gate_until = 0.0
         # -- counters --
         self.deaths = 0    #: workers that died (WorkerDeath escaped a batch)
         self.hangs = 0     #: flights flagged by heartbeat timeout
-        self.restarts = 0  #: restarts scheduled (deaths + hangs)
+        self.restarts = 0  #: restarts counted (deaths + hangs)
 
     # -- flight lifecycle ---------------------------------------------------------
 
@@ -159,7 +146,7 @@ class WorkerSupervisor:
     def check(self, now: float | None = None) -> list[WorkerFlight]:
         """Pop and return every flight whose heartbeat has gone stale.
 
-        Each returned flight counts as a hang and schedules a restart; the
+        Each returned flight counts as a hang and a restart; the
         caller (the server) requeues its requests.  A popped flight's
         original worker may still be alive and finish later — the store's
         idempotent upsert absorbs that as a duplicate delivery.
@@ -173,37 +160,22 @@ class WorkerSupervisor:
                     stale.append(self._flights.pop(worker))
             for flight in stale:
                 self.hangs += 1
-                self._schedule_restart_locked(flight.worker, now)
+                self._restart_locked(flight.worker)
         return stale
 
     # -- restarts -----------------------------------------------------------------
 
-    def record_death(self, worker: str, now: float | None = None) -> float:
-        """Count one worker death and schedule its restart; returns backoff."""
+    def record_death(self, worker: str) -> None:
+        """Count one worker death and its restart."""
 
-        now = self.clock() if now is None else now
         with self._lock:
             self.deaths += 1
             self._flights.pop(worker, None)
-            return self._schedule_restart_locked(worker, now)
+            self._restart_locked(worker)
 
-    def _schedule_restart_locked(self, worker: str, now: float) -> float:
+    def _restart_locked(self, worker: str) -> None:
         self.restarts += 1
-        n = self._restarts_by_worker.get(worker, 0) + 1
-        self._restarts_by_worker[worker] = n
-        backoff = min(
-            self.restart_backoff_seconds * (2 ** (n - 1)),
-            self.restart_backoff_cap,
-        )
-        self._gate_until = max(self._gate_until, now + backoff)
-        return backoff
-
-    def restart_gate_remaining(self, now: float | None = None) -> float:
-        """Seconds until the dispatcher may hand out new work (0 when open)."""
-
-        now = self.clock() if now is None else now
-        with self._lock:
-            return max(0.0, self._gate_until - now)
+        self._restarts_by_worker[worker] = self._restarts_by_worker.get(worker, 0) + 1
 
     @property
     def exhausted(self) -> bool:
@@ -228,9 +200,6 @@ class WorkerSupervisor:
                 "max_restarts": self.max_restarts,
                 "exhausted": self.restarts > self.max_restarts,
                 "restarts_by_worker": dict(self._restarts_by_worker),
-                "restart_gate_remaining_seconds": max(
-                    0.0, self._gate_until - self.clock()
-                ),
             }
 
 

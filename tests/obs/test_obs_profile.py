@@ -144,63 +144,3 @@ class TestCompiledJetParity:
         )
         with pytest.raises(RuntimeError):
             program.kernel_report()
-
-
-class TestServerKernelProfile:
-    """``Server(engine_profile=True)`` clocks its own solvers' programs, nobody else's."""
-
-    def test_profiled_serving_is_bitwise_identical_and_reports(self, small_geometry):
-        from repro.models import SDNet
-        from repro.mosaic import SDNetSubdomainSolver
-        from repro.serving import Server, SolveRequest
-
-        def serve(seed, **options):
-            model = SDNet(boundary_size=small_geometry.subdomain_grid().boundary_size,
-                          hidden_size=10, trunk_layers=1, embedding_channels=(2,), rng=seed)
-            server = Server(solver_factory=lambda geom: SDNetSubdomainSolver(model), **options)
-            loop = small_geometry.boundary_from_function(lambda x, y: x * x - y * y)
-            request = SolveRequest.create(small_geometry, loop, tol=0.0, max_iterations=4)
-            request_id = server.submit(request)
-            return server, server.drain()[request_id].solution
-
-        plain, expected = serve(3)
-        profiled, solution = serve(3, engine_profile=True)
-        assert solution.tobytes() == expected.tobytes()
-        report = profiled.kernel_report()
-        assert "top kernels" in report and "affine" in report and "plan_build" in report
-        assert profiled.stats.as_dict()["kernels"]["total_calls"] > 0
-        assert "kernels" not in plain.stats.as_dict()
-        with pytest.raises(RuntimeError):
-            plain.kernel_report()
-
-    def test_profiling_one_server_leaves_the_models_shared_programs_alone(self, small_geometry):
-        from repro.models import SDNet
-        from repro.mosaic import SDNetSubdomainSolver
-        from repro.mosaic.solvers import _PROGRAMS
-        from repro.serving import Server, SolveRequest
-
-        model = SDNet(boundary_size=small_geometry.subdomain_grid().boundary_size,
-                      hidden_size=10, trunk_layers=1, embedding_channels=(2,), rng=3)
-        loop = small_geometry.boundary_from_function(lambda x, y: x * x - y * y)
-
-        def serve(**options):
-            server = Server(solver_factory=lambda geom: SDNetSubdomainSolver(model), **options)
-            request = SolveRequest.create(small_geometry, loop, tol=0.0, max_iterations=4)
-            request_id = server.submit(request)
-            return server, server.drain()[request_id].solution
-
-        def shared():
-            return [(program.profiler, program.stats.traces, program.stats.plan_builds)
-                    for program in _PROGRAMS[model].by_points.values()]
-
-        _, expected = serve()
-        before = shared()
-        assert before and all(profiler is None for profiler, _, _ in before)
-        profiled, solution = serve(engine_profile=True)
-        assert solution.tobytes() == expected.tobytes()
-        assert profiled.stats.as_dict()["kernels"]["total_calls"] > 0
-        # not re-traced, not clocked, and a later server on the model reports no kernels
-        plain, again = serve()
-        assert again.tobytes() == expected.tobytes()
-        assert shared() == before
-        assert "kernels" not in plain.stats.as_dict()

@@ -453,7 +453,7 @@ class TestWorkConservingDispatch:
         assert server.result(request.request_id) is not None
 
     def test_idle_dispatcher_does_not_spin(self, small_geometry, harmonic_loops):
-        with Server(async_workers=1, poll_interval_seconds=0.01) as server:
+        with Server(async_workers=1) as server:
             server.submit_async(
                 SolveRequest.create(
                     small_geometry, harmonic_loops(1, seed=34)[0], max_iterations=40

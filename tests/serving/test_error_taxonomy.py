@@ -9,6 +9,7 @@ path on a fake clock, and the test checks that the client sees a
 
 import os
 import signal
+import tempfile
 
 import pytest
 
@@ -22,6 +23,8 @@ from repro.serving import (
     CRASH,
     DEATH,
     DELAY,
+    JOURNAL_WRITE,
+    TORN,
     WORKER_DEATH,
     WORKER_SOLVE,
     BatchPolicy,
@@ -31,6 +34,7 @@ from repro.serving import (
     DeadlineExceededError,
     FaultInjector,
     FaultSpec,
+    InjectedFault,
     MemoryPressureError,
     QuotaExceededError,
     RequestValidationError,
@@ -151,6 +155,16 @@ def _worker_deaths_without_supervisor(clock, geometry, loops):
     return future
 
 
+def _journal_refuses_claim(clock, geometry, loops):
+    # The claim record is the journal's first write, and it is torn.
+    faults = FaultInjector([FaultSpec(site=JOURNAL_WRITE, index=0, kind=TORN)])
+    with tempfile.TemporaryDirectory() as directory:
+        server = _server(clock, faults=faults, journal=os.path.join(directory, "journal"))
+        future = server.submit_async(_request(geometry, loops[0]))
+        server.store.journal.close()
+    return future
+
+
 def _submit_while_draining(clock, geometry, loops):
     server = _server(clock)
     server.drain_and_close()
@@ -178,6 +192,7 @@ SCENARIOS = [
     (_raising_solver_factory, RetryExhaustedError),
     (_killed_worker_process, RetryExhaustedError),
     (_worker_deaths_without_supervisor, RetryExhaustedError),
+    (_journal_refuses_claim, SolveError),
     (_submit_while_draining, ServerClosedError),
     (_duplicate_id, RequestValidationError),
     (_invalid_request, RequestValidationError),
@@ -200,3 +215,19 @@ def test_every_client_visible_failure_is_typed(
         pytest.fail(f"{scenario.__name__} did not fail")
     assert isinstance(error, (SolveError, RequestValidationError))
     assert type(error) is expected
+
+
+def test_a_claim_the_journal_refuses_frees_the_request(
+    small_geometry, harmonic_loops, fake_clock, tmp_path
+):
+    faults = FaultInjector([FaultSpec(site=JOURNAL_WRITE, index=0, kind=TORN)])
+    server = _server(fake_clock, faults=faults, quotas=TenantQuota(max_pending=1),
+                     journal=tmp_path / "journal")
+    request = _request(small_geometry, harmonic_loops(1, seed=62)[0])
+    error = server.submit_async(request).exception(timeout=0)
+    assert type(error) is SolveError
+    assert type(error.__cause__) is InjectedFault
+    # The id and the tenant's only slot are free again: the resubmission runs.
+    server.submit(request)
+    assert request.request_id in server.drain()
+    server.store.journal.close()

@@ -19,9 +19,14 @@ from repro.obs import (
 )
 from repro.obs import memory as obs_memory
 from repro.serving import (
+    BATCH_ASSEMBLY,
     CRASH,
+    DEATH,
     DELAY,
+    JOURNAL_WRITE,
     STORE_DELIVER,
+    TORN,
+    WORKER_DEATH,
     WORKER_SOLVE,
     BatchPolicy,
     DeadlineExceededError,
@@ -32,6 +37,7 @@ from repro.serving import (
     Server,
     SolutionCache,
     SolveRequest,
+    WorkerSupervisor,
 )
 from repro.mosaic.geometry import MosaicGeometry
 
@@ -316,26 +322,157 @@ class TestHealth:
         assert health["alerts"][0]["objective"] == "availability"
         assert health["slo"]["availability"]["burning"] is True
 
-    def test_request_payload_accounting_balances(self, small_geometry,
-                                                 harmonic_loops, fake_clock):
-        # Payload bytes are charged at admission and released on resolution
-        # — successes, failures and deadline expiries all return to zero.
-        acct = enable_memory_accounting()
-        faults = FaultInjector(
-            [FaultSpec(site=WORKER_SOLVE, index=0, kind=CRASH)],
-            sleep=fake_clock.advance,
-        )
-        server = _server(fake_clock, faults=faults, max_retries=0)
-        loops = harmonic_loops(3, seed=42)
-        server.submit(SolveRequest.create(  # fails (crash, no retries)
-            small_geometry, loops[0], max_iterations=40))
-        server.submit(SolveRequest.create(  # expires before dispatch
-            small_geometry, loops[1], max_iterations=40, deadline_seconds=1.0))
-        fake_clock.advance(2.0)
-        server.submit(SolveRequest.create(  # succeeds
-            small_geometry, loops[2], max_iterations=40))
-        server.drain()
-        assert acct.live_bytes(obs_memory.REQUEST_PAYLOADS) == 0
-        assert acct.allocated_bytes(obs_memory.REQUEST_PAYLOADS) == (
-            3 * loops[0].nbytes
-        )
+
+# ---------------------------------------------------------------------------
+# Every way out of the server returns what admission took
+# ---------------------------------------------------------------------------
+
+
+def _submit(server, geometry, loop, **kwargs):
+    return server.submit_async(SolveRequest.create(geometry, loop, max_iterations=40, **kwargs))
+
+
+def _success(clock, geometry, loops, tmp_path):
+    server = _server(clock)
+    return server, [_submit(server, geometry, loops[0])]
+
+
+def _store_replay(clock, geometry, loops, tmp_path):
+    server = _server(clock)
+    first = _submit(server, geometry, loops[0])
+    server.drain()
+    return server, [first, _submit(server, geometry, loops[0])]
+
+
+def _cache_hit(clock, geometry, loops, tmp_path):
+    # Equal after the cache's rounding, different bytes for the store.
+    loop = np.round(loops[0], 6)
+    server = _server(clock)
+    first = _submit(server, geometry, loop)
+    server.drain()
+    return server, [first, _submit(server, geometry, loop + 1e-12)]
+
+
+def _dedup_attach(clock, geometry, loops, tmp_path):
+    server = _server(clock)
+    return server, [_submit(server, geometry, loops[0]) for _ in range(2)]
+
+
+def _expiry_before_dispatch(clock, geometry, loops, tmp_path):
+    server = _server(clock)
+    future = _submit(server, geometry, loops[0], deadline_seconds=1.0)
+    clock.advance(2.0)
+    return server, [future]
+
+
+def _expiry_during_backoff(clock, geometry, loops, tmp_path):
+    faults = FaultInjector([FaultSpec(site=WORKER_SOLVE, index=0, kind=CRASH)])
+    server = _server(clock, faults=faults, max_retries=1,
+                     retry_backoff_seconds=5.0, retry_backoff_cap=5.0)
+    return server, [_submit(server, geometry, loops[0], deadline_seconds=2.0)]
+
+
+def _straggler(clock, geometry, loops, tmp_path):
+    faults = FaultInjector(
+        [FaultSpec(site=WORKER_SOLVE, index=0, kind=DELAY, delay_seconds=10.0)],
+        sleep=clock.advance,
+    )
+    server = _server(clock, faults=faults)
+    return server, [_submit(server, geometry, loops[0], deadline_seconds=5.0)]
+
+
+def _retry_exhaustion(clock, geometry, loops, tmp_path):
+    faults = FaultInjector([FaultSpec(site=WORKER_SOLVE, index=0, kind=CRASH)])
+    server = _server(clock, faults=faults, max_retries=0)
+    return server, [_submit(server, geometry, loops[0])]
+
+
+def _assembly_crash(clock, geometry, loops, tmp_path):
+    faults = FaultInjector([FaultSpec(site=BATCH_ASSEMBLY, index=0, kind=CRASH)])
+    server = _server(clock, faults=faults)
+    return server, [_submit(server, geometry, loops[0])]
+
+
+def _unsupervised_deaths(clock, geometry, loops, tmp_path):
+    faults = FaultInjector([FaultSpec(site=WORKER_DEATH, index=0, kind=DEATH, repeat=True)])
+    server = _server(clock, faults=faults, max_retries=1)
+    return server, [_submit(server, geometry, loops[0])]
+
+
+def _supervised_deaths(clock, geometry, loops, tmp_path):
+    faults = FaultInjector([FaultSpec(site=WORKER_DEATH, index=0, kind=DEATH)])
+    server = _server(clock, faults=faults,
+                     supervisor=WorkerSupervisor(clock=clock, max_restarts=0))
+    return server, [_submit(server, geometry, loops[0])]
+
+
+def _hang_exhaustion(clock, geometry, loops, tmp_path):
+    servers = []
+
+    def stall(seconds):
+        # A worker stuck inside its solve while the supervision sweep runs.
+        clock.advance(seconds)
+        servers[0].check_workers()
+
+    faults = FaultInjector(
+        [FaultSpec(site=WORKER_SOLVE, index=0, kind=DELAY, delay_seconds=60.0)],
+        sleep=stall,
+    )
+    supervisor = WorkerSupervisor(clock=clock, heartbeat_timeout_seconds=30.0,
+                                  max_restarts=0)
+    servers.append(_server(clock, faults=faults, supervisor=supervisor))
+    return servers[0], [_submit(servers[0], geometry, loops[0])]
+
+
+def _journal_refuses_claim(clock, geometry, loops, tmp_path):
+    faults = FaultInjector([FaultSpec(site=JOURNAL_WRITE, index=0, kind=TORN)])
+    server = _server(clock, faults=faults, journal=tmp_path / "requests.journal")
+    return server, [_submit(server, geometry, loops[0])]
+
+
+def _solved(counter):
+    return lambda server, future: (
+        future.exception() is None and server.stats.as_dict()[counter] >= 1
+    )
+
+
+def _failed(fragment):
+    return lambda server, future: fragment in str(future.exception())
+
+
+EXIT_PATHS = [
+    (_success, _solved("solved_requests")),
+    (_store_replay, _solved("store_hits")),
+    (_cache_hit, _solved("cache_hits")),
+    (_dedup_attach, _solved("dedup_hits")),
+    (_expiry_before_dispatch, _failed("deadline before dispatch")),
+    (_expiry_during_backoff, _failed("deadline during retry backoff")),
+    (_straggler, _failed("completed after its 5.0s deadline")),
+    (_retry_exhaustion, _failed("fused solve failed after 1 attempt(s)")),
+    (_assembly_crash, _failed("batch execution failed")),
+    (_unsupervised_deaths, _failed("worker died on each of 2 attempt(s)")),
+    (_supervised_deaths, _failed("worker died and the supervisor's restart budget")),
+    (_hang_exhaustion, _failed("sent no heartbeat for 30.0s")),
+    (_journal_refuses_claim, _failed("could not be claimed")),
+]
+
+
+@pytest.mark.parametrize(
+    "path, took_path", EXIT_PATHS, ids=[path.__name__.lstrip("_") for path, _ in EXIT_PATHS],
+)
+def test_request_payload_accounting_balances(path, took_path, small_geometry,
+                                             harmonic_loops, fake_clock, tmp_path):
+    # Whichever way a request leaves, drain() finds its payload bytes, its
+    # tenant's admission slot, its id and its future all given back.
+    acct = enable_memory_accounting()
+    loops = harmonic_loops(1, seed=42)
+    server, futures = path(fake_clock, small_geometry, loops, tmp_path)
+    server.drain()
+    assert all(future.done() for future in futures)
+    assert took_path(server, futures[-1])
+    assert acct.live_bytes(obs_memory.REQUEST_PAYLOADS) == 0
+    assert acct.allocated_bytes(obs_memory.REQUEST_PAYLOADS) == len(futures) * loops[0].nbytes
+    assert server.admission.pending("default") == 0
+    assert all(server.future(future.request_id) is None for future in futures)
+    if server.store.journal is not None:
+        server.store.journal.close()

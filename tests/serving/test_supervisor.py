@@ -109,20 +109,6 @@ class TestWorkerSupervisor:
         assert sup.check() == []
         assert sup.hangs == 0
 
-    def test_restart_backoff_doubles_to_cap(self, fake_clock):
-        clock = fake_clock
-        sup = WorkerSupervisor(
-            clock=clock, restart_backoff_seconds=1.0, restart_backoff_cap=4.0
-        )
-        assert sup.record_death("w0") == 1.0
-        assert sup.record_death("w0") == 2.0
-        assert sup.record_death("w0") == 4.0
-        assert sup.record_death("w0") == 4.0  # capped
-        assert sup.deaths == 4
-        assert sup.restart_gate_remaining() == 4.0
-        clock.advance(4.0)
-        assert sup.restart_gate_remaining() == 0.0
-
     def test_restart_budget_exhausts(self, fake_clock):
         clock = fake_clock
         sup = WorkerSupervisor(clock=clock, max_restarts=2)

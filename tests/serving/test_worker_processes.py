@@ -321,25 +321,6 @@ class TestPipeContract:
             assert worker["exit"]["plan_bytes_held"] == 0
             assert worker["peak_rss_mb"] == worker["exit"]["peak_rss_mb"] > 0
 
-    def test_profiled_kernels_come_back_from_the_workers(self, small_geometry):
-        model = SDNet(boundary_size=small_geometry.subdomain_grid().boundary_size,
-                      hidden_size=8, trunk_layers=1, embedding_channels=(2,), rng=22)
-        server = Server(solver_factory=lambda g: SDNetSubdomainSolver(model),
-                        engine_profile=True, async_workers=2)
-        with server:
-            request = SolveRequest.create(
-                small_geometry, small_geometry.boundary_from_function(lambda x, y: x - y),
-                tol=0.0, max_iterations=4,
-            )
-            served = server.submit_async(request).result(timeout=60)
-        kernels = server.stats.as_dict()["kernels"]
-        assert kernels["total_calls"] > 0 and "affine" in server.kernel_report()
-        # no forward ran in the parent: the profile is the workers'
-        assert sum(w["runs"] for w in server.health()["workers"]) == 1
-        plain = Server(solver_factory=lambda g: SDNetSubdomainSolver(model))
-        plain.submit(request)
-        assert plain.drain()[request.request_id].solution.tobytes() == served.solution.tobytes()
-
     def test_one_worker_and_the_sync_path_compute_in_the_parent(self, small_geometry):
         for options in ({"async_workers": 1}, {}):
             with Server(**options) as server:
