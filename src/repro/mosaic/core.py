@@ -21,8 +21,9 @@ one request, the server (:func:`repro.serving.compute.lattice_run`) hands it
 the sessions of every batch it fuses, and each rank of
 :class:`~repro.mosaic.distributed.DistributedMosaicFlowPredictor` runs one
 request over the plan of its own block, exchanging halos after each scatter
-and allreducing the sums of each check.  The core opens no tracing span;
-spans are the drivers'.
+and allreducing the sums of each check.  The core's iteration opens no
+tracing span; spans are the drivers', and :func:`timed` is how a driver
+times one of its sections into a ``timings`` dict under a span.
 """
 
 from __future__ import annotations
@@ -32,18 +33,20 @@ import os
 import threading
 import time
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from ..obs import memory as obs_memory
+from ..obs.trace import span
 from .geometry import PHASE_OFFSETS, MosaicGeometry
 
 __all__ = [
     "ASSEMBLY_CHUNK", "LatticeOutcome", "LatticePlan", "LatticeRun", "PLAN_CACHE", "PlanCache",
     "Session", "accumulate", "build_plan", "checked_reference", "checked_solver",
-    "initialize_lattice_field", "overlap_average",
+    "initialize_lattice_field", "overlap_average", "timed",
 ]
 
 PHASES = len(PHASE_OFFSETS)
@@ -106,6 +109,22 @@ def overlap_average(accumulator: np.ndarray, counts: np.ndarray) -> np.ndarray:
     mask = counts > 0
     result[mask] = accumulator[mask] / counts[mask]
     return result
+
+
+@contextmanager
+def timed(timings: dict, name: str):
+    """Add the seconds a ``with`` section takes to ``timings[name]``.
+
+    The section also runs under a tracing span of the same name.
+    """
+
+    with span(name):
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            elapsed = time.perf_counter() - start
+            timings[name] = timings.get(name, 0.0) + elapsed
 
 
 def checked_solver(geometry, solver):

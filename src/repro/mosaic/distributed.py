@@ -39,10 +39,9 @@ from ..distributed.cartesian import BlockPartition, ProcessGrid
 from ..distributed.comm import Communicator, ReduceOp
 from ..distributed.simulated import run_spmd
 from ..obs.trace import span
-from ..utils.timer import Timings
 from .core import (
     LatticeRun, Session, accumulate, build_plan, checked_reference, checked_solver,
-    overlap_average,
+    overlap_average, timed,
 )
 from .geometry import MosaicGeometry
 
@@ -380,13 +379,12 @@ class DistributedMosaicFlowPredictor:
         Each rank runs on its own thread, so the ``mfp.rank`` span roots that
         thread's trace; the per-phase sections (boundaries IO, inference,
         sendrecv, convergence check, allgather, assembly) are accumulated in
-        a thread-safe :class:`~repro.utils.timer.Timings` and returned as the
-        result's ``timings`` dict.
+        the result's ``timings`` dict, which only this thread touches.
         """
 
         with span("mfp.rank", rank=comm.rank, world=comm.size):
             geometry = self.geometry
-            timings = Timings()
+            timings = {}
             tic = time.perf_counter()
 
             grid = ProcessGrid(comm.size, ordering=self.ordering)
@@ -429,7 +427,8 @@ class DistributedMosaicFlowPredictor:
                 for peer in sorted(plan.recvs):
                     recv_rows, recv_cols = plan.recvs[peer]
                     local[recv_rows, recv_cols] = comm.recv(peer, tag=iteration)
-                timings.add("sendrecv", time.perf_counter() - tic)
+                elapsed = time.perf_counter() - tic
+                timings["sendrecv"] = timings.get("sendrecv", 0.0) + elapsed
 
             # [Σstep², Σpast², Σ|current - reference|, points] over every
             # rank, allreduced at each check.  ``np.sum(x ** 2)`` rather than
@@ -453,16 +452,17 @@ class DistributedMosaicFlowPredictor:
                     return target_mae is not None and mae < target_mae
 
             run.iterate(solve, on_check, exchange, reduce)
-            timings.merge(run.timings)
+            for name, seconds in run.timings.items():
+                timings[name] = timings.get(name, 0.0) + seconds
             outcome = run.results[0]
 
             # Dense assembly of the local anchors
-            with timings.measure("inference"):
+            with timed(timings, "inference"):
                 accumulator = np.zeros(layout.local_shape)
                 accumulate(run.buffer, accumulator.reshape(-1), run.groups, solve)
 
             # Allgather and overlap averaging
-            with timings.measure("allgather"):
+            with timed(timings, "allgather"):
                 payload = (
                     layout.row_offset,
                     layout.col_offset,
@@ -473,7 +473,7 @@ class DistributedMosaicFlowPredictor:
 
             solution = None
             if comm.rank == 0:
-                with timings.measure("assembly"):
+                with timed(timings, "assembly"):
                     global_sum = np.zeros((geometry.global_ny, geometry.global_nx))
                     global_count = np.zeros_like(global_sum)
                     for row_off, col_off, acc, cnt in gathered:
@@ -492,7 +492,7 @@ class DistributedMosaicFlowPredictor:
                 converged=outcome.converged,
                 deltas=outcome.deltas,
                 mae_history=mae_history,
-                timings=timings.as_dict(),
+                timings=timings,
                 comm_stats=comm.trace.as_dict(),
                 halo_bytes_per_iteration=plan.bytes_per_iteration(),
             )

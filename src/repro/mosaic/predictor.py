@@ -21,10 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..utils.timer import Timings
 from .core import (
     LatticeOutcome, LatticeRun, Session, checked_reference, checked_solver,
-    initialize_lattice_field,
+    initialize_lattice_field, timed,
 )
 from .geometry import MosaicGeometry
 from .solvers import SubdomainSolver
@@ -136,10 +135,6 @@ class MosaicFlowPredictor:
             return self.solver.predict(boundaries, points)
 
         run.iterate(solve if self.batched else self._one_by_one, on_check)
-        timings = Timings()
-        with timings.measure("assembly"):
+        with timed(run.timings, "assembly"):
             outcome = run.outcomes(solve if assemble else None)[0][0]
-        return MFPResult(
-            **vars(outcome), mae_history=mae_history,
-            timings={**run.timings, **timings.as_dict()},
-        )
+        return MFPResult(**vars(outcome), mae_history=mae_history, timings=run.timings)

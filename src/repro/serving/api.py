@@ -187,8 +187,9 @@ class SolveRequest:
 class SolveResult:
     """Outcome of one served solve request.
 
-    ``batch_size`` is the number of requests fused into the solver run that
-    produced this solution (0 for cache hits, which ran no solver at all);
+    ``batch_size`` is the number of requests in the batch that produced this
+    solution, one session row each (0 for cache hits and store replays, which
+    ran no solver at all);
     ``latency_seconds`` measures submit-to-completion time under the server's
     clock.
     """

@@ -14,10 +14,13 @@ Keys also include the solve parameters (geometry, tolerance, iteration
 budget, initialization, check cadence): a looser tolerance must not serve a
 request that asked for a tighter one.  The cache is scoped to one server and
 therefore one subdomain solver; entries from different solvers never mix.
+It is shared by the submitting threads (``get``) and the solve workers
+(``put``), so one lock guards every access.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -71,12 +74,14 @@ class SolutionCache:
         self.capacity = int(capacity)
         self.decimals = int(decimals)
         self._entries: OrderedDict[tuple, CachedSolution] = OrderedDict()
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        with self._lock:
+            return len(self._entries)
 
     @property
     def hit_rate(self) -> float:
@@ -102,43 +107,47 @@ class SolutionCache:
         """Look up a request; counts a hit/miss and refreshes LRU order."""
 
         key = self.key_for(request)
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                self.misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return entry
 
     def put(self, request: SolveRequest, entry: CachedSolution) -> None:
         """Insert (or refresh) the solved outcome for a request."""
 
         key = self.key_for(request)
-        previous = self._entries.get(key)
-        if previous is not None:
-            self._entries.move_to_end(key)
-            if previous is not entry:
-                obs_memory.sub(obs_memory.SOLUTION_CACHE, previous.nbytes)
+        with self._lock:
+            previous = self._entries.get(key)
+            if previous is not None:
+                self._entries.move_to_end(key)
+                if previous is not entry:
+                    obs_memory.sub(obs_memory.SOLUTION_CACHE, previous.nbytes)
+                    obs_memory.add(obs_memory.SOLUTION_CACHE, entry.nbytes)
+            else:
                 obs_memory.add(obs_memory.SOLUTION_CACHE, entry.nbytes)
-        else:
-            obs_memory.add(obs_memory.SOLUTION_CACHE, entry.nbytes)
-        self._entries[key] = entry
-        while len(self._entries) > self.capacity:
-            _, evicted = self._entries.popitem(last=False)
-            obs_memory.sub(obs_memory.SOLUTION_CACHE, evicted.nbytes)
-            self.evictions += 1
+            self._entries[key] = entry
+            while len(self._entries) > self.capacity:
+                _, evicted = self._entries.popitem(last=False)
+                obs_memory.sub(obs_memory.SOLUTION_CACHE, evicted.nbytes)
+                self.evictions += 1
 
     def clear(self) -> None:
-        for entry in self._entries.values():
-            obs_memory.sub(obs_memory.SOLUTION_CACHE, entry.nbytes)
-        self._entries.clear()
+        with self._lock:
+            for entry in self._entries.values():
+                obs_memory.sub(obs_memory.SOLUTION_CACHE, entry.nbytes)
+            self._entries.clear()
 
     def stats(self) -> dict:
-        return {
-            "size": len(self._entries),
-            "capacity": self.capacity,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-        }
+        with self._lock:
+            return {
+                "size": len(self._entries),
+                "capacity": self.capacity,
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions,
+                "hit_rate": self.hit_rate,
+            }

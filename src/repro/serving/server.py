@@ -16,18 +16,22 @@ rebuild it is a request *pipeline*:
   :meth:`~Server.start`) hands released work to the **solve workers**.  A
   run is formed only when a worker is idle: with ``k`` workers idle,
   everything queued (``Batch.reason == "idle"``) is split into ``k``
-  partitions balanced by predicted rows (subdomains x budget, largest
-  first; requests the in-batch dedup merges stay together), one per idle
-  worker.  So no more runs are in flight than there are workers, and what
-  arrives while every worker is busy queues until one finishes, which
-  wakes the dispatcher.  ``BatchPolicy.max_wait_seconds`` therefore never
-  delays a started server.  Each partition runs one way: its batches are
+  partitions balanced by predicted rows (subdomains x budget, one request
+  at a time, largest first), one per idle worker.  So no more runs are in
+  flight than there are workers, and what arrives while every worker is
+  busy queues until one finishes, which wakes the dispatcher.
+  ``BatchPolicy.max_wait_seconds`` therefore never delays a started
+  server.  Each partition runs one way: its batches are
   grouped by fusion compatibility and each group — one batch or several —
   is one :class:`~repro.mosaic.core.LatticeRun` over shared solver calls
-  (:func:`~repro.serving.compute.lattice_run`, one session per batch),
-  each request bitwise equal to its standalone run.  One batcher queues
-  every group and keeps only the groups with requests waiting, so a
-  dispatcher pass costs what is waiting, not what was ever served;
+  (:func:`~repro.serving.compute.lattice_run`, one session per batch and
+  one session row per request), each request bitwise equal to its
+  standalone run.  An exact duplicate never reaches a batch: the store
+  attaches it to its in-flight twin or replays the settled one.  The cache
+  answers a near-duplicate at submit once its twin is solved; near twins
+  that share a batch are solved apart.  One batcher queues every group and
+  keeps only the groups with requests waiting, so a dispatcher pass costs
+  what is waiting, not what was ever served;
 * with two or more workers, each worker computes in its own **forked
   process** (:class:`~repro.serving.compute.ComputeProcess`, forked in
   :meth:`~Server.start`), so two runs really execute at once; two threads
@@ -73,7 +77,7 @@ dispatcher, :meth:`~Server.submit` is ``submit_async`` plus an inline
 injected clock waits its window out), and
 :meth:`~Server.drain` flushes, executes (inline or by waiting on the worker
 pool) and returns the completed results — so the sync path and the async
-path run the identical batching, dedup, solve and postprocess code and are
+path run the identical batching, solve and postprocess code and are
 bitwise-identical for the same request set.
 """
 
@@ -83,7 +87,7 @@ import threading
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 
 import numpy as np
@@ -132,14 +136,19 @@ _POLL_INTERVAL_SECONDS = 0.01
 
 @dataclass
 class _PreparedBatch:
-    """One batch after expiry filtering and in-batch dedup, ready to solve."""
+    """One batch's unexpired requests and their session, one row each."""
 
     batch: Batch
     live: list
-    solve_requests: list
-    assignment: list
-    session: Session
-    occupancy: int = 1
+    session: Session = field(init=False)
+
+    def __post_init__(self):
+        geometry, init_mode, check_interval = self.batch.group_key
+        self.session = Session(
+            geometry, np.stack([r.boundary_loop for r in self.live]),
+            [r.tol for r in self.live], [r.max_iterations for r in self.live],
+            init_mode, check_interval,
+        )
 
 
 def default_solver_factory(geometry: MosaicGeometry) -> FDSubdomainSolver:
@@ -746,34 +755,27 @@ class Server:
 
     def _partition(self, batches: list[Batch], parts: int) -> list[list[Batch]]:
         # Caller holds self._lock.  Split the ready batches into at most
-        # `parts` runs of balanced predicted rows (subdomains x budget),
-        # largest first onto the lightest run.  Requests the in-batch dedup
-        # would merge (one cache key) stay together.
+        # `parts` runs of balanced predicted rows (subdomains x budget), one
+        # request at a time, largest first onto the lightest run.
         if parts < 2:
             return [batches] if batches else []
-        units: dict = {}
-        for batch in batches:
-            subdomains = batch.group_key[0].num_subdomains
-            for index, request in enumerate(batch.requests):
-                key = (
-                    self.cache.key_for(request) if self.cache is not None
-                    else request.request_id
-                )
-                unit = units.setdefault(key, [subdomains * request.max_iterations, []])
-                unit[1].append((id(batch), index))
-        if len(units) < 2:
+        costs = [
+            (batch.group_key[0].num_subdomains * request.max_iterations, b, i)
+            for b, batch in enumerate(batches) for i, request in enumerate(batch.requests)
+        ]
+        if len(costs) < 2:
             return [batches]
-        loads = [0] * min(parts, len(units))
-        members: list[set] = [set() for _ in loads]
-        for cost, unit in sorted(units.values(), key=lambda u: -u[0]):
+        loads = [0] * min(parts, len(costs))
+        run_of = {}
+        for cost, b, i in sorted(costs, key=lambda c: -c[0]):
             lightest = loads.index(min(loads))
             loads[lightest] += cost
-            members[lightest].update(unit)
+            run_of[b, i] = lightest
         runs = []
-        for chosen in members:
+        for run_index in range(len(loads)):
             run = []
-            for batch in batches:
-                kept = [i for i in range(len(batch)) if (id(batch), i) in chosen]
+            for b, batch in enumerate(batches):
+                kept = [i for i in range(len(batch)) if run_of[b, i] == run_index]
                 if kept:
                     run.append(Batch(
                         batch.group_key, [batch.requests[i] for i in kept],
@@ -1030,7 +1032,7 @@ class Server:
     # -- internals ----------------------------------------------------------------
 
     def _prepare(self, batch: Batch, batch_span) -> _PreparedBatch | None:
-        """Expiry-filter and dedup one batch; ``None`` when nothing is live.
+        """Expiry-filter one batch; ``None`` when nothing is live.
 
         Queue waits are recorded for live requests only — an expired request
         never reaches the solver, and counting its wait would skew the
@@ -1049,47 +1051,7 @@ class Server:
         with span("serving.batch_assembly"):
             if self.faults is not None:
                 self.faults.fire(BATCH_ASSEMBLY, size=len(live))
-            return _PreparedBatch(batch, live, *self._solve_set(batch.group_key, live))
-
-    def _solve_set(self, group_key: tuple, live: list, record: bool = True) -> tuple:
-        """``(solve_requests, assignment, session)`` of a batch's live requests.
-
-        The session holds one lattice request per unique BVP (see
-        :meth:`_dedup`, which ``record`` is passed to).
-        """
-
-        solve_requests, assignment = self._dedup(live, record)
-        geometry, init_mode, check_interval = group_key
-        session = Session(
-            geometry, np.stack([r.boundary_loop for r in solve_requests]),
-            [r.tol for r in solve_requests], [r.max_iterations for r in solve_requests],
-            init_mode, check_interval,
-        )
-        return solve_requests, assignment, session
-
-    def _dedup(self, live: list, record: bool = True) -> tuple[list, list]:
-        """In-batch dedup on the cache key: identical BVPs are solved once.
-
-        ``record=False`` recomputes the mapping without re-counting dedup
-        hits (used when the live set shrinks during retry backoff).
-        """
-
-        if self.cache is None:
-            return list(live), list(range(len(live)))
-        unique: dict[tuple, int] = {}
-        assignment = []
-        for request in live:
-            key = self.cache.key_for(request)
-            if key not in unique:
-                unique[key] = len(unique)
-            elif record:
-                self.stats.record_dedup_hit()
-            assignment.append(unique[key])
-        solve_requests = [None] * len(unique)
-        for request, slot in zip(live, assignment):
-            if solve_requests[slot] is None:
-                solve_requests[slot] = request
-        return solve_requests, assignment
+            return _PreparedBatch(batch, live)
 
     def _unexpired(self, requests: list, now: float, when: str) -> list[bool]:
         """Deadline fail-fast: which of ``requests`` someone still waits for.
@@ -1112,10 +1074,9 @@ class Server:
                 ))
         return alive
 
-    def _postprocess(self, prepared: _PreparedBatch, outcomes) -> None:
-        batch_size = len(prepared.solve_requests)
-        for request, slot in zip(prepared.live, prepared.assignment):
-            outcome = outcomes[slot]
+    def _postprocess(self, prepared: _PreparedBatch, outcomes, occupancy: int) -> None:
+        batch_size = len(prepared.live)
+        for request, outcome in zip(prepared.live, outcomes):
             entry = CachedSolution(
                 solution=outcome.solution,
                 iterations=outcome.iterations,
@@ -1135,17 +1096,15 @@ class Server:
                 # waiters and only bumps its counter.
                 waiters.extend(self.store.fulfill(request, entry))
             for waiter in waiters:
-                self._settle(
-                    waiter, entry, batch_size=batch_size, occupancy=prepared.occupancy
-                )
+                self._settle(waiter, entry, batch_size=batch_size, occupancy=occupancy)
 
     # -- mega-batch execution ------------------------------------------------------
 
     def _execute_mega(self, group: list[Batch], compat_key: tuple, slot: int | None) -> None:
         """Run one or more fusion-compatible batches as one lattice run.
 
-        Each batch keeps its own expiry filter, dedup, fused-run accounting
-        and postprocess — only the solver calls are shared, so results are
+        Each batch keeps its own expiry filter, fused-run accounting and
+        postprocess — only the solver calls are shared, so results are
         bitwise-identical to running the batches one by one.  Only a run that
         fused at least two batches counts as a mega run in the stats.
         """
@@ -1180,10 +1139,9 @@ class Server:
                 self.faults.fire(WORKER_DEATH)
             prepared, outcomes = results
             for p, outs in zip(prepared, outcomes):
-                p.occupancy = len(prepared)
-                self.stats.record_fused_run(len(p.solve_requests))
+                self.stats.record_fused_run(len(p.live))
                 with span("serving.postprocess"):
-                    self._postprocess(p, outs)
+                    self._postprocess(p, outs, len(prepared))
             if len(prepared) > 1:
                 self.stats.record_mega_run(len(prepared))
 
@@ -1211,7 +1169,7 @@ class Server:
             try:
                 with span(
                     "serving.fused_solve",
-                    unique=sum(len(p.solve_requests) for p in prepared),
+                    requests=len(live),
                     batches=len(prepared),
                     attempt=attempts,
                 ):
@@ -1264,14 +1222,14 @@ class Server:
                 ):
                     self._backoff_wait(backoff)
                 now = self.clock()
+                survivors = []
                 for p in prepared:
                     alive = self._unexpired(p.live, now, "during retry backoff")
-                    if not all(alive):
-                        p.live = list(compress(p.live, alive))
-                        if p.live:  # rebuild the session over the survivors
-                            p.solve_requests, p.assignment, p.session = self._solve_set(
-                                p.batch.group_key, p.live, record=False)
-                prepared = [p for p in prepared if p.live]
+                    if all(alive):
+                        survivors.append(p)
+                    elif any(alive):  # a new session over the survivors
+                        survivors.append(_PreparedBatch(p.batch, list(compress(p.live, alive))))
+                prepared = survivors
                 if not prepared:
                     mega_span.set_attr("expired_in_backoff", True)
                     return None

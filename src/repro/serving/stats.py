@@ -4,7 +4,8 @@ The headline numbers a serving layer must report:
 
 * **latency** — per-request submit-to-completion time (p50/p99/mean),
 * **cache hit rate** — fraction of requests answered without any solve
-  (LRU hits at submit plus within-batch deduplication),
+  (cache hits and store replays at submit, plus duplicates the store
+  attached to an in-flight solve),
 * **solver runs saved** — how many fused predictor runs batching + caching
   avoided compared to one run per request (the Figure 8 effect at the
   request level).
@@ -171,6 +172,8 @@ class ServingStats:
 
     @property
     def dedup_hits(self) -> int:
+        """Submissions the store attached to an in-flight solve of their BVP."""
+
         return self._dedup_hits.value
 
     @property
@@ -249,7 +252,11 @@ class ServingStats:
 
     @property
     def cache_hit_rate(self) -> float:
-        """Requests answered without a solve (LRU or in-batch duplicate)."""
+        """Requests answered without a solve of their own.
+
+        Cache hits and store replays, plus duplicates the store attached to
+        an in-flight solve (``dedup_hits``).
+        """
 
         requests = self.requests
         if requests == 0:
@@ -258,7 +265,7 @@ class ServingStats:
 
     @property
     def completed_requests(self) -> int:
-        """Requests answered so far (served from cache, dedup or a solve)."""
+        """Requests answered so far (from the cache, the store or a solve)."""
 
         return self.cache_hits + self.dedup_hits + self.solved_requests
 
@@ -315,7 +322,7 @@ class ServingStats:
         lines = [
             "=== serving stats ===",
             f"requests          : {d['requests']}",
-            f"cache hits        : {d['cache_hits']} (+{d['dedup_hits']} in-batch dedup)",
+            f"cache hits        : {d['cache_hits']} (+{d['dedup_hits']} attached in flight)",
             f"cache hit rate    : {d['cache_hit_rate']:.1%}",
             f"fused solver runs : {d['fused_runs']} (mean batch {d['mean_batch_size']:.1f})",
             f"solver runs saved : {d['solver_runs_saved']}",

@@ -1,6 +1,5 @@
-"""Shared utilities: seeding, timing and simple logging."""
+"""Shared utilities: seeding."""
 
 from .rng import seeded_rng, spawn_rngs
-from .timer import Timer, Timings
 
-__all__ = ["seeded_rng", "spawn_rngs", "Timer", "Timings"]
+__all__ = ["seeded_rng", "spawn_rngs"]

@@ -1,18 +1,20 @@
 """The lattice-iteration core: sessions, empty runs, index plans, the bounded
-plan cache, FD query maps."""
+plan cache, FD query maps, the section timer."""
 
 from __future__ import annotations
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.domains import CompositeDomain, CompositeMosaicGeometry
 from repro.mosaic import FDSubdomainSolver, MosaicGeometry
-from repro.mosaic.core import PLAN_CACHE, LatticeRun, PlanCache, Session, build_plan
+from repro.mosaic.core import PLAN_CACHE, LatticeRun, PlanCache, Session, build_plan, timed
 from repro.mosaic.solvers import QUERY_SETS_KEPT
+from repro.obs import disable_tracing, enable_tracing
 from repro.obs import memory as obs_memory
 from repro.serving import Server, SolveRequest
 
@@ -219,3 +221,46 @@ class TestFDQueryMaps:
             np.testing.assert_array_equal(
                 solver.predict(boundaries, points), fresh.predict(boundaries, points))
             assert len(solver._weights) <= QUERY_SETS_KEPT
+
+
+class TestTimed:
+    def test_timed_adds_seconds_and_emits_span(self):
+        tracer = enable_tracing()
+        try:
+            timings = {"assembly": 0.5}
+            with timed(timings, "assembly"):
+                pass
+            assert [r.name for r in tracer.roots] == ["assembly"]
+            assert timings["assembly"] >= 0.5
+        finally:
+            disable_tracing()
+
+    def test_timed_measures_elapsed(self):
+        timings = {}
+        with timed(timings, "inference"):
+            time.sleep(0.01)
+        assert timings["inference"] >= 0.009
+
+    def test_timed_accumulates_and_leaves_other_names(self):
+        timings = {"boundaries_io": 0.25}
+        with timed(timings, "inference"):
+            pass
+        first = timings["inference"]
+        with timed(timings, "inference"):
+            time.sleep(0.005)
+        assert timings["inference"] >= first + 0.004
+        assert timings["boundaries_io"] == 0.25
+        assert set(timings) == {"boundaries_io", "inference"}
+
+    def test_timed_records_a_section_that_raises(self):
+        tracer = enable_tracing()
+        try:
+            timings = {}
+            with pytest.raises(RuntimeError):
+                with timed(timings, "assembly"):
+                    time.sleep(0.005)
+                    raise RuntimeError("section failed")
+            assert timings["assembly"] >= 0.004
+            assert [r.name for r in tracer.roots] == ["assembly"]
+        finally:
+            disable_tracing()

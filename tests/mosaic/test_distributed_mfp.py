@@ -21,6 +21,7 @@ from repro.mosaic.core import (
     build_plan,
     initialize_lattice_field,
     overlap_average,
+    timed,
 )
 from repro.mosaic.distributed import (
     DistributedMFPResult,
@@ -30,7 +31,6 @@ from repro.mosaic.distributed import (
 )
 from repro.mosaic.domain import CompositeDomain
 from repro.pde import HARMONIC_FUNCTIONS
-from repro.utils.timer import Timings
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +62,7 @@ def _retired_rank_program(predictor, comm, boundary_loop, max_iterations=200, to
     """
 
     geometry = predictor.geometry
-    timings = Timings()
+    timings = {}
     tic = time.perf_counter()
 
     grid = ProcessGrid(comm.size, ordering=predictor.ordering)
@@ -161,19 +161,19 @@ def _retired_rank_program(predictor, comm, boundary_loop, max_iterations=200, to
             if converged:
                 break
 
-    with timings.measure("inference"):
+    with timed(timings, "inference"):
         accumulator = np.zeros(layout.local_shape)
         accumulate(
             flat, accumulator.reshape(-1),
             [(indices, np.zeros(1, dtype=np.intp))],
             lambda boundaries, points, _sessions: solver.predict(boundaries, points),
         )
-    with timings.measure("allgather"):
+    with timed(timings, "allgather"):
         gathered = comm.allgather(
             (layout.row_offset, layout.col_offset, accumulator, indices.counts))
     solution = None
     if comm.rank == 0:
-        with timings.measure("assembly"):
+        with timed(timings, "assembly"):
             global_sum = np.zeros((geometry.global_ny, geometry.global_nx))
             global_count = np.zeros_like(global_sum)
             for row_off, col_off, acc, cnt in gathered:
@@ -187,7 +187,7 @@ def _retired_rank_program(predictor, comm, boundary_loop, max_iterations=200, to
     return DistributedMFPResult(
         rank=comm.rank, world_size=comm.size, solution=solution, iterations=iterations,
         converged=converged, deltas=deltas, mae_history=mae_history,
-        timings=timings.as_dict(), comm_stats=comm.trace.as_dict(),
+        timings=timings, comm_stats=comm.trace.as_dict(),
         halo_bytes_per_iteration=plan.bytes_per_iteration(),
     )
 
@@ -384,6 +384,22 @@ class TestDistributedExecution:
             assert r.comm_stats["sends"] > 0
             assert r.comm_stats["allgathers"] == 1
             assert {"inference", "sendrecv", "allgather", "boundaries_io"} <= set(r.timings)
+
+    def test_rank_timings_add_the_run_to_the_setup(self, problem):
+        geo, grid, loop, reference = problem
+        make = solver_factory_for(geo)
+
+        def slow_factory():
+            # Building the solver falls in the rank's setup ("Boundaries IO")
+            time.sleep(0.05)
+            return make()
+
+        predictor = DistributedMosaicFlowPredictor(geo, slow_factory)
+        results = predictor.run(2, loop, max_iterations=6, tol=0.0)
+        for r in results:
+            # The run's own boundaries_io is added to the setup's, not put in its place.
+            assert r.timings["boundaries_io"] >= 0.045
+            assert "convergence_check" in r.timings
 
     @pytest.mark.parametrize("run_kwargs, extra_points, message", [
         (dict(check_interval=0), 0, "check_interval must be at least 1"),

@@ -638,40 +638,39 @@ class TestTwoWorkersRunAtOnce:
         assert peak[0] <= 2
         assert server.stats.solved_requests == 12
 
-    def test_partitions_balance_rows_and_keep_dedup_keys_together(self):
+    def test_partitions_balance_single_requests(self):
         geometries = self._geometries()
-        server = Server(cache=SolutionCache(capacity=64))
         loops = {
             g: g.boundary_from_function(lambda x, y: x * y + 0.25 * x) for g in geometries
         }
         requests = []
         for g in geometries:
             requests.append(SolveRequest.create(g, loops[g], max_iterations=10))
-            # distinct store key, same quantised cache key: the in-batch dedup
-            # solves the two once, so they must share a run
+            # distinct store key, same quantised cache key: still its own row
             requests.append(SolveRequest.create(g, loops[g] + 1e-13, max_iterations=10))
             requests.append(SolveRequest.create(g, 2.0 * loops[g], max_iterations=10))
-        for request in requests:
-            server.submit_async(request)
-        with server._lock:
-            server._flush_locked("flush")
-            batches = list(server._ready)
-        for parts in (2, 3):
-            runs = server._partition(batches, parts)
-            assert len(runs) == parts
-            where = {
-                r.request_id: index
-                for index, run in enumerate(runs) for batch in run for r in batch.requests
+
+        def partitions(cache):
+            server = Server(cache=cache)
+            for request in requests:
+                server.submit_async(request)
+            with server._lock:
+                server._flush_locked("flush")
+                batches = list(server._ready)
+            return {
+                parts: [
+                    [r.request_id for batch in run for r in batch.requests]
+                    for run in server._partition(batches, parts)
+                ]
+                for parts in (2, 3)
             }
-            assert sorted(where) == sorted(r.request_id for r in requests)
-            for first, twin in zip(requests[0::3], requests[1::3]):
-                assert where[first.request_id] == where[twin.request_id]
-            loads = []
-            for run in runs:
-                # predicted rows of what the run solves: one solve per cache key
-                solved = {
-                    server.cache.key_for(r): batch.group_key[0].num_subdomains * 10
-                    for batch in run for r in batch.requests
-                }
-                loads.append(sum(solved.values()))
-            assert max(loads) - min(loads) <= max(g.num_subdomains for g in geometries) * 10
+
+        cached = partitions(SolutionCache(capacity=64))
+        # A cache never changes who runs where: the units are single requests.
+        assert cached == partitions(None)
+        cost = {r.request_id: r.geometry.num_subdomains * 10 for r in requests}
+        for parts, runs in cached.items():
+            assert len(runs) == parts
+            assert sorted(i for run in runs for i in run) == sorted(cost)
+            loads = [sum(cost[i] for i in run) for run in runs]
+            assert max(loads) - min(loads) <= max(cost.values())

@@ -1,5 +1,9 @@
 """Solution cache (LRU + quantization) and dynamic batcher policies."""
 
+import sys
+import threading
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,7 @@ from repro.serving import (
     BatchPolicy,
     CachedSolution,
     DynamicBatcher,
+    Server,
     SolutionCache,
     SolveRequest,
 )
@@ -20,6 +25,31 @@ def _request(geometry, value=0.0, **kwargs):
 
 def _entry(value=1.0):
     return CachedSolution(solution=np.full((3, 3), value), iterations=7, converged=True)
+
+
+class _StallingEntries(OrderedDict):
+    """Entries whose first lookup of ``key`` stalls after finding it.
+
+    The stall lasts until an eviction (a racing ``put``) or 0.5 s, which
+    puts that eviction between the lookup and the LRU refresh of a ``get``
+    whenever the cache lets it in there.
+    """
+
+    def __init__(self, entries, key):
+        super().__init__(entries)
+        self.key, self.arrived, self.evicted = key, threading.Event(), threading.Event()
+
+    def get(self, key, default=None):
+        entry = super().get(key, default)
+        if key == self.key and not self.arrived.is_set():
+            self.arrived.set()
+            self.evicted.wait(0.5)
+        return entry
+
+    def popitem(self, last=True):
+        item = super().popitem(last)
+        self.evicted.set()
+        return item
 
 
 class TestSolutionCache:
@@ -59,6 +89,60 @@ class TestSolutionCache:
         assert cache.evictions == 1
         assert cache.get(_request(small_geometry, 2.0)) is None
         assert cache.get(_request(small_geometry, 1.0)) is not None
+
+    def test_put_evicting_mid_get_waits_for_the_get(self, small_geometry):
+        cache = SolutionCache(capacity=1)
+        first = _request(small_geometry, 1.0)
+        cache.put(first, _entry(1))
+        entries = _StallingEntries(cache._entries, cache.key_for(first))
+        cache._entries = entries
+        hits, errors = [], []
+
+        def lookup():
+            try:
+                hits.append(cache.get(_request(small_geometry, 1.0)))
+            except Exception as exc:
+                errors.append(exc)
+
+        reader = threading.Thread(target=lookup)
+        reader.start()
+        assert entries.arrived.wait(5.0)
+        # The racing put evicts the entry the stalled get has just found.
+        cache.put(_request(small_geometry, 2.0), _entry(2))
+        reader.join(5.0)
+        assert errors == []
+        assert hits[0].iterations == 7 and cache.hits == 1
+        assert len(cache) == 1 and cache.evictions == 1
+        assert cache.get(_request(small_geometry, 2.0)) is not None
+
+    def test_concurrent_gets_and_puts_lose_no_update(self, small_geometry):
+        cache = SolutionCache(capacity=3)
+        requests = [_request(small_geometry, float(v)) for v in range(6)]
+        gets, errors = 400, []
+
+        def hammer(offset):
+            try:
+                for step in range(gets):
+                    request = requests[(offset + step) % len(requests)]
+                    if cache.get(request) is None:
+                        cache.put(request, _entry(offset))
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(k,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert cache.hits + cache.misses == 6 * gets
+        assert len(cache) == 3 and cache.evictions <= cache.misses - 3
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -140,3 +224,46 @@ class TestDynamicBatcher:
             BatchPolicy(max_batch_size=0)
         with pytest.raises(ValueError):
             BatchPolicy(max_wait_seconds=-1.0)
+
+
+class TestSharedCache:
+    def test_submit_survives_an_eviction_between_lookup_and_refresh(
+        self, small_geometry, harmonic_loops, fake_clock
+    ):
+        server = Server(
+            policy=BatchPolicy(max_batch_size=8, max_wait_seconds=1e9),
+            cache=SolutionCache(capacity=1), clock=fake_clock,
+        )
+        loop, other = harmonic_loops(2, seed=21)
+        server.submit(SolveRequest.create(small_geometry, loop, max_iterations=30))
+        server.drain()
+        # Distinct store key, same cache key: answered by the cache lookup.
+        twin = loop + 1e-13
+        entries = _StallingEntries(
+            server.cache._entries,
+            server.cache.key_for(SolveRequest.create(small_geometry, twin, max_iterations=30)),
+        )
+        server.cache._entries = entries
+        futures, errors = [], []
+
+        def submit():
+            try:
+                futures.append(server.submit_async(
+                    SolveRequest.create(small_geometry, twin, max_iterations=30)))
+            except Exception as exc:
+                errors.append(exc)
+
+        submitter = threading.Thread(target=submit)
+        submitter.start()
+        assert entries.arrived.wait(5.0)
+        # What a solve worker's postprocess does when another request lands.
+        server.cache.put(
+            SolveRequest.create(small_geometry, other, max_iterations=30), _entry(2))
+        submitter.join(5.0)
+        assert errors == []
+        assert futures[0].result(timeout=5.0).cache_hit
+        again = server.submit_async(SolveRequest.create(small_geometry, twin, max_iterations=30))
+        server.drain()
+        assert again.done() and again.result().cache_hit
+        assert np.array_equal(again.result().solution, futures[0].result().solution)
+        assert server.store.in_flight == 0

@@ -224,13 +224,42 @@ class TestCachingPaths:
         ]
         results = server.drain()
         assert server.stats.fused_runs == 1
-        assert server.stats.dedup_hits == 2
+        assert server.stats.dedup_hits == 2 == server.store.stats()["attached"]
         assert server.stats.cache_hit_rate == pytest.approx(2 / 3)
-        # batch_size reports the fused solver run's actual row count (1
-        # unique BVP), not the number of requests it answered.
+        # The store attaches both duplicates to the first at submit, so the
+        # batch holds one row, and batch_size reports rows, not answers.
         assert all(results[i].batch_size == 1 for i in ids)
         a, b, c = (results[i].solution for i in ids)
         assert np.array_equal(a, b) and np.array_equal(b, c)
+
+    def test_near_duplicates_in_one_batch_each_equal_their_standalone_run(
+        self, small_geometry, harmonic_loops, fake_clock
+    ):
+        loop = harmonic_loops(1, seed=8)[0]
+        # Distinct bytes, one quantised cache key: near-duplicate twins.
+        loops = [loop, loop + 1e-13, loop - 1e-13]
+        server = _server(fake_clock)
+        ids = [
+            server.submit(SolveRequest.create(small_geometry, twin, max_iterations=40))
+            for twin in loops[:2]
+        ]
+        # An exact duplicate of the first attaches to it in the store.
+        exact = server.submit(SolveRequest.create(small_geometry, loop, max_iterations=40))
+        results = server.drain()
+        assert server.stats.fused_runs == 1 and server.stats.solved_requests == 2
+        solver = FDSubdomainSolver(small_geometry.subdomain_grid(), method="direct")
+        for twin, request_id in zip(loops, ids):
+            alone = MosaicFlowPredictor(small_geometry, solver).run(
+                twin, max_iterations=40, tol=1e-6)
+            assert np.array_equal(results[request_id].solution, alone.solution)
+            assert results[request_id].batch_size == 2
+        assert np.array_equal(results[exact].solution, results[ids[0]].solution)
+        # The later near-duplicate is the cache's: answered at submit.
+        later = server.submit(
+            SolveRequest.create(small_geometry, loops[2], max_iterations=40))
+        assert server.drain()[later].cache_hit
+        assert server.stats.cache_hits == 1 and server.stats.fused_runs == 1
+        assert server.stats.dedup_hits == server.store.stats()["attached"] == 1
 
     def test_stats_report_renders(self, small_geometry, harmonic_loops, fake_clock):
         server = _server(fake_clock)

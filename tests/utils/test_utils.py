@@ -1,11 +1,9 @@
-"""Utility helpers: seeded RNG spawning and timers."""
-
-import time
+"""Utility helpers: seeded RNG spawning."""
 
 import numpy as np
 import pytest
 
-from repro.utils import Timer, Timings, seeded_rng, spawn_rngs
+from repro.utils import seeded_rng, spawn_rngs
 
 
 class TestRng:
@@ -28,85 +26,3 @@ class TestRng:
     def test_spawn_count_validation(self):
         with pytest.raises(ValueError):
             spawn_rngs(0, 0)
-
-
-class TestTimers:
-    def test_timer_measures_elapsed(self):
-        timer = Timer()
-        with timer:
-            time.sleep(0.01)
-        assert timer.elapsed >= 0.009
-
-    def test_timer_accumulates(self):
-        timer = Timer()
-        with timer:
-            pass
-        first = timer.elapsed
-        with timer:
-            pass
-        assert timer.elapsed >= first
-
-    def test_timer_requires_start(self):
-        with pytest.raises(RuntimeError):
-            Timer().stop()
-
-    def test_timings_categories(self):
-        timings = Timings()
-        with timings.measure("compute"):
-            time.sleep(0.005)
-        timings.add("communication", 0.5)
-        assert timings["compute"] > 0
-        assert timings.total() == pytest.approx(timings["compute"] + 0.5)
-        assert set(timings.as_dict()) == {"compute", "communication"}
-
-    def test_timings_dict_compatible_access(self):
-        timings = Timings()
-        timings["inference"] = 1.5
-        timings["inference"] = timings.get("inference", 0.0) + 0.5
-        assert timings["inference"] == 2.0
-        assert "inference" in timings and "other" not in timings
-        assert timings.get("other") == 0.0
-        assert timings["missing"] == 0.0  # defaultdict semantics preserved
-
-    def test_timings_snapshot_and_merge(self):
-        a, b = Timings(), Timings()
-        a.add("inference", 1.0)
-        b.add("inference", 2.0)
-        b.add("allgather", 0.5)
-        a.merge(b)
-        assert a.snapshot() == {"inference": 3.0, "allgather": 0.5}
-        a.merge({"assembly": 0.25})
-        assert a["assembly"] == 0.25
-        # Snapshot is a copy: mutating it does not write through.
-        snap = a.snapshot()
-        snap["inference"] = 99.0
-        assert a["inference"] == 3.0
-
-    def test_timings_concurrent_accumulation_is_exact(self):
-        import threading
-
-        timings = Timings()
-
-        def worker():
-            for _ in range(1000):
-                timings.add("work", 0.001)
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert timings["work"] == pytest.approx(8.0)
-
-    def test_timings_measure_emits_span(self):
-        from repro.obs import disable_tracing, enable_tracing
-
-        tracer = enable_tracing()
-        try:
-            timings = Timings()
-            with timings.measure("assembly"):
-                pass
-            assert [r.name for r in tracer.roots] == ["assembly"]
-            assert timings["assembly"] >= 0.0
-        finally:
-            disable_tracing()
