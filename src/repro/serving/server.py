@@ -45,8 +45,8 @@ rebuild it is a request *pipeline*:
   :meth:`health` lists each one (pid, alive, runs, peak RSS).  The sync
   path and a single worker compute in the calling thread: one worker has
   no partner to run beside, and the pipe costs about a millisecond a run;
-* batch execution is fault-tolerant: failed solves are retried with capped
-  exponential backoff (``max_retries``/``retry_backoff_seconds``), requests
+* batch execution is fault-tolerant: failed solves are retried up to
+  ``max_retries`` times with capped exponential backoff, requests
   whose deadline has passed fail fast with
   :class:`~repro.serving.futures.DeadlineExceededError`, retry exhaustion
   surfaces :class:`~repro.serving.futures.RetryExhaustedError`, and
@@ -133,6 +133,9 @@ __all__ = ["Server", "default_solver_factory"]
 
 #: how long an idle dispatcher sleeps before its next supervision sweep
 _POLL_INTERVAL_SECONDS = 0.01
+#: capped exponential retry backoff: min(seconds * 2**(attempt-1), cap)
+_RETRY_BACKOFF_SECONDS = 0.001
+_RETRY_BACKOFF_CAP = 0.1
 
 @dataclass
 class _PreparedBatch:
@@ -200,9 +203,7 @@ class Server:
         batch's requests fail with :class:`RetryExhaustedError`.  Without a
         ``supervisor`` it also bounds worker-death requeues: a request whose
         run killed its worker this many times fails on the next death.
-    retry_backoff_seconds, retry_backoff_cap:
-        Capped exponential backoff between retries:
-        ``min(retry_backoff_seconds * 2**(attempt-1), retry_backoff_cap)``.
+        Retries wait a capped exponential backoff between attempts.
     sleep:
         How backoff passes time.  The default (``None``) waits on the
         server's closing event, so :meth:`close` interrupts an in-progress
@@ -228,11 +229,6 @@ class Server:
         key, mega-batch occupancy, cache/store provenance).  ``None`` (the
         default) disables retention; the per-request cost is then a single
         attribute check.
-    slo:
-        The :class:`~repro.obs.slo.SLOTracker` fed by every request
-        completion/failure and surfaced by :meth:`health`.  A default
-        tracker (availability + 1s-latency objectives, 1m/10m/1h burn-rate
-        windows) on this server's clock is created when omitted.
     journal:
         Durability: a journal path (``str``/``Path``) or a ready
         :class:`~repro.serving.journal.RequestJournal`.  The store recovers
@@ -295,12 +291,9 @@ class Server:
         faults: FaultInjector | None = None,
         quotas: dict | TenantQuota | None = None,
         max_retries: int = 2,
-        retry_backoff_seconds: float = 0.001,
-        retry_backoff_cap: float = 0.1,
         sleep=None,
         async_workers: int = 0,
         flight: FlightRecorder | None = None,
-        slo: SLOTracker | None = None,
         journal=None,
         supervisor: WorkerSupervisor | bool | None = None,
         breakers: BreakerBoard | bool | None = True,
@@ -334,15 +327,14 @@ class Server:
         if max_retries < 0:
             raise ValueError("max_retries must be non-negative")
         self.max_retries = int(max_retries)
-        self.retry_backoff_seconds = float(retry_backoff_seconds)
-        self.retry_backoff_cap = float(retry_backoff_cap)
         self._sleep = sleep
         if async_workers < 0:
             raise ValueError("async_workers must be non-negative")
         self.async_workers = int(async_workers)
 
         self.flight = flight
-        self.slo = slo if slo is not None else SLOTracker(clock=clock)
+        #: fed by every settle and refusal, surfaced by :meth:`health`
+        self.slo = SLOTracker(clock=clock)
 
         self._lock = threading.RLock()
         self._work_done = threading.Condition(self._lock)
@@ -353,9 +345,9 @@ class Server:
         # server does not keep every geometry it ever served.
         self._compat_keys: OrderedDict[tuple, tuple] = OrderedDict()
         self._mega_solvers: OrderedDict[tuple, object] = OrderedDict()
-        self._completed: dict[str, SolveResult] = {}
-        self._futures: dict[str, SolveFuture] = {}
-        self._inflight_ids: set[str] = set()
+        # request id -> its ticket, from admission until the first drain()
+        # after it settles (see `Waiter`)
+        self._tickets: dict[str, Waiter] = {}
         self._ready: deque[Batch] = deque()
         self._inflight_requests = 0
         self._started = False
@@ -371,8 +363,6 @@ class Server:
         # observe close() no matter when start()/close() cycles happen.
         self._closing = threading.Event()
         self._draining = False
-        # request id -> times requeued after a worker death or hang
-        self._requeues: dict[str, int] = {}
 
     # -- async lifecycle -----------------------------------------------------------
 
@@ -482,13 +472,14 @@ class Server:
     def submit_async(self, request: SolveRequest) -> SolveFuture:
         """Queue one request without blocking; returns its future.
 
-        Validation errors (not a :class:`SolveRequest`, an id already in
-        flight or completed) raise :class:`RequestValidationError`, and a
-        draining server raises :class:`ServerClosedError`, synchronously.
-        Everything else — quota rejection, a claim the journal refused,
-        deadline expiry, retry exhaustion, or the solved result — resolves
-        the returned :class:`SolveFuture`, and every admitted request leaves
-        through :meth:`_settle`.
+        Not a :class:`SolveRequest`, or an id whose ticket is in flight or
+        solved but undrained, raises :class:`RequestValidationError` (a failed
+        id's new ticket replaces the old one, unless refused at the door),
+        and a draining server raises :class:`ServerClosedError`.  Everything
+        else — quota rejection, a claim the journal refused, deadline expiry,
+        retry exhaustion, or the solved result — resolves the returned
+        :class:`SolveFuture`, and every admitted request leaves through
+        :meth:`_settle`.
         """
 
         if not isinstance(request, SolveRequest):
@@ -499,28 +490,27 @@ class Server:
             raise ServerClosedError(
                 f"server is draining; request {request.request_id!r} refused"
             )
+        request_id = request.request_id
         with self._lock:
             # Reserved in the same critical section as the check, so of two
             # threads submitting one id only the first gets a future.
-            if request.request_id in self._inflight_ids or request.request_id in self._completed:
-                raise RequestValidationError(
-                    f"duplicate request id {request.request_id!r}"
-                )
-            self._inflight_ids.add(request.request_id)
-        future = SolveFuture(request.request_id)
-        with span("serving.submit", request_id=request.request_id):
-            now = self.clock()
+            previous = self._tickets.get(request_id)
+            if previous is not None and not isinstance(previous.outcome, SolveError):
+                raise RequestValidationError(f"duplicate request id {request_id!r}")
+            waiter = self._tickets[request_id] = Waiter(
+                request=request, future=SolveFuture(request_id), submitted_at=self.clock()
+            )
+        future = waiter.future
+        with span("serving.submit", request_id=request_id):
             self.stats.record_submit()
-            waiter = Waiter(request=request, future=future, submitted_at=now)
-
             error = self._refusal(request)
-            with self._lock:
-                if error is None:
-                    self._futures[request.request_id] = future
-                else:
-                    # Refused: the id is free again for a later submission.
-                    self._inflight_ids.discard(request.request_id)
             if error is not None:
+                with self._lock:
+                    # Refused: the id goes back to its previous ticket, if any.
+                    if previous is None:
+                        del self._tickets[request_id]
+                    else:
+                        self._tickets[request_id] = previous
                 self.slo.record(False)
                 future._set_exception(error)
                 return future
@@ -652,9 +642,9 @@ class Server:
     def drain(self) -> dict[str, SolveResult]:
         """Flush and execute every queued request; return completed results.
 
-        Returns every result completed since the previous ``drain``
-        (including cache hits, store replays and batches executed during
-        ``submit``), keyed by request id, and clears the completed set.
+        Returns every result solved since the previous ``drain`` (async
+        ones, cache hits and store replays included), keyed by request id,
+        and forgets every settled ticket, freeing its id.
         Requests that *failed* (deadline, retry exhaustion, quota) are not
         in the dict — their typed error lives on their future.
 
@@ -664,30 +654,39 @@ class Server:
         """
 
         with self._lock:
-            if self._idle_locked():
-                return self._collect_completed()
-        with span("serving.drain"):
-            with self._lock:
-                self._flush_locked("flush")
-            if self._started:
-                self._wake.set()
-                self._wait_idle()
-            else:
-                self.pump()
-            with self._lock:
-                return self._collect_completed()
+            idle = self._idle_locked()
+        if not idle:
+            with span("serving.drain"):
+                with self._lock:
+                    self._flush_locked("flush")
+                if self._started:
+                    self._wake.set()
+                    self._wait_idle()
+                else:
+                    self.pump()
+        with self._lock:
+            settled = [t for t in self._tickets.values() if t.outcome is not None]
+            for ticket in settled:
+                del self._tickets[ticket.request.request_id]
+        return {
+            t.request.request_id: t.outcome
+            for t in settled if isinstance(t.outcome, SolveResult)
+        }
 
     def result(self, request_id: str) -> SolveResult | None:
-        """Completed result for a request id, or ``None`` if still pending."""
+        """The solved result of an undrained request id, else ``None``."""
 
         with self._lock:
-            return self._completed.get(request_id)
+            ticket = self._tickets.get(request_id)
+        outcome = ticket.outcome if ticket is not None else None
+        return outcome if isinstance(outcome, SolveResult) else None
 
     def future(self, request_id: str) -> SolveFuture | None:
-        """The future of a request submitted since the last :meth:`drain`."""
+        """The future of a request id admitted and not yet drained, or ``None``."""
 
         with self._lock:
-            return self._futures.get(request_id)
+            ticket = self._tickets.get(request_id)
+        return ticket.future if ticket is not None else None
 
     @property
     def pending(self) -> int:
@@ -701,14 +700,6 @@ class Server:
             )
 
     # -- dispatcher / execution ----------------------------------------------------
-
-    def _collect_completed(self) -> dict[str, SolveResult]:
-        # Caller holds self._lock.
-        completed, self._completed = self._completed, {}
-        for request_id in list(self._futures):
-            if request_id not in self._inflight_ids:
-                del self._futures[request_id]
-        return completed
 
     def _poll_locked(self) -> list[Batch]:
         # Caller holds self._lock.  Size/deadline releases of every queued
@@ -988,8 +979,8 @@ class Server:
             with self._lock:
                 spent = [
                     r for r in requests
-                    if r.request_id in self._inflight_ids
-                    and self._requeues.get(r.request_id, 0) >= self.max_retries
+                    if (ticket := self._unsettled(r)) is not None
+                    and ticket.requeues >= self.max_retries
                 ]
             if spent:
                 self._give_up(
@@ -1012,18 +1003,21 @@ class Server:
         """
 
         with self._lock:
-            live = [r for r in requests if r.request_id in self._inflight_ids]
+            live = [(r, t) for r in requests if (t := self._unsettled(r)) is not None]
             if not live:
                 return
             self.stats.record_requeue(len(live))
-            for request in live:
-                self._requeues[request.request_id] = (
-                    self._requeues.get(request.request_id, 0) + 1
-                )
+            for request, ticket in live:
+                ticket.requeues += 1
                 self._ready.extend(self._batcher.enqueue(request))
-            self._flush_locked("co_release", {r.group_key for r in live})
+            self._flush_locked("co_release", {r.group_key for r, _ in live})
             if self._started:
                 self._wake.set()
+
+    def _unsettled(self, request: SolveRequest) -> Waiter | None:
+        # Caller holds self._lock.  The ticket of `request`'s id, if unsettled.
+        ticket = self._tickets.get(request.request_id)
+        return ticket if ticket is not None and ticket.outcome is None else None
 
     def _wait_idle(self, timeout: float | None = None) -> bool:
         with self._lock:
@@ -1211,8 +1205,7 @@ class Server:
                     return None
                 self.stats.record_retry()
                 backoff = min(
-                    self.retry_backoff_seconds * (2 ** (attempts - 1)),
-                    self.retry_backoff_cap,
+                    _RETRY_BACKOFF_SECONDS * (2 ** (attempts - 1)), _RETRY_BACKOFF_CAP
                 )
                 with span(
                     "serving.retry",
@@ -1284,8 +1277,9 @@ class Server:
     ) -> None:
         """Resolve one admitted submission: its only way out of the server.
 
-        ``outcome`` is the solved entry or the typed error.  Frees what
-        admission took (the id, the payload bytes, the tenant's slot),
+        ``outcome`` is the solved entry or the typed error.  Settles the
+        ticket (a solved id stays taken until the next :meth:`drain`),
+        frees what admission took (the payload bytes, the tenant's slot),
         records the SLO sample and the flight record, and resolves the
         future.  A solve that lands after the waiter's deadline settles as a
         straggler's :class:`DeadlineExceededError`.
@@ -1323,11 +1317,7 @@ class Server:
         elif isinstance(outcome, DeadlineExceededError):
             self.stats.record_timeout()
         with self._lock:
-            self._inflight_ids.discard(request.request_id)
-            requeued = self._requeues.pop(request.request_id, 0) > 0
-            if solved:
-                self._completed[request.request_id] = result
-            self._work_done.notify_all()
+            waiter.outcome = result if solved else outcome
         obs_memory.sub(obs_memory.REQUEST_PAYLOADS, int(request.boundary_loop.nbytes))
         self.admission.release(request.tenant)
         self.slo.record(solved, latency)
@@ -1341,7 +1331,7 @@ class Server:
                 )
             elif self.store.attempts(request) > 0:
                 reason = "retried"
-            elif requeued:
+            elif waiter.requeues:
                 reason = "requeued"
             elif self.flight.is_slow(latency):
                 reason = "slow"

@@ -74,7 +74,7 @@ class ServingStats:
             "serving.breaker_rejections"
         )
         self._memory_sheds = self.registry.counter("serving.memory_sheds")
-        self._requeues = self.registry.counter("serving.requeues")
+        self._requeued = self.registry.counter("serving.requeues")
 
     def __call__(self) -> dict:
         return self.as_dict()
@@ -145,7 +145,7 @@ class ServingStats:
     def record_requeue(self, num_requests: int = 1) -> None:
         """Requests requeued after their worker died or hung."""
 
-        self._requeues.inc(num_requests)
+        self._requeued.inc(num_requests)
 
     def record_flight(self, reason: str) -> None:
         """One tail-sampled flight record retained for ``reason``."""
@@ -214,7 +214,7 @@ class ServingStats:
 
     @property
     def requeues(self) -> int:
-        return self._requeues.value
+        return self._requeued.value
 
     @property
     def mega_runs(self) -> int:

@@ -44,9 +44,9 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from ..obs import memory as obs_memory
-from .api import SolveRequest
+from .api import SolveRequest, SolveResult
 from .cache import CachedSolution
-from .futures import SolveFuture
+from .futures import SolveError, SolveFuture
 from .journal import RecoveryReport, RequestJournal
 
 __all__ = [
@@ -71,11 +71,17 @@ FAILED = "failed"
 
 @dataclass
 class Waiter:
-    """One submission waiting on a store entry (owner or attached duplicate)."""
+    """One submission waiting on a store entry (owner or attached duplicate).
+
+    Also its ticket in ``Server``, kept by request id from admission until
+    the first ``drain()`` after it settles; only a failed one may be replaced.
+    """
 
     request: SolveRequest
     future: SolveFuture
     submitted_at: float
+    requeues: int = 0  #: runs requeued after their worker died or hung
+    outcome: SolveResult | SolveError | None = None  #: ``None`` until settled
 
     @property
     def deadline_at(self) -> float | None:

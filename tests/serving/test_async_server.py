@@ -307,16 +307,23 @@ class _GatedFDSolver(FDSubdomainSolver):
 
 
 class _RecordingFDSolver(FDSubdomainSolver):
-    """FD solver that reports ``(pid, rows, start, end)`` of every call."""
+    """FD solver that reports ``(pid, rows)`` of every call.
 
-    def __init__(self, grid, calls):
+    With a ``barrier`` its first call waits there, so a run only gets past
+    that call once the barrier's other parties are inside theirs.
+    """
+
+    def __init__(self, grid, calls, barrier=None):
         super().__init__(grid, method="direct")
         self._calls = calls
+        self._barrier = barrier
 
     def predict(self, boundaries, points):
-        began = time.monotonic()
+        barrier, self._barrier = self._barrier, None
+        if barrier is not None:
+            barrier.wait()
         out = super().predict(boundaries, points)
-        self._calls.put((os.getpid(), len(boundaries), began, time.monotonic()))
+        self._calls.put((os.getpid(), len(boundaries)))
         return out
 
 
@@ -558,9 +565,13 @@ class TestTwoWorkersRunAtOnce:
     def test_eight_requests_on_four_geometries_run_as_two_overlapping_runs(self):
         geometries = self._geometries()
         budget = 40
-        calls = multiprocessing.get_context("fork").Queue()
+        context = multiprocessing.get_context("fork")
+        calls = context.Queue()
+        # Each compute process meets the other in its first solver call: the
+        # two runs can only get past it while both are in flight at once.
+        barrier = context.Barrier(2, timeout=30)
         server = Server(
-            solver_factory=lambda g: _RecordingFDSolver(g.subdomain_grid(), calls),
+            solver_factory=lambda g: _RecordingFDSolver(g.subdomain_grid(), calls, barrier),
             policy=BatchPolicy(max_batch_size=64, max_wait_seconds=5.0),
             async_workers=2,
         )
@@ -577,7 +588,7 @@ class TestTwoWorkersRunAtOnce:
             references.append(MosaicFlowPredictor(
                 request.geometry, _RecordingFDSolver(request.geometry.subdomain_grid(), alone)
             ).run(request.boundary_loop, max_iterations=budget, tol=0.0))
-            rows_alone.append(sum(rows for _, rows, _, _ in _drain(alone)))
+            rows_alone.append(sum(rows for _, rows in _drain(alone)))
         # Queued before start: the dispatcher's first pass finds both workers
         # idle and all eight requests waiting.
         futures = [server.submit_async(r) for r in requests]
@@ -585,19 +596,17 @@ class TestTwoWorkersRunAtOnce:
             results = [f.result(timeout=60) for f in futures]
             # drained before close() joins the workers that wrote it
             records = []
-            while sum(rows for _, rows, _, _ in records) < sum(rows_alone):
+            while sum(rows for _, rows in records) < sum(rows_alone):
                 records.append(calls.get(timeout=30))
         for result, reference in zip(results, references):
             assert result.solution.tobytes() == reference.solution.tobytes()
         by_pid: dict = {}
-        for pid, rows, began, ended in records:
-            by_pid.setdefault(pid, []).append((rows, began, ended))
+        for pid, rows in records:
+            by_pid[pid] = by_pid.get(pid, 0) + rows
         assert len(by_pid) == 2 and os.getpid() not in by_pid
-        (rows_a, start_a, end_a), (rows_b, start_b, end_b) = [
-            (sum(r for r, _, _ in c), min(b for _, b, _ in c), max(e for _, _, e in c))
-            for c in by_pid.values()
-        ]
-        assert max(start_a, start_b) < min(end_a, end_b)  # the runs overlapped
+        # A lone run would have broken the barrier by its timeout.
+        assert not barrier.broken  # the runs overlapped
+        rows_a, rows_b = by_pid.values()
         # Balanced by predicted rows: within one geometry's row cost.
         assert abs(rows_a - rows_b) <= max(rows_alone)
         assert server.stats.solved_requests == 8

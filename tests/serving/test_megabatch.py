@@ -414,8 +414,7 @@ class TestRetryBackoffExpiry:
         )
         server = _server(
             fake_clock, faults=faults, max_retries=2,
-            retry_backoff_seconds=5.0, retry_backoff_cap=10.0,
-            sleep=fake_clock.advance,
+            sleep=lambda seconds: fake_clock.advance(5.0),
         )
         request = SolveRequest.create(
             RECT, _loops(RECT, 1, seed=47)[0],
@@ -442,8 +441,7 @@ class TestRetryBackoffExpiry:
         )
         server = _server(
             fake_clock, faults=faults, max_retries=2,
-            retry_backoff_seconds=5.0, retry_backoff_cap=10.0,
-            sleep=fake_clock.advance,
+            sleep=lambda seconds: fake_clock.advance(5.0),
         )
         tight = SolveRequest.create(
             RECT, _loops(RECT, 1, seed=48)[0],

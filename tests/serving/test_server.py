@@ -8,7 +8,11 @@ import pytest
 
 from repro.mosaic import FDSubdomainSolver, MosaicFlowPredictor, MosaicGeometry
 from repro.serving import (
+    CRASH,
+    WORKER_SOLVE,
     BatchPolicy,
+    FaultInjector,
+    FaultSpec,
     QuotaExceededError,
     RequestValidationError,
     Server,
@@ -187,6 +191,74 @@ class TestSubmitDrain:
         server.drain()
         server.submit(request)  # the quota refusal released the reserved id
         assert request.request_id in server.drain()
+
+
+# ---------------------------------------------------------------------------
+# A request id from admission to the drain after it settles
+# ---------------------------------------------------------------------------
+
+_ONE_PER_BATCH = BatchPolicy(max_batch_size=1, max_wait_seconds=1e9)
+
+
+def _in_flight(clock, request):
+    server = _server(clock)
+    return server, server.submit_async(request)  # queued: the batch is not full
+
+
+def _solved_not_drained(clock, request):
+    server = _server(clock, policy=_ONE_PER_BATCH)
+    server.submit(request)  # a full batch runs inside submit()
+    assert server.result(request.request_id) is not None
+    return server, server.future(request.request_id)
+
+
+def _failed_not_drained(clock, request):
+    faults = FaultInjector([FaultSpec(site=WORKER_SOLVE, index=0, kind=CRASH)])
+    server = _server(clock, policy=_ONE_PER_BATCH, faults=faults, max_retries=0)
+    server.submit(request)
+    assert server.future(request.request_id).exception(timeout=0) is not None
+    return server, server.future(request.request_id)
+
+
+def _solved_and_drained(clock, request):
+    server = _server(clock)
+    server.submit(request)
+    assert list(server.drain()) == [request.request_id]
+    return server, None
+
+
+# (how the first submission of the id ends, whether a second is accepted)
+ID_LIFECYCLE = [
+    (_in_flight, False),
+    (_solved_not_drained, False),
+    (_failed_not_drained, True),
+    (_solved_and_drained, True),
+]
+
+
+@pytest.mark.parametrize(
+    "first, accepted", ID_LIFECYCLE, ids=[first.__name__.lstrip("_") for first, _ in ID_LIFECYCLE],
+)
+def test_a_request_id_is_taken_until_it_fails_or_is_drained(
+    first, accepted, small_geometry, harmonic_loops, fake_clock
+):
+    request = SolveRequest.create(
+        small_geometry, harmonic_loops(1, seed=14)[0], max_iterations=30
+    )
+    server, old = first(fake_clock, request)
+    if not accepted:
+        with pytest.raises(RequestValidationError, match="duplicate"):
+            server.submit_async(request)
+        assert server.future(request.request_id) is old
+        assert list(server.drain()) == [request.request_id]
+        return
+    new = server.submit_async(request)
+    assert new is not old
+    assert server.future(request.request_id) is new
+    results = server.drain()
+    assert results[request.request_id] is new.result(timeout=0)
+    # A drained solved key replays from the store; a failed one is solved again.
+    assert server.store.replays == (1 if old is None else 0)
 
 
 class TestCachingPaths:

@@ -44,6 +44,7 @@ from repro.serving import (
     TenantQuota,
     WorkerSupervisor,
 )
+from repro.serving import server as server_module
 
 ARTIFACTS = Path(__file__).resolve().parents[2] / "test-artifacts" / "serving"
 
@@ -318,7 +319,7 @@ class TestSupervisedServer:
         state = {}
 
         def backoff(seconds):
-            clock.advance(seconds)
+            clock.advance(6.0)
             state["server"].check_workers()
 
         specs = [
@@ -334,8 +335,6 @@ class TestSupervisedServer:
             faults=FaultInjector(specs, sleep=clock.advance),
             supervisor=supervisor,
             max_retries=3,
-            retry_backoff_seconds=6.0,
-            retry_backoff_cap=6.0,
             sleep=backoff,
         )
         state["server"] = server
@@ -522,7 +521,7 @@ class TestGracefulShutdown:
         state = {}
 
         def sleep_then_close(seconds):
-            fake_clock.advance(seconds)
+            fake_clock.advance(5.0)
             state["server"].close()
 
         faults = FaultInjector(
@@ -531,7 +530,6 @@ class TestGracefulShutdown:
         )
         server = _server(
             fake_clock, faults=faults, max_retries=2,
-            retry_backoff_seconds=5.0, retry_backoff_cap=5.0,
             sleep=sleep_then_close,
         )
         state["server"] = server
@@ -542,9 +540,11 @@ class TestGracefulShutdown:
         assert fake_clock.now == 5.0  # one backoff slept, the second skipped
 
     def test_close_interrupts_retry_backoff_wall_clock(self, small_geometry,
-                                                       harmonic_loops):
+                                                       harmonic_loops, monkeypatch):
         # Async server with the default interruptible wait: a 30s backoff is
         # pending when close() arrives, and close() must not wait it out.
+        monkeypatch.setattr(server_module, "_RETRY_BACKOFF_SECONDS", 30.0)
+        monkeypatch.setattr(server_module, "_RETRY_BACKOFF_CAP", 30.0)
         loop = harmonic_loops(1, seed=49)[0]
         faults = FaultInjector([FaultSpec(site=WORKER_SOLVE, index=0, kind=CRASH)])
         server = Server(
@@ -553,8 +553,6 @@ class TestGracefulShutdown:
             faults=faults,
             async_workers=1,
             max_retries=1,
-            retry_backoff_seconds=30.0,
-            retry_backoff_cap=30.0,
         )
         with server:
             request = SolveRequest.create(small_geometry, loop, max_iterations=40)
