@@ -79,17 +79,23 @@ class _Mailbox:
             self._condition.notify_all()
 
     def get(self, source: int, tag: int, timeout: float) -> Any:
-        deadline = None if timeout is None else timeout
+        def take():
+            # A 1-tuple, so a falsy payload still counts as found.
+            for i, (src, t, payload) in enumerate(self._messages):
+                if src == source and t == tag:
+                    del self._messages[i]
+                    return (payload,)
+            return None
+
+        # One deadline for the whole wait: messages for other (source, tag)
+        # pairs wake the waiter without restarting its timeout.
         with self._condition:
-            while True:
-                for i, (src, t, payload) in enumerate(self._messages):
-                    if src == source and t == tag:
-                        self._messages.pop(i)
-                        return payload
-                if not self._condition.wait(timeout=deadline):
-                    raise TimeoutError(
-                        f"timed out waiting for message from rank {source} with tag {tag}"
-                    )
+            found = self._condition.wait_for(take, timeout=timeout)
+        if found is None:
+            raise TimeoutError(
+                f"timed out waiting for message from rank {source} with tag {tag}"
+            )
+        return found[0]
 
 
 class _ThreadWorld:
@@ -102,7 +108,6 @@ class _ThreadWorld:
         self.barrier = threading.Barrier(size)
         # Collective exchange area: one slot per rank, guarded by two barriers.
         self.slots: list[Any] = [None] * size
-        self.collective_lock = threading.Lock()
 
 
 class ThreadCommunicator(Communicator):

@@ -53,7 +53,6 @@ from .passes import (
     fuse_elementwise,
     lower_gathers,
     optimize,
-    register_fusion_rule,
 )
 from .runtime import (
     BUCKET_ROWS,
@@ -89,7 +88,6 @@ __all__ = [
     "fuse_elementwise",
     "lower_gathers",
     "optimize",
-    "register_fusion_rule",
     "BUCKET_ROWS",
     "CompiledModule",
     "ExecutionPlan",

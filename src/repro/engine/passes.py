@@ -27,7 +27,7 @@ The default pipeline (:data:`DEFAULT_PASSES`) applied by
 Adding a new fusion rule
 ------------------------
 Create a :class:`FusionRule` whose matcher inspects a candidate root node
-and returns the fused replacement, then register it::
+and returns the fused replacement, then run the pass with it::
 
     def match_double(graph, node, consumers):
         # x + x  ->  scale(x, 2)   (illustrative only)
@@ -37,8 +37,8 @@ and returns the fused replacement, then register it::
                         absorbed=[])
         return None
 
-    register_fusion_rule(FusionRule("double-add", root_ops=("add",),
-                                    matcher=match_double))
+    rule = FusionRule("double-add", root_ops=("add",), matcher=match_double)
+    graph = fuse_elementwise(graph, rules=[*FUSION_RULES, rule])
 
 and add a matching kernel in :mod:`repro.engine.kernels` (``build_step`` and
 ``evaluate_node``).  Matchers must only absorb nodes that are consumed
@@ -59,7 +59,6 @@ from .kernels import evaluate_node
 __all__ = [
     "FusionRule",
     "FUSION_RULES",
-    "register_fusion_rule",
     "fold_constants",
     "fold_mutable_constants",
     "lower_gathers",
@@ -560,7 +559,7 @@ def _match_mul_exp(graph: Graph, root: Node, consumers: dict) -> dict | None:
     }
 
 
-#: Registered fusion rules, applied in order by :func:`fuse_elementwise`.
+#: The built-in fusion rules, applied in order by :func:`fuse_elementwise`.
 FUSION_RULES: list[FusionRule] = [
     FusionRule("erf-gelu", root_ops=("mul",), matcher=_match_gelu),
     FusionRule("affine", root_ops=("add",), matcher=_match_affine),
@@ -576,15 +575,6 @@ FUSION_RULES: list[FusionRule] = [
     FusionRule("erf-vjp", root_ops=("mul",), matcher=_match_erf_vjp),
     FusionRule("exp-vjp", root_ops=("mul",), matcher=_match_mul_exp),
 ]
-
-
-def register_fusion_rule(rule: FusionRule, index: int | None = None) -> None:
-    """Register a custom fusion rule (appended, or inserted at ``index``)."""
-
-    if index is None:
-        FUSION_RULES.append(rule)
-    else:
-        FUSION_RULES.insert(index, rule)
 
 
 def fuse_elementwise(graph: Graph, rules: list[FusionRule] | None = None) -> Graph:

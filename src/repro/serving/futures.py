@@ -1,15 +1,19 @@
 """Futures and typed errors of the async serving front-end.
 
 A :class:`SolveFuture` is the handle :meth:`Server.submit_async
-<repro.serving.server.Server.submit_async>` returns immediately: the caller
-can block on :meth:`~SolveFuture.result` (with an optional wait timeout),
-poll :meth:`~SolveFuture.done`, inspect :meth:`~SolveFuture.exception`, or
-register completion callbacks with :meth:`~SolveFuture.add_done_callback`.
-One future is resolved exactly once — either with a
-:class:`~repro.serving.api.SolveResult` or with one of the typed serving
-errors below — and duplicate submissions of the same canonical request share
-one solve but each receive their own future (resolved with bitwise-identical
-solution arrays by the idempotent :class:`~repro.serving.store.RequestStore`).
+<repro.serving.server.Server.submit_async>` returns immediately, a
+:class:`concurrent.futures.Future`: the caller can block on
+:meth:`~SolveFuture.result` (with an optional wait timeout), poll
+:meth:`~SolveFuture.done`, register completion callbacks, or pass it to
+:func:`concurrent.futures.wait` and :func:`~concurrent.futures.as_completed`;
+:meth:`~concurrent.futures.Future.cancel` returns ``False``.  It is also
+the request's one record inside the server: its ticket, kept by id, and
+its waiter on the store entry.  One future is resolved exactly once —
+either with a :class:`~repro.serving.api.SolveResult` or with one of the
+typed serving errors below — and duplicate submissions of the same
+canonical request share one solve but each receive their own future
+(resolved with bitwise-identical solution arrays by the idempotent
+:class:`~repro.serving.store.RequestStore`).
 
 Error taxonomy (all subclasses of :class:`SolveError`):
 
@@ -35,7 +39,10 @@ Error taxonomy (all subclasses of :class:`SolveError`):
 
 from __future__ import annotations
 
-import threading
+from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FutureTimeoutError
+
+from .api import SolveRequest
 
 __all__ = [
     "SolveError",
@@ -94,107 +101,54 @@ class ServerClosedError(SolveError):
     """The server is draining or closed and no longer accepts submissions."""
 
 
-class SolveFuture:
-    """Completion handle of one submitted solve request.
+class SolveFuture(Future):
+    """One admitted solve request: the caller's handle and its whole state.
 
-    Thread-safe and single-assignment: the serving pipeline resolves the
-    future exactly once, from whichever thread completes the request
-    (dispatcher, solve worker, or the submitting thread on a cache hit).
-
-    Callbacks registered with :meth:`add_done_callback` run on the resolving
-    thread (immediately on the registering thread if the future is already
-    done); exceptions they raise are swallowed so a misbehaving callback
-    cannot poison the serving pipeline.
+    The server keeps it by request id until the first ``drain()`` after it
+    settles, the store holds it as a waiter, and the server's ``_settle``
+    resolves it once.  It starts running, so :meth:`cancel` returns
+    ``False``.  Callbacks run on the resolving thread; one that raises is
+    logged by :mod:`concurrent.futures` and stops nothing else.
     """
 
-    __slots__ = ("request_id", "_cond", "_done", "_result", "_exception", "_callbacks")
+    def __init__(self, request: SolveRequest, submitted_at: float):
+        super().__init__()
+        self.request = request
+        self.request_id = request.request_id
+        self.submitted_at = submitted_at  #: admission time under the server clock
+        self.requeues = 0  #: runs requeued after their worker died or hung
+        self.set_running_or_notify_cancel()
 
-    def __init__(self, request_id: str):
-        self.request_id = request_id
-        self._cond = threading.Condition()
-        self._done = False
-        self._result = None
-        self._exception: BaseException | None = None
-        self._callbacks: list = []
+    @property
+    def deadline_at(self) -> float | None:
+        """Absolute deadline under the server clock, or ``None``."""
 
-    # -- inspection ---------------------------------------------------------------
-
-    def done(self) -> bool:
-        """Whether the future has been resolved (result or error)."""
-
-        with self._cond:
-            return self._done
+        if self.request.deadline_seconds is None:
+            return None
+        return self.submitted_at + self.request.deadline_seconds
 
     def result(self, timeout: float | None = None):
-        """Block until resolved; return the :class:`SolveResult` or raise.
+        """The :class:`SolveResult`, or raise the request's :class:`SolveError`.
 
-        Raises the request's typed :class:`SolveError` if it failed, or the
-        built-in :class:`TimeoutError` if the *wait* exceeds ``timeout``
-        seconds (the future itself stays pending — a wait timeout is not a
-        request deadline).
+        A *wait* past ``timeout`` seconds raises the built-in
+        :class:`TimeoutError` and leaves the request pending.
         """
 
-        with self._cond:
-            if not self._cond.wait_for(lambda: self._done, timeout=timeout):
-                raise TimeoutError(
-                    f"request {self.request_id!r} still pending after {timeout}s wait"
-                )
-            if self._exception is not None:
-                raise self._exception
-            return self._result
+        try:
+            return super().result(timeout)
+        except FutureTimeoutError:
+            raise self._still_pending(timeout) from None
 
     def exception(self, timeout: float | None = None) -> BaseException | None:
         """Block until resolved; return the failure (or ``None`` on success)."""
 
-        with self._cond:
-            if not self._cond.wait_for(lambda: self._done, timeout=timeout):
-                raise TimeoutError(
-                    f"request {self.request_id!r} still pending after {timeout}s wait"
-                )
-            return self._exception
-
-    # -- callbacks ----------------------------------------------------------------
-
-    def add_done_callback(self, fn) -> None:
-        """Call ``fn(future)`` once resolved (immediately if already done)."""
-
-        with self._cond:
-            if not self._done:
-                self._callbacks.append(fn)
-                return
-        self._invoke(fn)
-
-    # -- resolution (serving-pipeline internal) -----------------------------------
-
-    def _set_result(self, result) -> None:
-        self._resolve(result, None)
-
-    def _set_exception(self, exception: BaseException) -> None:
-        self._resolve(None, exception)
-
-    def _resolve(self, result, exception) -> None:
-        with self._cond:
-            if self._done:
-                raise RuntimeError(f"future {self.request_id!r} already resolved")
-            self._result = result
-            self._exception = exception
-            self._done = True
-            callbacks, self._callbacks = self._callbacks, []
-            self._cond.notify_all()
-        for fn in callbacks:
-            self._invoke(fn)
-
-    def _invoke(self, fn) -> None:
         try:
-            fn(self)
-        except Exception:
-            pass
+            return super().exception(timeout)
+        except FutureTimeoutError:
+            raise self._still_pending(timeout) from None
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        with self._cond:
-            state = (
-                "pending" if not self._done
-                else "failed" if self._exception is not None
-                else "done"
-            )
-        return f"SolveFuture({self.request_id!r}, {state})"
+    def _still_pending(self, timeout: float | None) -> TimeoutError:
+        # `concurrent.futures.TimeoutError` is not the built-in before 3.11.
+        return TimeoutError(
+            f"request {self.request_id!r} still pending after {timeout}s wait"
+        )

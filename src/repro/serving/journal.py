@@ -204,6 +204,8 @@ class RequestJournal:
                 # crashed process would — no further records reach the disk.
                 self.dropped_after_failure += 1
                 return
+            if self._fh.closed:  # closed by a drain_and_close() and restarted
+                self._fh = open(self.path, "ab")
             if self.faults is not None:
                 spec = self.faults.fire(JOURNAL_WRITE, kind=kind)
                 if spec is not None and spec.kind == TORN:
@@ -302,7 +304,7 @@ class RequestJournal:
             return written
 
     def close(self) -> None:
-        """Sync and close the append handle (idempotent)."""
+        """Sync and close the append handle (idempotent; an append reopens it)."""
 
         with self._lock:
             if self._fh.closed:

@@ -11,7 +11,8 @@ rebuild it is a request *pipeline*:
   :class:`~repro.serving.cache.SolutionCache`, enqueues cache misses into
   the :class:`~repro.serving.batcher.DynamicBatcher` (one queue per geometry
   group), and returns a :class:`~repro.serving.futures.SolveFuture`
-  immediately;
+  immediately: the request's one record, kept by id until drained and
+  held by the store as a waiter;
 * a background **dispatcher thread** (``async_workers >= 1`` +
   :meth:`~Server.start`) hands released work to the **solve workers**.  A
   run is formed only when a worker is idle: with ``k`` workers idle,
@@ -126,7 +127,7 @@ from .futures import (
 )
 from .journal import RequestJournal
 from .stats import ServingStats
-from .store import AdmissionController, RequestStore, TenantQuota, Waiter
+from .store import AdmissionController, RequestStore, TenantQuota
 from .supervisor import BreakerBoard, WorkerSupervisor
 
 __all__ = ["Server", "default_solver_factory"]
@@ -345,9 +346,9 @@ class Server:
         # server does not keep every geometry it ever served.
         self._compat_keys: OrderedDict[tuple, tuple] = OrderedDict()
         self._mega_solvers: OrderedDict[tuple, object] = OrderedDict()
-        # request id -> its ticket, from admission until the first drain()
-        # after it settles (see `Waiter`)
-        self._tickets: dict[str, Waiter] = {}
+        # request id -> its future, from admission until the first drain()
+        # after it settles
+        self._tickets: dict[str, SolveFuture] = {}
         self._ready: deque[Batch] = deque()
         self._inflight_requests = 0
         self._started = False
@@ -439,8 +440,8 @@ class Server:
         this is called; queued and in-flight requests are drained to
         completion; the dispatcher/worker pool is stopped; and, when the
         store carries a journal, it is compacted to a claim-free snapshot of
-        the settled results (so the next process recovers without orphans).
-        Returns what :meth:`drain` collected.
+        the settled results (so the next process recovers without orphans)
+        and closed.  Returns what :meth:`drain` collected.
         """
 
         self._draining = True
@@ -450,6 +451,8 @@ class Server:
             if self.running:
                 self.close()
             self.store.checkpoint_journal()
+            if self.store.journal is not None:
+                self.store.journal.close()
         return results
 
     def __enter__(self) -> "Server":
@@ -472,9 +475,9 @@ class Server:
     def submit_async(self, request: SolveRequest) -> SolveFuture:
         """Queue one request without blocking; returns its future.
 
-        Not a :class:`SolveRequest`, or an id whose ticket is in flight or
+        Not a :class:`SolveRequest`, or an id whose future is in flight or
         solved but undrained, raises :class:`RequestValidationError` (a failed
-        id's new ticket replaces the old one, unless refused at the door),
+        id's new future replaces the old one, unless refused at the door),
         and a draining server raises :class:`ServerClosedError`.  Everything
         else — quota rejection, a claim the journal refused, deadline expiry,
         retry exhaustion, or the solved result — resolves the returned
@@ -495,57 +498,56 @@ class Server:
             # Reserved in the same critical section as the check, so of two
             # threads submitting one id only the first gets a future.
             previous = self._tickets.get(request_id)
-            if previous is not None and not isinstance(previous.outcome, SolveError):
+            if previous is not None and (
+                not previous.done() or previous.exception() is None
+            ):
                 raise RequestValidationError(f"duplicate request id {request_id!r}")
-            waiter = self._tickets[request_id] = Waiter(
-                request=request, future=SolveFuture(request_id), submitted_at=self.clock()
-            )
-        future = waiter.future
+            future = self._tickets[request_id] = SolveFuture(request, self.clock())
         with span("serving.submit", request_id=request_id):
             self.stats.record_submit()
             error = self._refusal(request)
             if error is not None:
                 with self._lock:
-                    # Refused: the id goes back to its previous ticket, if any.
+                    # Refused: the id goes back to its previous future, if any.
                     if previous is None:
                         del self._tickets[request_id]
                     else:
                         self._tickets[request_id] = previous
                 self.slo.record(False)
-                future._set_exception(error)
+                future.set_exception(error)
                 return future
             # Admitted: the anchor-row payload is now retained until the
-            # waiter resolves (released in _settle).
+            # future resolves (released in _settle).
             obs_memory.add(
                 obs_memory.REQUEST_PAYLOADS, int(request.boundary_loop.nbytes)
             )
 
             try:
                 with span("serving.claim") as claim_span:
-                    claim = self.store.claim(request, waiter)
+                    claim = self.store.claim(request, future)
                     claim_span.set_attr("owner", claim.owner)
                     claim_span.set_attr("replay", claim.replay)
             except Exception as exc:
                 # The journal refused the claim record (written before the
-                # store changes), so no entry holds this waiter.
+                # store changes), so no entry holds this future.
                 error = SolveError(
                     f"request {request.request_id!r} could not be claimed: {exc!r}"
                 )
                 error.__cause__ = exc
                 self.stats.record_failure()
-                self._settle(waiter, error)
+                self._settle(future, error)
                 return future
             if claim.replay:
                 # Idempotent replay: the canonical key was solved before;
                 # resolve from the stored result, bitwise-identical.
                 self.stats.record_store_hit()
                 self._settle(
-                    waiter, claim.entry.result, cache_hit=True, store_hit=True,
+                    future, claim.entry.result, cache_hit=True, store_hit=True,
                     occupancy=1,
                 )
                 return future
             if not claim.owner:
-                # Duplicate of an in-flight solve: the waiter is attached to
+                # Duplicate of an in-flight solve: the future is attached to
                 # the owner's entry and resolves when that solve completes.
                 self.stats.record_dedup_hit()
                 return future
@@ -644,7 +646,7 @@ class Server:
 
         Returns every result solved since the previous ``drain`` (async
         ones, cache hits and store replays included), keyed by request id,
-        and forgets every settled ticket, freeing its id.
+        and forgets every settled future, freeing its id.
         Requests that *failed* (deadline, retry exhaustion, quota) are not
         in the dict — their typed error lives on their future.
 
@@ -665,28 +667,23 @@ class Server:
                 else:
                     self.pump()
         with self._lock:
-            settled = [t for t in self._tickets.values() if t.outcome is not None]
-            for ticket in settled:
-                del self._tickets[ticket.request.request_id]
-        return {
-            t.request.request_id: t.outcome
-            for t in settled if isinstance(t.outcome, SolveResult)
-        }
+            settled = [f for f in self._tickets.values() if f.done()]
+            for future in settled:
+                del self._tickets[future.request_id]
+        return {f.request_id: f.result() for f in settled if f.exception() is None}
 
     def result(self, request_id: str) -> SolveResult | None:
         """The solved result of an undrained request id, else ``None``."""
 
-        with self._lock:
-            ticket = self._tickets.get(request_id)
-        outcome = ticket.outcome if ticket is not None else None
-        return outcome if isinstance(outcome, SolveResult) else None
+        future = self.future(request_id)
+        done = future is not None and future.done()
+        return future.result() if done and future.exception() is None else None
 
     def future(self, request_id: str) -> SolveFuture | None:
         """The future of a request id admitted and not yet drained, or ``None``."""
 
         with self._lock:
-            ticket = self._tickets.get(request_id)
-        return ticket.future if ticket is not None else None
+            return self._tickets.get(request_id)
 
     @property
     def pending(self) -> int:
@@ -979,8 +976,8 @@ class Server:
             with self._lock:
                 spent = [
                     r for r in requests
-                    if (ticket := self._unsettled(r)) is not None
-                    and ticket.requeues >= self.max_retries
+                    if (future := self._unsettled(r)) is not None
+                    and future.requeues >= self.max_retries
                 ]
             if spent:
                 self._give_up(
@@ -996,28 +993,28 @@ class Server:
     def _requeue(self, requests: list) -> None:
         """Exactly-once requeue of a dead/hung worker's in-flight requests.
 
-        Only requests whose waiters are still unresolved go back through the
+        Only requests whose futures are still unresolved go back through the
         batcher (a death after postprocess has nothing left to requeue);
         their groups are flushed immediately so requeued work re-dispatches
         without waiting out a fresh batching deadline.
         """
 
         with self._lock:
-            live = [(r, t) for r in requests if (t := self._unsettled(r)) is not None]
+            live = [(r, f) for r in requests if (f := self._unsettled(r)) is not None]
             if not live:
                 return
             self.stats.record_requeue(len(live))
-            for request, ticket in live:
-                ticket.requeues += 1
+            for request, future in live:
+                future.requeues += 1
                 self._ready.extend(self._batcher.enqueue(request))
             self._flush_locked("co_release", {r.group_key for r, _ in live})
             if self._started:
                 self._wake.set()
 
-    def _unsettled(self, request: SolveRequest) -> Waiter | None:
-        # Caller holds self._lock.  The ticket of `request`'s id, if unsettled.
-        ticket = self._tickets.get(request.request_id)
-        return ticket if ticket is not None and ticket.outcome is None else None
+    def _unsettled(self, request: SolveRequest) -> SolveFuture | None:
+        # Caller holds self._lock.  The future of `request`'s id, if unsettled.
+        future = self._tickets.get(request.request_id)
+        return future if future is not None and not future.done() else None
 
     def _wait_idle(self, timeout: float | None = None) -> bool:
         with self._lock:
@@ -1268,7 +1265,7 @@ class Server:
 
     def _settle(
         self,
-        waiter: Waiter,
+        future: SolveFuture,
         outcome: CachedSolution | SolveError,
         cache_hit: bool = False,
         store_hit: bool = False,
@@ -1277,22 +1274,22 @@ class Server:
     ) -> None:
         """Resolve one admitted submission: its only way out of the server.
 
-        ``outcome`` is the solved entry or the typed error.  Settles the
-        ticket (a solved id stays taken until the next :meth:`drain`),
-        frees what admission took (the payload bytes, the tenant's slot),
-        records the SLO sample and the flight record, and resolves the
-        future.  A solve that lands after the waiter's deadline settles as a
-        straggler's :class:`DeadlineExceededError`.
+        ``outcome`` is the solved entry or the typed error.  Frees what
+        admission took (the payload bytes, the tenant's slot), records the
+        SLO sample and the flight record, and resolves the future, once (a
+        solved id stays taken until the next :meth:`drain`).  A solve that
+        lands after the future's deadline settles as a straggler's
+        :class:`DeadlineExceededError`.
         """
 
-        request = waiter.request
+        request = future.request
         now = self.clock()
-        latency = now - waiter.submitted_at
+        latency = now - future.submitted_at
         reason = None
         if (
             isinstance(outcome, CachedSolution)
-            and waiter.deadline_at is not None
-            and now > waiter.deadline_at
+            and future.deadline_at is not None
+            and now > future.deadline_at
         ):
             # The solve finished, but past the waiter's deadline: a straggler,
             # not a fail-fast — classified separately in the flight recorder.
@@ -1316,8 +1313,6 @@ class Server:
             )
         elif isinstance(outcome, DeadlineExceededError):
             self.stats.record_timeout()
-        with self._lock:
-            waiter.outcome = result if solved else outcome
         obs_memory.sub(obs_memory.REQUEST_PAYLOADS, int(request.boundary_loop.nbytes))
         self.admission.release(request.tenant)
         self.slo.record(solved, latency)
@@ -1331,13 +1326,13 @@ class Server:
                 )
             elif self.store.attempts(request) > 0:
                 reason = "retried"
-            elif waiter.requeues:
+            elif future.requeues:
                 reason = "requeued"
             elif self.flight.is_slow(latency):
                 reason = "slow"
             if reason is not None:
                 record = self._retain_flight(
-                    waiter, reason, latency=latency,
+                    future, reason, latency=latency,
                     error=None if solved else outcome, cache_hit=cache_hit,
                     store_hit=store_hit, batch_size=batch_size, occupancy=occupancy,
                 )
@@ -1347,13 +1342,13 @@ class Server:
             if solved:
                 self.flight.observe_latency(latency)
         if solved:
-            waiter.future._set_result(result)
+            future.set_result(result)
         else:
-            waiter.future._set_exception(outcome)
+            future.set_exception(outcome)
 
     def _retain_flight(
         self,
-        waiter: Waiter,
+        future: SolveFuture,
         reason: str,
         latency: float | None = None,
         error: BaseException | None = None,
@@ -1364,7 +1359,7 @@ class Server:
     ) -> FlightRecord:
         """Retain one tail-sampled flight record with full attribution."""
 
-        request = waiter.request
+        request = future.request
         with self._lock:
             fusion = self._compat_key(request.group_key)
         tracer = get_tracer()

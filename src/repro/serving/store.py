@@ -22,11 +22,13 @@ The store is the serving layer's analogue of the ``claim_filing`` /
 upsert on completion, and make both idempotent so at-least-once delivery
 degenerates to exactly-once effects.
 
-The store never resolves futures itself — :meth:`RequestStore.fulfill`,
-:meth:`RequestStore.fail` and :meth:`RequestStore.expire` *return* the
-detached waiters so the server can apply per-waiter policy (request
-deadlines) while the store stays a pure state machine.  All methods are
-thread-safe under one internal lock.
+An entry's waiters are the callers' own
+:class:`~repro.serving.futures.SolveFuture` objects, the same ones the
+server keeps by request id.  The store never resolves them itself —
+:meth:`RequestStore.fulfill`, :meth:`RequestStore.fail` and
+:meth:`RequestStore.expire` *return* the detached waiters so the server can
+apply per-waiter policy (request deadlines) while the store stays a pure
+state machine.  All methods are thread-safe under one internal lock.
 
 With a :class:`~repro.serving.journal.RequestJournal` attached the store is
 also **durable**: every transition is journaled *before* the in-memory
@@ -44,9 +46,9 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from ..obs import memory as obs_memory
-from .api import SolveRequest, SolveResult
+from .api import SolveRequest
 from .cache import CachedSolution
-from .futures import SolveError, SolveFuture
+from .futures import SolveFuture
 from .journal import RecoveryReport, RequestJournal
 
 __all__ = [
@@ -54,7 +56,6 @@ __all__ = [
     "IN_FLIGHT",
     "DONE",
     "FAILED",
-    "Waiter",
     "StoreEntry",
     "Claim",
     "RequestStore",
@@ -70,29 +71,6 @@ FAILED = "failed"
 
 
 @dataclass
-class Waiter:
-    """One submission waiting on a store entry (owner or attached duplicate).
-
-    Also its ticket in ``Server``, kept by request id from admission until
-    the first ``drain()`` after it settles; only a failed one may be replaced.
-    """
-
-    request: SolveRequest
-    future: SolveFuture
-    submitted_at: float
-    requeues: int = 0  #: runs requeued after their worker died or hung
-    outcome: SolveResult | SolveError | None = None  #: ``None`` until settled
-
-    @property
-    def deadline_at(self) -> float | None:
-        """Absolute deadline under the server clock, or ``None``."""
-
-        if self.request.deadline_seconds is None:
-            return None
-        return self.submitted_at + self.request.deadline_seconds
-
-
-@dataclass
 class StoreEntry:
     """State of one canonical request key."""
 
@@ -102,7 +80,7 @@ class StoreEntry:
     error: BaseException | None = None
     #: solve attempts spent on this key across claims (retries included)
     attempts: int = 0
-    waiters: list[Waiter] = field(default_factory=list)
+    waiters: list[SolveFuture] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -181,7 +159,7 @@ class RequestStore:
 
     # -- claim --------------------------------------------------------------------
 
-    def claim(self, request: SolveRequest, waiter: Waiter) -> Claim:
+    def claim(self, request: SolveRequest, waiter: SolveFuture) -> Claim:
         """Claim a key for ``waiter`` (or attach/replay if already known)."""
 
         key = self.key_for(request)
@@ -210,7 +188,7 @@ class RequestStore:
 
     # -- upsert -------------------------------------------------------------------
 
-    def fulfill(self, request: SolveRequest, result: CachedSolution) -> list[Waiter]:
+    def fulfill(self, request: SolveRequest, result: CachedSolution) -> list[SolveFuture]:
         """Upsert the solved outcome of a key; return the waiters to resolve.
 
         Idempotent: a redelivered completion for an already-DONE key is
@@ -243,7 +221,7 @@ class RequestStore:
             self._settle(key, entry)
             return waiters
 
-    def fail(self, request: SolveRequest, error: BaseException) -> list[Waiter]:
+    def fail(self, request: SolveRequest, error: BaseException) -> list[SolveFuture]:
         """Settle a key FAILED (reclaimable); return the waiters to reject."""
 
         key = self.key_for(request)
@@ -261,7 +239,7 @@ class RequestStore:
             self._settle(key, entry)
             return waiters
 
-    def expire(self, request: SolveRequest, now: float) -> list[Waiter] | None:
+    def expire(self, request: SolveRequest, now: float) -> list[SolveFuture] | None:
         """Atomically fail a key iff *every* waiter's deadline has passed.
 
         The fail-fast path of the deadline policy: called at batch dispatch,

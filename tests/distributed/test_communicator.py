@@ -1,5 +1,8 @@
 """Simulated MPI communicator: point-to-point, collectives, failure handling."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from repro.distributed import (
     payload_bytes,
     run_spmd,
 )
+from repro.distributed.simulated import _Mailbox
 
 
 class TestPayloadBytes:
@@ -158,6 +162,36 @@ class TestThreadCluster:
     def test_invalid_world_size(self):
         with pytest.raises(ValueError):
             run_spmd(0, lambda comm: None)
+
+
+class TestMailbox:
+    def test_unrelated_messages_do_not_restart_the_timeout(self):
+        # Another tag arrives every 0.1 s for 2 s; the 0.3 s wait for tag 1
+        # must still end on its own deadline, not after the traffic stops.
+        mailbox, stop = _Mailbox(), threading.Event()
+
+        def chatter():
+            for _ in range(20):
+                if stop.wait(0.1):
+                    return
+                mailbox.put(0, 2, "noise")
+
+        thread = threading.Thread(target=chatter)
+        thread.start()
+        try:
+            start = time.monotonic()
+            with pytest.raises(TimeoutError, match="tag 1"):
+                mailbox.get(0, 1, timeout=0.3)
+            elapsed = time.monotonic() - start
+        finally:
+            stop.set()
+            thread.join()
+        assert elapsed < 2 * 0.3
+
+    def test_falsy_payload_is_delivered(self):
+        mailbox = _Mailbox()
+        mailbox.put(1, 0, None)
+        assert mailbox.get(1, 0, timeout=0.1) is None
 
 
 class TestCommunicationTrace:

@@ -14,7 +14,6 @@ from repro.engine import (
     fold_constants,
     fuse_elementwise,
     optimize,
-    register_fusion_rule,
     trace,
 )
 from repro.models import SDNet
@@ -191,7 +190,7 @@ class TestDeadCodeElimination:
 
 
 class TestCustomFusionRules:
-    def test_register_and_apply_custom_rule(self):
+    def test_apply_custom_rule(self):
         # x + x -> double(x), executed via the generic fallback kernel.
         from repro.engine import kernels as kernel_mod
 
@@ -203,7 +202,6 @@ class TestCustomFusionRules:
 
         rule = FusionRule("double-add", root_ops=("add",), matcher=match_double)
         kernel_mod._EVALUATORS["double"] = lambda v, n: v[0] + v[0]
-        register_fusion_rule(rule)
         try:
 
             class SelfAdd(Module):
@@ -211,12 +209,11 @@ class TestCustomFusionRules:
                     return x + x
 
             x = np.random.default_rng(0).normal(size=(5,))
-            graph = fuse_elementwise(trace(SelfAdd(), x))
+            graph = fuse_elementwise(trace(SelfAdd(), x), rules=[rule])
             assert graph.op_counts().get("double") == 1
             (out,) = _run(graph, x)
             assert out.tobytes() == (x + x).tobytes()
         finally:
-            FUSION_RULES.remove(rule)
             del kernel_mod._EVALUATORS["double"]
 
     def test_rules_are_ordered(self):

@@ -6,6 +6,7 @@ solutions the synchronous submit/drain path returns, under any thread
 interleaving, while admission control keeps the queue depth bounded.
 """
 
+import concurrent.futures
 import multiprocessing
 import os
 import queue
@@ -201,6 +202,109 @@ class TestFuturesApi:
         assert replay.solution.tobytes() == solved.solution.tobytes()
         assert server.store.stats()["replays"] == 1
         assert server.stats.store_hits == 1
+        assert server.stats.fused_runs == 1
+
+    def test_cancel_refuses_and_the_request_is_still_solved(
+        self, small_geometry, harmonic_loops, fake_clock
+    ):
+        server = Server(
+            policy=BatchPolicy(max_batch_size=8, max_wait_seconds=1e9),
+            cache=None,
+            clock=fake_clock,
+        )
+        request = SolveRequest.create(
+            small_geometry, harmonic_loops(1, seed=60)[0], max_iterations=40
+        )
+        future = server.submit_async(request)
+        # Admitted means running: the request is solved or failed, never
+        # withdrawn.
+        assert future.cancel() is False
+        assert future.running() and not future.cancelled()
+        solved = server.drain()
+        assert future.result(timeout=0) is solved[request.request_id]
+        assert not future.cancelled()
+        assert server.future(request.request_id) is None
+
+    def test_raising_callback_stops_nothing(
+        self, small_geometry, harmonic_loops, fake_clock, caplog
+    ):
+        server = Server(
+            policy=BatchPolicy(max_batch_size=8, max_wait_seconds=1e9),
+            cache=None,
+            clock=fake_clock,
+        )
+        loop = harmonic_loops(1, seed=61)[0]
+        owner = SolveRequest.create(small_geometry, loop, max_iterations=40)
+        twin = SolveRequest.create(small_geometry, loop, max_iterations=40)
+        other = SolveRequest.create(
+            small_geometry, harmonic_loops(1, seed=62)[0], max_iterations=40
+        )
+        futures = [server.submit_async(r) for r in (owner, twin, other)]
+        seen = []
+
+        def broken(future):
+            raise RuntimeError("callback bug")
+
+        futures[0].add_done_callback(broken)
+        for future in futures:
+            future.add_done_callback(lambda f: seen.append(f.request_id))
+        results = server.drain()
+        # Later callbacks on the same future, the twin attached to its
+        # solve and an unrelated request all still complete.
+        assert sorted(seen) == sorted(r.request_id for r in (owner, twin, other))
+        assert sorted(results) == sorted(seen)
+        assert all(future.exception() is None for future in futures)
+        assert any("callback bug" in str(r.exc_info[1]) for r in caplog.records
+                   if r.exc_info)
+
+    def test_wait_and_as_completed_accept_the_futures(
+        self, small_geometry, harmonic_loops
+    ):
+        loops = harmonic_loops(3, seed=63)
+        with Server(
+            policy=BatchPolicy(max_batch_size=8, max_wait_seconds=0.001),
+            cache=None,
+            async_workers=1,
+        ) as server:
+            futures = [
+                server.submit_async(
+                    SolveRequest.create(small_geometry, loop, max_iterations=40)
+                )
+                for loop in loops
+            ]
+            done, pending = concurrent.futures.wait(futures, timeout=60)
+            assert done == set(futures) and not pending
+            completed = list(concurrent.futures.as_completed(futures, timeout=60))
+            assert sorted(map(id, completed)) == sorted(map(id, futures))
+            results = server.drain()
+        for future in futures:
+            assert results[future.request_id] is future.result(timeout=0)
+
+    def test_duplicate_future_is_the_owners_store_waiter(
+        self, small_geometry, harmonic_loops, fake_clock
+    ):
+        server = Server(
+            policy=BatchPolicy(max_batch_size=8, max_wait_seconds=1e9),
+            cache=None,
+            clock=fake_clock,
+        )
+        loop = harmonic_loops(1, seed=64)[0]
+        owner = SolveRequest.create(small_geometry, loop, max_iterations=40)
+        duplicate = SolveRequest.create(small_geometry, loop, max_iterations=40)
+        owner_future = server.submit_async(owner)
+        duplicate_future = server.submit_async(duplicate)
+        # One object per request: the caller's handle, the server's ticket
+        # and the waiter on the owner's in-flight store entry.
+        entry = server.store._inflight[server.store.key_for(owner)]
+        assert len(entry.waiters) == 2
+        assert entry.waiters[0] is owner_future
+        assert entry.waiters[1] is duplicate_future
+        assert server.future(duplicate.request_id) is duplicate_future
+        server.drain()
+        solved = owner_future.result(timeout=0).solution
+        served = duplicate_future.result(timeout=0).solution
+        assert served is not solved
+        assert served.tobytes() == solved.tobytes()
         assert server.stats.fused_runs == 1
 
 

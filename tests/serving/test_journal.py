@@ -166,6 +166,7 @@ class TestJournalFile:
         assert recovered.truncated_bytes > 0
         assert [kind for kind, _, _ in recovered.replay()] == ["claim"]
         recovered.close()
+        journal.close()
 
 
 class TestStoreRecovery:
@@ -190,6 +191,7 @@ class TestStoreRecovery:
         assert store.peek(("orphan",)) is None  # reclaimable, exactly once
         assert store.stats()["recovered"] == 1
         assert store.journal is journal
+        journal.close()
 
     def test_server_restart_replays_bitwise(self, small_geometry, harmonic_loops,
                                             fake_clock, tmp_path):
@@ -224,6 +226,27 @@ class TestStoreRecovery:
                 after[new.request_id].solution.tobytes()
                 == before[old.request_id].solution.tobytes()
             )
+        second.store.journal.close()
+
+    def test_restart_after_drain_and_close_keeps_journaling(
+        self, small_geometry, harmonic_loops, fake_clock, tmp_path
+    ):
+        # drain_and_close() closes the journal; start() reopens intake, and
+        # the next claim must reach the file again.
+        path = tmp_path / "requests.wal"
+        first, second = (
+            SolveRequest.create(small_geometry, loop, max_iterations=40)
+            for loop in harmonic_loops(2, seed=33)
+        )
+        with Server(journal=path, async_workers=1, cache=None) as server:
+            server.submit_async(first).result(timeout=60)
+            server.drain_and_close()
+            server.start()
+            server.submit_async(second).result(timeout=60)
+            server.drain_and_close()
+        recovered = _server(fake_clock, journal=path)
+        assert recovered.recovery.completed == 2
+        recovered.store.journal.close()
 
     def test_torn_write_orphans_claim_then_recovers_exactly_once(
         self, small_geometry, harmonic_loops, fake_clock, tmp_path
@@ -261,3 +284,5 @@ class TestStoreRecovery:
             results[retry.request_id].solution.tobytes()
             == clean.drain()[control.request_id].solution.tobytes()
         )
+        crashed.store.journal.close()
+        recovered.store.journal.close()

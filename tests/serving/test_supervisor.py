@@ -501,6 +501,7 @@ class TestGracefulShutdown:
         results = server.drain_and_close()
         assert sorted(results) == sorted(r.request_id for r in requests)
         assert server.store.journal.stats()["checkpoints"] == 1
+        assert server.store.journal._fh.closed
 
         with pytest.raises(ServerClosedError):
             server.submit(_requests(small_geometry, loops[:1])[0])
