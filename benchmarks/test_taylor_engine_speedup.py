@@ -148,7 +148,7 @@ def test_bucketed_plans_reused_across_batch_sizes(bench_trained_sdnet):
         assert value_c == value_e
         for a, b in zip(grads_c, grads_e):
             assert a.tobytes() == b.tobytes()
-    program = engine_loss._program_for(model)
+    program = engine_loss._program_for(model, "pde")
     stats = program.stats
     assert stats.bucket_templates == 1
     assert stats.traces == 3, "bucketed plans must not re-trace per batch size"

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..utils.rng import sobol_2d
+
 __all__ = [
     "squared_exponential_kernel",
     "periodic_kernel",
@@ -79,14 +81,15 @@ class GPBoundaryConfig:
 def sample_kernel_hyperparameters(
     count: int, config: GPBoundaryConfig, seed: int | None = None
 ) -> np.ndarray:
-    """Sobol-sample ``count`` (lengthscale, variance) pairs (log-uniform)."""
+    """Sobol-sample ``count`` (lengthscale, variance) pairs (log-uniform).
 
-    # Imported here, not at module scope: scipy.stats costs ~0.8 s and ~33 MB
-    # (2-vCPU host), and only Sobol draws need it.
-    from scipy.stats import qmc
+    The unit points are the first ``count`` points of the scrambled 2-D
+    Sobol sequence (:func:`repro.utils.rng.sobol_2d`): the same bytes as
+    scipy's ``qmc.Sobol(d=2, scramble=True, seed=seed).random(count)``
+    and as the first ``count`` rows of ``random_base2(ceil(log2(count)))``.
+    """
 
-    sampler = qmc.Sobol(d=2, scramble=True, seed=seed)
-    unit = sampler.random(count)
+    unit = sobol_2d(count, seed)
     log_ls = np.log(config.lengthscale_range[0]) + unit[:, 0] * (
         np.log(config.lengthscale_range[1]) - np.log(config.lengthscale_range[0])
     )

@@ -13,9 +13,10 @@ import os
 import threading
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .discretize import assemble_poisson
+from .discretize import laplacian_matrix, poisson_rhs
 from .grid import Grid2D
 from .krylov import conjugate_gradient
 from .multigrid import GeometricMultigrid
@@ -27,8 +28,15 @@ __all__ = [
     "laplace_loop_operator",
 ]
 
-#: interior-unknown count above which multigrid is preferred over a direct solve
+#: interior-unknown count above which multigrid is preferred over a direct
+#: solve; direct-solve matrices up to this size are cached, see
+#: ``_MATRIX_CACHE_ENTRIES``
 _DIRECT_SOLVE_LIMIT = 20_000
+
+#: matrices :func:`_direct_matrix` keeps, least recently used evicted first.
+#: One is ~12 bytes per nonzero, 5 nonzeros per unknown: 3 KB on a 9x9 grid,
+#: 1.2 MB at ``_DIRECT_SOLVE_LIMIT``.
+_MATRIX_CACHE_ENTRIES = 8
 
 #: operators :func:`laplace_loop_operator` keeps, least recently used evicted
 #: first.  One operator is ``boundary_size * ny * nx * 8`` bytes: 20 KB on a
@@ -65,25 +73,31 @@ def solve_poisson(
         Full-grid array whose boundary ring contains the Dirichlet values.
     method:
         ``"auto"`` (direct for small systems, multigrid otherwise),
-        ``"direct"``, ``"multigrid"`` or ``"cg"``.
+        ``"direct"``, ``"multigrid"`` or ``"cg"``.  Direct solves on grids
+        of at most ``_DIRECT_SOLVE_LIMIT`` unknowns share one cached,
+        read-only matrix per ``(nx, ny, extent)``.
     """
 
-    A, b = assemble_poisson(grid, forcing, boundary_field)
-    n = A.shape[0]
+    b = poisson_rhs(grid, forcing, boundary_field)
+    n = b.size
     if method == "auto":
         method = "direct" if n <= _DIRECT_SOLVE_LIMIT else "multigrid"
 
     if method == "direct":
-        interior = spla.spsolve(A.tocsc(), b)
+        if n <= _DIRECT_SOLVE_LIMIT:
+            A = _direct_matrix(grid.nx, grid.ny, tuple(grid.extent))
+        else:
+            A = laplacian_matrix(grid).tocsc()
+        interior = spla.spsolve(A, b)
     elif method == "multigrid":
-        mg = GeometricMultigrid(A, (grid.ny - 2, grid.nx - 2))
+        mg = GeometricMultigrid(laplacian_matrix(grid), (grid.ny - 2, grid.nx - 2))
         interior, info = mg.solve(b, tol=tol)
         if not info["converged"]:
             raise RuntimeError(
                 f"multigrid failed to converge: residual={info['residual']:.3e}"
             )
     elif method == "cg":
-        interior, info = conjugate_gradient(A, b, tol=tol)
+        interior, info = conjugate_gradient(laplacian_matrix(grid), b, tol=tol)
         if not info["converged"]:
             raise RuntimeError(f"CG failed to converge: residual={info['residual']:.3e}")
     else:
@@ -95,6 +109,17 @@ def solve_poisson(
         field[mask] = np.asarray(boundary_field, dtype=float)[mask]
     field[1:-1, 1:-1] = interior.reshape(grid.ny - 2, grid.nx - 2)
     return field
+
+
+@functools.lru_cache(maxsize=_MATRIX_CACHE_ENTRIES)
+def _direct_matrix(nx: int, ny: int, extent: tuple[float, float]) -> sp.csc_matrix:
+    # Read-only CSC Laplacian shared by every direct solve on one grid (the
+    # origin does not enter the matrix).  No lock: two threads that miss
+    # together build equal matrices and the cache keeps one.
+    matrix = laplacian_matrix(Grid2D(nx, ny, extent)).tocsc()
+    for array in (matrix.data, matrix.indices, matrix.indptr):
+        array.setflags(write=False)
+    return matrix
 
 
 def solve_laplace(

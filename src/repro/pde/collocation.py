@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..utils.rng import sobol_2d
 from .bvp import Domain
 
 __all__ = ["sample_collocation", "sample_interior_uniform", "sample_interior_sobol", "grid_points"]
@@ -23,14 +24,15 @@ def sample_interior_uniform(
 
 
 def sample_interior_sobol(domain: Domain, count: int, seed: int | None = None) -> np.ndarray:
-    """Low-discrepancy (Sobol) interior points, shape ``(count, 2)``."""
+    """Low-discrepancy (Sobol) interior points, shape ``(count, 2)``.
 
-    # Imported here, not at module scope: scipy.stats costs ~0.8 s and ~33 MB
-    # (2-vCPU host), and only Sobol draws need it.
-    from scipy.stats import qmc
+    The unit points are the first ``count`` points of the scrambled 2-D
+    Sobol sequence (:func:`repro.utils.rng.sobol_2d`): the same bytes as
+    scipy's ``qmc.Sobol(d=2, scramble=True, seed=seed).random(count)``
+    and as the first ``count`` rows of ``random_base2(ceil(log2(count)))``.
+    """
 
-    sampler = qmc.Sobol(d=2, scramble=True, seed=seed)
-    unit = sampler.random(count)
+    unit = sobol_2d(count, seed)
     x0, y0 = domain.origin
     lx, ly = domain.extent
     points = np.empty_like(unit)

@@ -106,19 +106,20 @@ class PinnLoss:
         Disabling the PDE term reproduces the purely data-driven ablation of
         Table 3.
     engine:
-        Run the physics term's forward **and** backward pass through the
-        :mod:`repro.engine` jet compiler: the Taylor-mode Laplacian, the
-        residual reduction and the parameter reverse sweep are traced once
-        into a static program and replayed through preallocated (bucketed)
-        plans via :meth:`pde_term_and_grads` — bitwise identical to the
+        Run both terms' forward **and** backward passes through the
+        :mod:`repro.engine` jet compiler: each term (the data MSE via
+        :meth:`data_term_and_grads`; the Taylor-mode Laplacian and its
+        residual reduction via :meth:`pde_term_and_grads`) is traced once,
+        with its parameter reverse sweep, into a static program and replayed
+        through preallocated (bucketed) plans — bitwise identical to the
         eager tape, so enabling the engine only changes training *speed*.
         Requires ``laplacian_method="taylor"`` and a model with the
         Taylor-mode path (SDNet).  Off by default here, so a bare
         ``PinnLoss()`` is the eager oracle; :class:`~repro.training.Trainer`
         turns it on wherever the model allows (``TrainingConfig.engine``).
-        ``pde_term``/``__call__`` always stay eager: they return
-        graph-connected tensors for callers that build their own backward
-        pass.
+        ``data_term``/``pde_term``/``__call__`` always stay eager: they
+        return graph-connected tensors for callers that build their own
+        backward pass.
     engine_options:
         Extra keyword arguments for
         :class:`~repro.engine.jet.CompiledValueAndGrad` (e.g.
@@ -143,8 +144,8 @@ class PinnLoss:
                 "PinnLoss(engine=True) compiles the Taylor-mode Laplacian; "
                 f"laplacian_method must be 'taylor', got {laplacian_method!r}"
             )
-        # id(model) -> (model, CompiledValueAndGrad); the model reference
-        # keeps the id stable for the lifetime of the cache entry.
+        # (id(model), term) -> (model, weight, CompiledValueAndGrad); the
+        # model reference keeps the id stable for the lifetime of the entry.
         self._compiled: dict = {}
 
     def data_term(self, model: NeuralSolver, g, x_data, u_data) -> Tensor:
@@ -153,14 +154,15 @@ class PinnLoss:
     def pde_term(self, model: NeuralSolver, g, x_collocation) -> Tensor:
         return laplace_residual_loss(model, g, x_collocation, method=self.laplacian_method)
 
-    # -- compiled physics term ---------------------------------------------------
+    # -- compiled terms ------------------------------------------------------------
 
-    def _program_for(self, model: NeuralSolver):
-        # The weight is baked into the traced program (the eager path
+    def _program_for(self, model: NeuralSolver, term: str):
+        # The PDE weight is baked into the traced program (the eager path
         # multiplies before the reverse sweep, and bitwise parity requires
         # replaying that), so a weight change invalidates the cached entry.
-        entry = self._compiled.get(id(model))
-        if entry is not None and entry[0] is model and entry[1] == self.pde_weight:
+        weight = self.pde_weight if term == "pde" else 1.0
+        entry = self._compiled.get((id(model), term))
+        if entry is not None and entry[0] is model and entry[1] == weight:
             return entry[2]
         from ..engine.jet import CompiledValueAndGrad
 
@@ -169,15 +171,38 @@ class PinnLoss:
                 "PinnLoss(engine=True) requires a model with a Taylor-mode "
                 f"Laplacian (laplacian_taylor); {type(model).__name__} has none"
             )
-        weight = self.pde_weight
-        program = CompiledValueAndGrad(
-            lambda g, x: laplace_residual_loss(model, g, x, method="taylor"),
-            model,
-            grad_transform=lambda loss: weight * loss,
-            **self.engine_options,
-        )
-        self._compiled[id(model)] = (model, weight, program)
+        if term == "pde":
+            program = CompiledValueAndGrad(
+                lambda g, x: laplace_residual_loss(model, g, x, method="taylor"),
+                model,
+                grad_transform=lambda loss: weight * loss,
+                **self.engine_options,
+            )
+        else:
+            program = CompiledValueAndGrad(
+                lambda g, x, u: data_loss(model, g, x, u), model, **self.engine_options
+            )
+        self._compiled[(id(model), term)] = (model, weight, program)
         return program
+
+    def data_term_and_grads(self, model: NeuralSolver, g, x_data, u_data):
+        """The data term's value and its parameter gradients.
+
+        Returns ``(value, grads)``: the data MSE as a float and a list of
+        numpy arrays, the gradients of ``L_data`` with respect to
+        ``model.parameters()`` in that order.  With ``engine=True`` the
+        computation runs through a compiled jet program; otherwise through
+        the eager tape.  The results are bitwise equal.
+        """
+
+        from ..autodiff import grad
+
+        if self.engine:
+            value, grads = self._program_for(model, "data")(g, x_data, u_data)
+            return float(value), list(grads)
+        data_term = self.data_term(model, g, x_data, u_data)
+        grads = grad(data_term, model.parameters())
+        return data_term.item(), [t.data for t in grads]
 
     def pde_term_and_grads(self, model: NeuralSolver, g, x_collocation):
         """The PDE term's value and its weighted parameter gradients.
@@ -194,7 +219,7 @@ class PinnLoss:
         from ..autodiff import grad
 
         if self.engine:
-            value, grads = self._program_for(model)(g, x_collocation)
+            value, grads = self._program_for(model, "pde")(g, x_collocation)
             return float(value), list(grads)
         pde_term = self.pde_term(model, g, x_collocation)
         grads = grad(self.pde_weight * pde_term, model.parameters())

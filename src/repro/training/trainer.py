@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..autodiff import grad
 from ..autodiff.tensor import Tensor
 from ..data.dataset import BatchIterator, SDNetDataset, TrainingBatch
 from ..models.base import NeuralSolver
@@ -41,10 +40,11 @@ class TrainingConfig:
     pde_weight: float = 1.0
     use_pde_loss: bool = True
     laplacian_method: str = "taylor"
-    #: run the physics-loss forward+backward through the repro.engine jet
-    #: compiler (bitwise-identical gradients, compiled speed) wherever it
-    #: can: the Taylor method on a model with ``laplacian_taylor`` (SDNet).
-    #: Other models train on the eager tape; ``False`` forces it for all.
+    #: run both loss terms' forward+backward (data MSE and physics residual)
+    #: through the repro.engine jet compiler (bitwise-identical gradients,
+    #: compiled speed) wherever it can: the Taylor method on a model with
+    #: ``laplacian_taylor`` (SDNet).  Other models train on the eager tape;
+    #: ``False`` forces it for all.
     engine: bool = True
     seed: int = 0
 
@@ -155,35 +155,29 @@ class Trainer:
         summed locally, *not* yet averaged across ranks) and the loss values.
         """
 
-        params = self.model.parameters()
         g = Tensor(batch.boundaries)
-        x_data = Tensor(batch.x_data)
-        u_data = Tensor(batch.u_data)
 
-        # Step 1: data points.
-        with span("train.data_loss"):
-            data_term = self.loss_fn.data_term(self.model, g, x_data, u_data)
-            grads_data = grad(data_term, params)
-            grads = [gd.data.copy() for gd in grads_data]
+        # Step 1: data points.  Both terms go through PinnLoss so the
+        # engine-compiled jet programs (config.engine) and the eager tape are
+        # interchangeable — they produce bitwise-identical gradients.
+        with span("train.data_loss", engine=self.loss_fn.engine):
+            data_value, grads = self.loss_fn.data_term_and_grads(
+                self.model, g, Tensor(batch.x_data), Tensor(batch.u_data)
+            )
 
         # Step 2: collocation points, accumulated onto the data gradients.
-        # The weighted-gradient computation goes through PinnLoss so the
-        # engine-compiled jet program (config.engine) and the eager tape are
-        # interchangeable — they produce bitwise-identical gradients.
         pde_value = 0.0
         if self.config.use_pde_loss:
             with span("train.pde_loss", engine=self.loss_fn.engine):
-                x_coll = Tensor(batch.x_collocation)
                 pde_value, grads_pde = self.loss_fn.pde_term_and_grads(
-                    self.model, g, x_coll
+                    self.model, g, Tensor(batch.x_collocation)
                 )
-                for acc, gp in zip(grads, grads_pde):
-                    acc += gp
+                grads = [gd + gp for gd, gp in zip(grads, grads_pde)]
 
         losses = {
-            "data": data_term.item(),
+            "data": data_value,
             "pde": pde_value,
-            "total": data_term.item() + self.config.pde_weight * pde_value,
+            "total": data_value + self.config.pde_weight * pde_value,
         }
         return grads, losses
 

@@ -236,6 +236,24 @@ class TestPinnLossEngine:
         for a, b in zip(grads_e, grads_c):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("batch", [1, 3, 8, 16])
+    def test_data_term_and_grads_parity(self, batch):
+        """The compiled data MSE and its gradients are the eager tape's bytes."""
+
+        model = SDNet(boundary_size=16, hidden_size=10, trunk_layers=2,
+                      embedding_channels=(2,), rng=6)
+        rng = seeded_rng(batch)
+        g = rng.normal(size=(batch, 16))
+        x = rng.uniform(size=(batch, 7, 2)) * 0.5
+        u = rng.normal(size=(batch, 7))
+        tensors = (Tensor(g), Tensor(x), Tensor(u))
+        value_e, grads_e = PinnLoss().data_term_and_grads(model, *tensors)
+        value_c, grads_c = PinnLoss(engine=True).data_term_and_grads(model, *tensors)
+        _assert_bitwise(
+            (np.float64(value_c), grads_c), (np.float64(value_e), grads_e),
+            context=f"(batch={batch})",
+        )
+
     def test_engine_requires_taylor_method(self):
         with pytest.raises(ValueError, match="taylor"):
             PinnLoss(engine=True, laplacian_method="autograd")

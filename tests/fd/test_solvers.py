@@ -1,8 +1,12 @@
 """Discretization, smoothers, multigrid, CG and the high-level solvers."""
 
+import os
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from repro.fd import solve as fd_solve
 from repro.fd import (
     GeometricMultigrid,
     Grid2D,
@@ -12,9 +16,11 @@ from repro.fd import (
     gauss_seidel,
     get_smoother,
     laplacian_matrix,
+    poisson_rhs,
     prolongation_1d,
     solve_laplace,
     solve_laplace_from_loop,
+    solve_laplace_masked,
     solve_poisson,
     sor,
     weighted_jacobi,
@@ -206,3 +212,80 @@ class TestHighLevelSolvers:
         boundary = np.where(grid.boundary_mask(), rng.normal(size=grid.shape), 0.0)
         solution = solve_laplace(grid, boundary, method="direct")
         assert np.max(np.abs(apply_laplacian(grid, solution))) < 1e-9
+
+
+class TestDirectMatrixCache:
+    """The direct path reuses one read-only CSC Laplacian per grid."""
+
+    @staticmethod
+    def _problem(grid, seed=0):
+        rng = np.random.default_rng(seed)
+        boundary = np.where(grid.boundary_mask(), rng.normal(size=grid.shape), 0.0)
+        return rng.normal(size=grid.shape), boundary
+
+    def test_cached_solve_is_a_fresh_assembly_bitwise(self):
+        grid = Grid2D(9, 9, extent=(0.5, 0.5))
+        forcing, boundary = self._problem(grid)
+        fresh = spla.spsolve(laplacian_matrix(grid).tocsc(), poisson_rhs(grid, forcing, boundary))
+        fd_solve._direct_matrix.cache_clear()
+        for _ in range(2):  # the miss that builds the entry, then a hit
+            field = solve_poisson(grid, forcing, boundary, method="direct")
+            assert field[1:-1, 1:-1].tobytes() == fresh.reshape(7, 7).tobytes()
+        assert fd_solve._direct_matrix.cache_info().hits == 1
+
+    def test_cached_matrix_is_read_only_and_shared(self):
+        matrix = fd_solve._direct_matrix(9, 9, (0.5, 0.5))
+        for array in (matrix.data, matrix.indices, matrix.indptr):
+            with pytest.raises(ValueError):
+                array[0] = array[0]
+        # The origin does not enter the matrix; the laplacian_matrix stays pure.
+        moved = Grid2D(9, 9, extent=(0.5, 0.5), origin=(2.0, -1.0))
+        solve_laplace(moved, np.zeros(moved.shape), method="direct")
+        assert fd_solve._direct_matrix(9, 9, (0.5, 0.5)) is matrix
+        assert laplacian_matrix(moved).data.flags.writeable
+
+    def test_grids_above_the_direct_limit_are_not_kept(self):
+        limit = fd_solve._DIRECT_SOLVE_LIMIT
+        at_limit = Grid2D(143, 143)      # 141**2 = 19,881 unknowns
+        above = Grid2D(145, 145)         # 143**2 = 20,449 unknowns
+        assert (at_limit.nx - 2) ** 2 <= limit < (above.nx - 2) ** 2
+        fd_solve._direct_matrix.cache_clear()
+        solve_laplace(above, self._problem(above)[1], method="direct")
+        assert fd_solve._direct_matrix.cache_info().currsize == 0
+        solve_laplace(at_limit, self._problem(at_limit)[1], method="direct")
+        assert fd_solve._direct_matrix.cache_info().currsize == 1
+
+    def test_cache_is_bounded(self):
+        for n in range(fd_solve._MATRIX_CACHE_ENTRIES + 3):
+            solve_laplace(Grid2D(4, 4, (1.0 + n, 1.0)), np.zeros((4, 4)), method="direct")
+        info = fd_solve._direct_matrix.cache_info()
+        assert info.maxsize == fd_solve._MATRIX_CACHE_ENTRIES
+        assert info.currsize <= info.maxsize
+
+    def test_forked_child_solves(self):
+        grid = Grid2D(9, 9, extent=(0.5, 0.5))
+        forcing, boundary = self._problem(grid, seed=1)
+        expected = solve_poisson(grid, forcing, boundary, method="direct")  # cached
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child
+            try:
+                os.write(write, solve_poisson(grid, forcing, boundary, method="direct").tobytes())
+            finally:
+                os._exit(0)
+        os.close(write)
+        chunks = []
+        while chunk := os.read(read, 1 << 16):
+            chunks.append(chunk)
+        os.close(read)
+        os.waitpid(pid, 0)
+        assert b"".join(chunks) == expected.tobytes()
+
+    def test_masked_reference_solves_do_not_use_it(self):
+        grid = Grid2D(9, 9)
+        boundary_field = self._problem(grid, seed=2)[1]
+        interior = np.zeros(grid.shape, dtype=bool)
+        interior[1:-1, 1:-1] = True
+        before = fd_solve._direct_matrix.cache_info()
+        solve_laplace_masked(grid, interior, grid.boundary_mask(), boundary_field)
+        assert fd_solve._direct_matrix.cache_info() == before

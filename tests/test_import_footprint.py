@@ -1,23 +1,30 @@
 """Start-up pays only for what a process runs.
 
-``scipy.stats`` costs about 0.9 s and 33 MB to import, and the library uses
-it only to draw Sobol points (GP kernel hyperparameters, Sobol collocation).
-A serving process that never draws them must never load it: the import is
-local to the two Sobol call sites.  These tests check the footprint in a
-fresh interpreter, then that the lazily imported draws are the same bytes as
-a direct ``scipy.stats.qmc.Sobol`` computation.
+``scipy.stats`` costs about 0.4 s and 33 MB to import, and the library never
+needs it: its only use was drawing Sobol points (GP kernel hyperparameters,
+Sobol collocation), which ``repro.utils.sobol_2d`` now does in numpy.  These
+tests check in a fresh interpreter that importing the library, or drawing a
+dataset and training on it, leaves ``scipy.stats`` unloaded; then that the
+draws are the same bytes as a direct ``scipy.stats.qmc.Sobol`` computation
+and raise no warning.
 """
 
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import qmc
 
-from repro.data import GaussianProcessSampler, GPBoundaryConfig, periodic_kernel
+from repro.data import (
+    GaussianProcessSampler,
+    GPBoundaryConfig,
+    generate_dataset,
+    periodic_kernel,
+)
 from repro.pde import Domain
 from repro.pde.collocation import sample_interior_sobol
 
@@ -36,6 +43,20 @@ sys.path.insert(0, "bench")
 import workloads
 """
 
+DRAW_AND_TRAIN = """
+from repro.data import generate_dataset
+from repro.models import SDNet
+from repro.pde import Domain
+from repro.pde.collocation import sample_interior_sobol
+from repro.training import Trainer, TrainingConfig
+dataset = generate_dataset(8, resolution=9)
+sample_interior_sobol(Domain(), 16, seed=0)
+model = SDNet(boundary_size=dataset.grid.boundary_size, hidden_size=8, trunk_layers=1, rng=0)
+config = TrainingConfig(epochs=1, batch_size=4, data_points_per_domain=8,
+                        collocation_points_per_domain=4)
+Trainer(model, config, dataset).fit()
+"""
+
 REPORT = """
 import sys
 print(sorted(m for m in sys.modules if m == "scipy.stats" or m.startswith("scipy.stats.")))
@@ -43,7 +64,9 @@ print(sorted(m for m in sys.modules if m == "scipy.stats" or m.startswith("scipy
 
 
 @pytest.mark.parametrize(
-    "program", [IMPORT_EVERYTHING, IMPORT_BENCHMARK], ids=["repro", "bench_workloads"]
+    "program",
+    [IMPORT_EVERYTHING, IMPORT_BENCHMARK, DRAW_AND_TRAIN],
+    ids=["repro", "bench_workloads", "draw_and_train"],
 )
 def test_importing_leaves_scipy_stats_unloaded(program):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -83,3 +106,11 @@ def test_sobol_collocation_equals_a_direct_sobol_draw(seed):
     unit = qmc.Sobol(d=2, scramble=True, seed=seed).random(16)
     expected = np.stack([-1.0 + unit[:, 0] * 0.5, 0.25 + unit[:, 1] * 2.0], axis=1)
     assert points.tobytes() == expected.tobytes()
+
+
+def test_sobol_draws_raise_no_warnings():
+    # Non-power-of-2 counts: scipy warns about the balance properties here.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        generate_dataset(6, resolution=9, seed=3)
+        sample_interior_sobol(Domain(), 5, seed=3)

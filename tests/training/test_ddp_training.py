@@ -154,3 +154,28 @@ class TestGradientAveraging:
         averaged = run_spmd(2, program)[0]
         manual_flat = np.concatenate([g.reshape(-1) for g in manual_mean])
         assert np.allclose(averaged, manual_flat, atol=1e-12)
+
+
+class TestCompiledLossTerms:
+    def test_two_rank_epoch_is_bitwise_equal_to_the_eager_tape(self, tiny_dataset, splits):
+        """Every rank's data and physics terms run compiled (``engine=True``,
+        the default) and land on the eager tape's bytes."""
+
+        train, val = splits
+        runs = {}
+        for engine in (True, False):
+            config = TrainingConfig(epochs=1, batch_size=4, data_points_per_domain=8,
+                                    collocation_points_per_domain=4, max_lr=3e-3,
+                                    seed=0, engine=engine)
+            results = DataParallelTrainer(make_factory(tiny_dataset), config, train,
+                                          val).run(2)
+            runs[engine] = [
+                (
+                    [result.state_dict[name].tobytes() for name in sorted(result.state_dict)],
+                    np.array(result.history.train_loss).tobytes(),
+                    np.array(result.history.train_data_loss).tobytes(),
+                    np.array(result.history.validation_mse).tobytes(),
+                )
+                for result in results
+            ]
+        assert runs[True] == runs[False]
