@@ -1,8 +1,8 @@
-"""Distributed Mosaic Flow inference (Algorithm 2) on a simulated cluster.
+"""Distributed Mosaic Flow inference (Algorithm 2) on forked rank processes.
 
 Solves the Laplace equation on a large domain with a Gaussian-process
 boundary condition using the domain-parallel Mosaic Flow predictor on 1, 2
-and 4 simulated ranks, and reports
+and 4 ranks (one process each, talking over pipes), and reports
 
 * iterations needed to reach the MAE target (the Table 4 effect: a mild
   increase with the processor count caused by relaxed synchronization),
@@ -116,9 +116,10 @@ def main() -> None:
         print(f"{world_size:>5} | {root.iterations:>10} | {mae:>9.4f} | {inference:>9.2f}s | "
               f"{sendrecv:>8.2f}s | {allgather:>8.3f}s | {halo:>8d} B | {modeled*1e6:>9.1f}us")
 
-    print("\nNote: ranks are simulated with threads on one CPU, so wall-clock does not")
-    print("shrink with the world size; iteration counts, traffic volumes and the")
-    print("projected interconnect costs are the quantities to compare with the paper.")
+    print("\nNote: each rank is a process, but all of them share this machine's cores,")
+    print("so wall-clock shrinks only while there are cores to spare; iteration counts,")
+    print("traffic volumes and the projected interconnect costs are the quantities to")
+    print("compare with the paper.")
 
 
 if __name__ == "__main__":

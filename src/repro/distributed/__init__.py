@@ -9,6 +9,7 @@ from .cartesian import (
 )
 from .comm import CommunicationTrace, Communicator, ReduceOp, payload_bytes
 from .costmodel import INTERCONNECTS, AlphaBetaModel, estimate_trace_time
+from .processes import PipeCommunicator, fork_spmd
 from .simulated import SelfCommunicator, SpmdFailure, ThreadCommunicator, run_spmd
 
 __all__ = [
@@ -20,6 +21,8 @@ __all__ = [
     "ThreadCommunicator",
     "run_spmd",
     "SpmdFailure",
+    "PipeCommunicator",
+    "fork_spmd",
     "ProcessGrid",
     "BlockPartition",
     "block_range",

@@ -2,8 +2,9 @@
 
 The paper's distributed algorithms (data-parallel training, Algorithm 1, and
 the distributed Mosaic Flow predictor, Algorithm 2) are written against a
-small MPI-like API.  The reproduction runs them on a thread-backed simulated
-cluster (:mod:`repro.distributed.simulated`), but the algorithms only see the
+small MPI-like API.  The reproduction runs them on forked rank processes
+(:mod:`repro.distributed.processes`) or on a thread-backed simulated cluster
+(:mod:`repro.distributed.simulated`), but the algorithms only see the
 abstract :class:`Communicator`, so they would run unchanged on real MPI.
 
 Every communicator carries a :class:`CommunicationTrace` that records the
@@ -127,6 +128,12 @@ class Communicator:
     trace: CommunicationTrace
 
     # -- point to point ----------------------------------------------------------
+
+    def _check_peer(self, peer: int) -> None:
+        if not 0 <= peer < self.size:
+            raise ValueError(f"peer rank {peer} out of range for world size {self.size}")
+        if peer == self.rank:
+            raise ValueError("sending to self is not supported")
 
     def send(self, payload: Any, dest: int, tag: int = 0) -> None:  # pragma: no cover
         raise NotImplementedError

@@ -8,6 +8,10 @@ hazards and deadlocks in the distributed algorithms surface exactly as they
 would on a real cluster — while remaining deterministic in the data they
 produce.
 
+The thread world runs :class:`~repro.training.ddp.DataParallelTrainer`'s
+ranks and is the bitwise reference for the forked ranks of
+:mod:`repro.distributed.processes`.
+
 There is also :class:`SelfCommunicator`, a world of size one with zero-cost
 collectives, which lets every distributed code path run un-modified in a
 single process (used for the baseline configurations in the benchmarks).
@@ -66,12 +70,23 @@ class SelfCommunicator(Communicator):
         return payload
 
 
+_ABORTED = object()
+
+
 class _Mailbox:
     """Per-rank mailbox with (source, tag) matching."""
 
     def __init__(self):
         self._messages: list[tuple[int, int, Any]] = []
         self._condition = threading.Condition()
+        self._aborted = False
+
+    def abort(self) -> None:
+        """Fail every pending and later :meth:`get` that finds no message."""
+
+        with self._condition:
+            self._aborted = True
+            self._condition.notify_all()
 
     def put(self, source: int, tag: int, payload: Any) -> None:
         with self._condition:
@@ -85,7 +100,7 @@ class _Mailbox:
                 if src == source and t == tag:
                     del self._messages[i]
                     return (payload,)
-            return None
+            return _ABORTED if self._aborted else None
 
         # One deadline for the whole wait: messages for other (source, tag)
         # pairs wake the waiter without restarting its timeout.
@@ -94,6 +109,10 @@ class _Mailbox:
         if found is None:
             raise TimeoutError(
                 f"timed out waiting for message from rank {source} with tag {tag}"
+            )
+        if found is _ABORTED:
+            raise ConnectionAbortedError(
+                f"a rank failed while this one waited for rank {source}, tag {tag}"
             )
         return found[0]
 
@@ -109,6 +128,13 @@ class _ThreadWorld:
         # Collective exchange area: one slot per rank, guarded by two barriers.
         self.slots: list[Any] = [None] * size
 
+    def abort(self) -> None:
+        """Release every rank waiting in a collective or a ``recv``."""
+
+        self.barrier.abort()
+        for mailbox in self.mailboxes:
+            mailbox.abort()
+
 
 class ThreadCommunicator(Communicator):
     """Communicator bound to one rank of a :class:`_ThreadWorld`."""
@@ -120,12 +146,6 @@ class ThreadCommunicator(Communicator):
         self.trace = CommunicationTrace()
 
     # -- point to point -----------------------------------------------------------
-
-    def _check_peer(self, peer: int) -> None:
-        if not 0 <= peer < self.size:
-            raise ValueError(f"peer rank {peer} out of range for world size {self.size}")
-        if peer == self.rank:
-            raise ValueError("sending to self is not supported")
 
     def send(self, payload: Any, dest: int, tag: int = 0) -> None:
         self._check_peer(dest)
@@ -211,8 +231,8 @@ def run_spmd(
             results[rank] = fn(comm, *args, **kwargs)
         except BaseException as exc:  # noqa: BLE001 - propagate to the caller
             failures[rank] = exc
-            # Release peers stuck in a barrier so the run terminates quickly.
-            world.barrier.abort()
+            # Release peers stuck in a collective or a recv so the run ends now.
+            world.abort()
 
     threads = [
         threading.Thread(target=worker, args=(rank,), name=f"spmd-rank-{rank}")

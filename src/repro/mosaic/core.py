@@ -456,8 +456,13 @@ class LatticeRun:
 
         buffer, timings, clock = self.buffer, self.timings, time.perf_counter
         tols, budgets, every = self.tols, self.budgets, self.every
+        # Each request's lattice values at its last check.  The last check's
+        # ``current`` is kept aside (``checked``) and written back only when
+        # a check of other requests follows.
         previous = buffer.copy()
-        active = list(range(len(self.plans)))
+        checked_due, checked_lattice, checked = None, None, None
+        every_check = all(interval == 1 for interval in every)
+        active = tuple(range(len(self.plans)))
         cache: dict = {}  # index arrays of the active set; dropped when it shrinks
         for iteration in range(1, max(budgets, default=0) + 1):
             if not active:
@@ -482,15 +487,22 @@ class LatticeRun:
                 exchange(iteration)
                 toc = clock()
 
-            due = tuple(r for r in active if iteration % every[r] == 0)
+            due = active if every_check else tuple(
+                r for r in active if iteration % every[r] == 0)
             if due:
                 indices = cache.get(due)
                 if indices is None:
                     indices = cache[due] = self._lattice_indices(due)
                 lattice, bounds = indices
-                current, before = buffer[lattice], previous[lattice]
+                current = buffer[lattice]
+                if due == checked_due:
+                    before = checked
+                else:
+                    if checked_due is not None:
+                        previous[checked_lattice] = checked
+                    before = previous[lattice]
+                checked_due, checked_lattice, checked = due, lattice, current
                 change = current - before
-                previous[lattice] = current
                 for position, request in enumerate(due):
                     lo, hi = bounds[position], bounds[position + 1]
                     past, step = before[lo:hi], change[lo:hi]
@@ -520,7 +532,7 @@ class LatticeRun:
             if retiring:
                 for request in retiring:
                     self.results[request].iterations = iteration
-                active = [r for r in active if r not in retiring]
+                active = tuple(r for r in active if r not in retiring)
                 cache.clear()
 
     def outcomes(self, predict=None) -> list[list[LatticeOutcome]]:

@@ -26,10 +26,16 @@ The communication plan (which points go to which neighbour) is derived
 programmatically from anchor ownership, so the same code handles interior
 ranks, edge ranks and corner ranks, arbitrary processor-grid shapes and the
 row-scan or Morton rank orderings.
+
+:meth:`DistributedMosaicFlowPredictor.run` forks one process per rank
+(:func:`~repro.distributed.processes.fork_spmd`), so the ranks compute at the
+same time; the rank plans are built once per world size, before the fork.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -37,7 +43,7 @@ import numpy as np
 
 from ..distributed.cartesian import BlockPartition, ProcessGrid
 from ..distributed.comm import Communicator, ReduceOp
-from ..distributed.simulated import run_spmd
+from ..distributed.processes import fork_spmd
 from ..obs.trace import span
 from .core import (
     LatticeRun, Session, accumulate, build_plan, checked_reference, checked_solver,
@@ -285,6 +291,19 @@ class DistributedMFPResult:
 # The distributed predictor
 # ---------------------------------------------------------------------------
 
+#: guards every predictor's memo of rank plans
+_PLANS_LOCK = threading.Lock()
+
+
+def _fresh_plans_lock() -> None:
+    # A forked rank reads the plans its parent built; a parent thread that
+    # held the lock at the fork does not exist there.
+    global _PLANS_LOCK
+    _PLANS_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_plans_lock)
+
 
 class DistributedMosaicFlowPredictor:
     """Domain-parallel Mosaic Flow predictor (Algorithm 2).
@@ -322,6 +341,35 @@ class DistributedMosaicFlowPredictor:
         self.solver_factory = solver_factory
         self.ordering = ordering
         self.init_mode = init_mode
+        #: world size -> per rank ``(RankLayout, HaloExchangePlan, LatticePlan)``
+        self._plans: dict[int, list[tuple]] = {}
+
+    def _rank_plans(self, world_size: int) -> list[tuple]:
+        """Per rank ``(layout, halo plan, index plan)`` of ``world_size`` ranks.
+
+        Built on first use and kept: no rank writes to them, so rank threads
+        share them and forked ranks inherit them.
+        """
+
+        with _PLANS_LOCK:
+            plans = self._plans.get(world_size)
+            if plans is None:
+                geometry = self.geometry
+                grid = ProcessGrid(world_size, ordering=self.ordering)
+                layouts = [RankLayout.build(geometry, grid, r) for r in range(world_size)]
+                # The rank's share of the index plan: its own anchors by
+                # global phase over the local field, the owned lattice points
+                # as convergence vector.
+                plans = self._plans[world_size] = [(
+                    layout,
+                    HaloExchangePlan.build(geometry, grid, layouts, layout.rank),
+                    build_plan(
+                        geometry, layout.local_anchors(),
+                        origin=(layout.part.row_start, layout.part.col_start),
+                        shape=layout.local_shape, lattice_mask=layout.owned_lattice(geometry),
+                    ),
+                ) for layout in layouts]
+            return plans
 
     # -- driver ----------------------------------------------------------------
 
@@ -336,19 +384,21 @@ class DistributedMosaicFlowPredictor:
         check_interval: int = 1,
         timeout: float = 600.0,
     ) -> list[DistributedMFPResult]:
-        """Run the predictor on a simulated cluster of ``world_size`` ranks.
+        """Run the predictor on ``world_size`` ranks, one forked process each.
 
         Returns the list of per-rank results; rank 0's entry carries the
-        assembled global solution.
+        assembled global solution.  ``timeout`` bounds every communication
+        wait of every rank.
         """
 
         # The session every rank builds, built once here so that a bad
         # budget, cadence, loop length or reference fails before any rank
-        # starts.
+        # starts; the rank plans too, so the forked ranks inherit them.
         reference = checked_reference(self.geometry, reference, target_mae)
         Session(self.geometry, np.asarray(boundary_loop, dtype=float)[None], tol,
                 max_iterations, self.init_mode, check_interval)
-        return run_spmd(
+        self._rank_plans(world_size)
+        return fork_spmd(
             world_size,
             self.run_rank,
             args=(boundary_loop,),
@@ -376,10 +426,12 @@ class DistributedMosaicFlowPredictor:
     ) -> DistributedMFPResult:
         """SPMD body executed by every rank (usable directly under real MPI).
 
-        Each rank runs on its own thread, so the ``mfp.rank`` span roots that
-        thread's trace; the per-phase sections (boundaries IO, inference,
-        sendrecv, convergence check, allgather, assembly) are accumulated in
-        the result's ``timings`` dict, which only this thread touches.
+        :meth:`run` gives each rank a process of its own, so the ``mfp.rank``
+        span roots a trace in that process (a thread world, ``run_spmd(w,
+        predictor.run_rank, ...)``, roots one per rank thread).  The
+        per-phase sections (boundaries IO, inference, sendrecv, convergence
+        check, allgather, assembly) come back in the result's ``timings``
+        dict, which only this rank touches.
         """
 
         with span("mfp.rank", rank=comm.rank, world=comm.size):
@@ -387,22 +439,12 @@ class DistributedMosaicFlowPredictor:
             timings = {}
             tic = time.perf_counter()
 
-            grid = ProcessGrid(comm.size, ordering=self.ordering)
-            layouts = [RankLayout.build(geometry, grid, r) for r in range(comm.size)]
-            layout = layouts[comm.rank]
-            plan = HaloExchangePlan.build(geometry, grid, layouts, comm.rank)
+            layout, plan, indices = self._rank_plans(comm.size)[comm.rank]
             solver = checked_solver(geometry, self.solver_factory())
 
-            # The rank's share of the index plan: its own anchors by global
-            # phase over the local field, the owned lattice points as
-            # convergence vector.  The run's field is the global initial field
-            # cropped to this rank's processor subdomain ("Boundaries IO" in
-            # the paper's breakdown).
-            indices = build_plan(
-                geometry, layout.local_anchors(),
-                origin=(layout.part.row_start, layout.part.col_start),
-                shape=layout.local_shape, lattice_mask=layout.owned_lattice(geometry),
-            )
+            # The run's field is the global initial field cropped to this
+            # rank's processor subdomain ("Boundaries IO" in the paper's
+            # breakdown).
             boundary_loop = np.asarray(boundary_loop, dtype=float)
             run = LatticeRun([Session(
                 geometry, boundary_loop[None], tol, max_iterations, self.init_mode, check_interval,
@@ -432,8 +474,10 @@ class DistributedMosaicFlowPredictor:
 
             # [Σstep², Σpast², Σ|current - reference|, points] over every
             # rank, allreduced at each check.  ``np.sum(x ** 2)`` rather than
-            # ``x.dot(x)``: a threaded BLAS ddot over a large block would
-            # oversubscribe the cores the other ranks run on.
+            # ``x.dot(x)``: in a forked rank, an OpenBLAS ddot over more than
+            # ~10,000 elements wakes BLAS threads that spin on the cores the
+            # other ranks run on (two forked half-domain runs took 1.52-1.66 s
+            # against 0.84 s with those threads off).
             totals = np.zeros(4)
 
             def reduce(current, past, step):

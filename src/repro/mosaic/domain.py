@@ -27,6 +27,8 @@ from functools import cached_property
 import numpy as np
 from scipy import ndimage
 
+from ..procs import fresh_cached_property_locks
+
 __all__ = ["CompositeDomain"]
 
 #: unit steps (row, col) of the four boundary directions: +x, +y, -x, -y
@@ -281,3 +283,6 @@ class CompositeDomain:
             f"CompositeDomain({self.steps_x}x{self.steps_y} steps, "
             f"{len(self.rects)} rects, {self.num_cells} cells)"
         )
+
+
+fresh_cached_property_locks(CompositeDomain)

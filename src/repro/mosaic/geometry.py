@@ -32,6 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from ..fd.grid import Grid2D
+from ..procs import fresh_cached_property_locks
 from .domain import CompositeDomain
 
 __all__ = ["MosaicGeometry", "PHASE_OFFSETS"]
@@ -111,8 +112,19 @@ class MosaicGeometry:
             self._validate_anchor_coverage()
 
     def __getstate__(self) -> dict:
-        # Pickled (journal keys) as its fields; the cached masks are rebuilt.
+        # Pickled (journal keys) as its fields; the cached masks and hash are rebuilt.
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __hash__(self) -> int:
+        # The generated dataclass hash, computed once: a geometry keys several
+        # dict lookups per request, and each would rehash every field, the
+        # domain's rectangles included.
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = self.__dict__["_hash"] = hash(
+                tuple(getattr(self, f.name) for f in fields(self)))
+            return value
 
     # -- derived sizes -------------------------------------------------------------
 
@@ -423,3 +435,6 @@ class MosaicGeometry:
 
         return MosaicGeometry(self.subdomain_points, self.subdomain_extent, self.steps_x * factor,
                               self.steps_y * factor, self.domain.scaled(factor))
+
+
+fresh_cached_property_locks(MosaicGeometry)

@@ -29,33 +29,24 @@ standalone run.
 * Geometries are interned in the child, so an unpickled geometry finds the
   masks and plans that its first copy built.
 
-Every module lock the compute path takes is re-created in a forked child
-(``os.register_at_fork`` in the modules that own them), since the parent is
-multi-threaded when a worker re-forks.
+Children fork by :mod:`repro.procs`'s rules, which the distributed ranks
+share: among them, every module lock the compute path takes is re-created in
+a forked child, since the parent is multi-threaded when a worker re-forks.
 """
 
 from __future__ import annotations
 
 import gc
-import multiprocessing
-import pickle
 import threading
 import time
-import weakref
 from collections import OrderedDict
 
 from ..mosaic.core import PLAN_CACHE, LatticeRun, checked_solver
 from ..mosaic.solvers import _PROGRAMS
+from ..procs import FORK, FORK_LOCK, PARENT_ENDS, peak_rss_mb, portable, start
 from .faults import WorkerDeath
 
 __all__ = ["ComputeProcess", "lattice_run", "model_version", "remember"]
-
-_FORK = multiprocessing.get_context("fork")
-#: one fork at a time, so no child inherits a pipe end that is half set up
-_FORK_LOCK = threading.Lock()
-#: the parent ends of every live worker pipe.  A child closes its copies, so
-#: a pipe's reader sees EOF as soon as its own peer is gone.
-_PARENT_ENDS: "weakref.WeakSet" = weakref.WeakSet()
 
 _OK, _STALE, _ERROR = "ok", "stale", "error"
 
@@ -104,29 +95,6 @@ def lattice_run(solver, sessions) -> tuple[list, list]:
     return run.outcomes(predict), calls
 
 
-def peak_rss_mb(pid="self") -> float | None:
-    """Peak resident set size (``VmHWM``) of a live process, in MB."""
-
-    try:
-        with open(f"/proc/{pid}/status") as status:
-            for line in status:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1]) / 1024
-    except OSError:
-        pass
-    return None
-
-
-def _portable(exc: Exception) -> Exception:
-    """``exc`` if it survives pickling, else ``RuntimeError(repr(exc))``."""
-
-    try:
-        pickle.loads(pickle.dumps(exc))
-    except Exception:  # noqa: BLE001 - whatever pickling raises
-        return RuntimeError(repr(exc))
-    return exc
-
-
 def _programs() -> list:
     """Every compiled inference program of this process's models."""
 
@@ -171,13 +139,11 @@ def _compute(conn, solver_factory) -> None:
                 outcomes, calls = lattice_run(solver, sessions)
                 reply = (_OK, outcomes, calls, time.perf_counter() - began)
         except Exception as exc:  # noqa: BLE001 - sent to the parent's retry loop
-            reply = (_ERROR, _portable(exc))
+            reply = (_ERROR, portable(exc))
         conn.send(reply)
 
 
-def _child_main(conn, inherited, solver_factory) -> None:
-    for end in inherited:
-        end.close()
+def _child_main(conn, solver_factory) -> None:
     # Kept alive to the end: a program of a model that was already garbage
     # at the fork, and is collected here, must count at both ends.
     forked_with = _programs()
@@ -234,15 +200,11 @@ class ComputeProcess:
         """Start a fresh child, stopping the current one first."""
 
         self.stop()
-        with _FORK_LOCK:
-            ours, theirs = _FORK.Pipe()
-            process = _FORK.Process(
-                target=_child_main, name=self.name, daemon=True,
-                args=(theirs, [*_PARENT_ENDS, ours], self._solver_factory),
-            )
-            process.start()
+        with FORK_LOCK:
+            ours, theirs = FORK.Pipe()
+            process = start(_child_main, (theirs, self._solver_factory), self.name, close=[ours])
             theirs.close()
-            _PARENT_ENDS.add(ours)
+            PARENT_ENDS.add(ours)
             self._process, self._conn = process, ours
         self.forks += 1
 
@@ -263,8 +225,8 @@ class ComputeProcess:
         if process.exitcode is None:
             process.kill()
             process.join()
-        with _FORK_LOCK:
-            _PARENT_ENDS.discard(conn)
+        with FORK_LOCK:
+            PARENT_ENDS.discard(conn)
             conn.close()
             self._conn = None
 

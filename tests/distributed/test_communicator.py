@@ -1,5 +1,12 @@
-"""Simulated MPI communicator: point-to-point, collectives, failure handling."""
+"""MPI-like communicators: point-to-point, collectives, failure handling.
 
+Every cluster test runs on both launchers: rank threads (``run_spmd``) and
+forked rank processes (``fork_spmd``).
+"""
+
+import multiprocessing
+import os
+import signal
 import threading
 import time
 
@@ -11,6 +18,7 @@ from repro.distributed import (
     ReduceOp,
     SelfCommunicator,
     SpmdFailure,
+    fork_spmd,
     payload_bytes,
     run_spmd,
 )
@@ -48,8 +56,14 @@ class TestSelfCommunicator:
             comm.recv(0)
 
 
-class TestThreadCluster:
-    def test_allreduce_ops(self):
+@pytest.fixture(params=[run_spmd, fork_spmd], ids=["threads", "processes"])
+def launch(request):
+    yield request.param
+    assert multiprocessing.active_children() == []
+
+
+class TestCluster:
+    def test_allreduce_ops(self, launch):
         def program(comm):
             v = np.full(3, float(comm.rank + 1))
             return (
@@ -59,21 +73,21 @@ class TestThreadCluster:
                 comm.allreduce(v, op=ReduceOp.MIN)[0],
             )
 
-        results = run_spmd(4, program)
+        results = launch(4, program)
         for total, mean, maximum, minimum in results:
             assert total == pytest.approx(10.0)
             assert mean == pytest.approx(2.5)
             assert maximum == pytest.approx(4.0)
             assert minimum == pytest.approx(1.0)
 
-    def test_unknown_reduce_op(self):
+    def test_unknown_reduce_op(self, launch):
         def program(comm):
             comm.allreduce(np.zeros(1), op="median")
 
         with pytest.raises(SpmdFailure):
-            run_spmd(2, program)
+            launch(2, program)
 
-    def test_ring_exchange_with_tags(self):
+    def test_ring_exchange_with_tags(self, launch):
         def program(comm):
             right = (comm.rank + 1) % comm.size
             left = (comm.rank - 1) % comm.size
@@ -81,9 +95,9 @@ class TestThreadCluster:
             received = comm.recv(left, tag=7)
             return int(received[0])
 
-        assert run_spmd(5, program) == [4, 0, 1, 2, 3]
+        assert launch(5, program) == [4, 0, 1, 2, 3]
 
-    def test_message_matching_by_source_and_tag(self):
+    def test_message_matching_by_source_and_tag(self, launch):
         def program(comm):
             if comm.rank == 0:
                 comm.send("late", 1, tag=2)
@@ -93,33 +107,33 @@ class TestThreadCluster:
             second = comm.recv(0, tag=2)
             return (first, second)
 
-        assert run_spmd(2, program)[1] == ("early", "late")
+        assert launch(2, program)[1] == ("early", "late")
 
-    def test_sendrecv_exchanges_payloads(self):
+    def test_sendrecv_exchanges_payloads(self, launch):
         def program(comm):
             peer = 1 - comm.rank
             return comm.sendrecv(f"from-{comm.rank}", peer)
 
-        assert run_spmd(2, program) == ["from-1", "from-0"]
+        assert launch(2, program) == ["from-1", "from-0"]
 
-    def test_allgather_and_bcast(self):
+    def test_allgather_and_bcast(self, launch):
         def program(comm):
             gathered = comm.allgather(comm.rank * 10)
             root_value = comm.bcast("hello" if comm.rank == 0 else None, root=0)
             return gathered, root_value
 
-        results = run_spmd(3, program)
+        results = launch(3, program)
         for gathered, root_value in results:
             assert gathered == [0, 10, 20]
             assert root_value == "hello"
 
-    def test_bcast_from_nonzero_root(self):
+    def test_bcast_from_nonzero_root(self, launch):
         def program(comm):
             return comm.bcast(comm.rank if comm.rank == 2 else None, root=2)
 
-        assert run_spmd(3, program) == [2, 2, 2]
+        assert launch(3, program) == [2, 2, 2]
 
-    def test_barrier_and_trace_counts(self):
+    def test_barrier_and_trace_counts(self, launch):
         def program(comm):
             comm.barrier()
             comm.allreduce(np.zeros(4))
@@ -129,22 +143,22 @@ class TestThreadCluster:
                 comm.recv(0)
             return comm.trace.as_dict()
 
-        traces = run_spmd(2, program)
+        traces = launch(2, program)
         assert traces[0]["sends"] == 1 and traces[0]["send_bytes"] == 16
         assert traces[1]["receives"] == 1 and traces[1]["recv_bytes"] == 16
         assert all(t["allreduces"] == 1 and t["barriers"] == 1 for t in traces)
 
-    def test_rank_exception_propagates_as_spmd_failure(self):
+    def test_rank_exception_propagates_as_spmd_failure(self, launch):
         def program(comm):
             if comm.rank == 1:
                 raise ValueError("rank 1 exploded")
             comm.barrier()
 
         with pytest.raises(SpmdFailure) as excinfo:
-            run_spmd(3, program)
+            launch(3, program)
         assert 1 in excinfo.value.failures
 
-    def test_invalid_peer_and_self_send(self):
+    def test_invalid_peer_and_self_send(self, launch):
         def program(comm):
             if comm.rank == 0:
                 with pytest.raises(ValueError):
@@ -153,15 +167,88 @@ class TestThreadCluster:
                     comm.send(1, 0)
             comm.barrier()
 
-        run_spmd(2, program)
+        launch(2, program)
 
-    def test_world_size_one_uses_self_communicator(self):
-        results = run_spmd(1, lambda comm: type(comm).__name__)
+    def test_world_size_one_uses_self_communicator(self, launch):
+        results = launch(1, lambda comm: type(comm).__name__)
         assert results == ["SelfCommunicator"]
 
-    def test_invalid_world_size(self):
+    def test_invalid_world_size(self, launch):
         with pytest.raises(ValueError):
-            run_spmd(0, lambda comm: None)
+            launch(0, lambda comm: None)
+
+
+class TestFailures:
+    def test_a_failed_rank_releases_a_waiting_peer_at_once(self, launch):
+        # Rank 1 waits for a message rank 0 never sends: the run must fail
+        # as soon as rank 0 does, not when rank 1's timeout runs out.
+        def program(comm):
+            if comm.rank == 0:
+                raise ValueError("rank 0 failed before its send")
+            return comm.recv(0, tag=3)
+
+        start = time.monotonic()
+        with pytest.raises(SpmdFailure, match="rank 0 failed before its send") as excinfo:
+            launch(2, program, timeout=5.0)
+        assert time.monotonic() - start < 2.0
+        assert type(excinfo.value.failures[0]) is ValueError
+        assert isinstance(excinfo.value.failures[1], ConnectionAbortedError)
+
+    def test_a_recv_times_out(self, launch):
+        def program(comm):
+            if comm.rank == 0:
+                time.sleep(0.5)
+                return None
+            return comm.recv(0)
+
+        with pytest.raises(SpmdFailure) as excinfo:
+            launch(2, program, timeout=0.1)
+        assert list(excinfo.value.failures) == [1]
+        assert type(excinfo.value.failures[1]) is TimeoutError
+
+    def test_sends_larger_than_a_pipe_cross_without_deadlock(self, launch):
+        # Each rank sends 1 MB before it receives, as the halo exchange
+        # sends to every peer first; a pipe holds ~64 KB.
+        def program(comm):
+            peer = 1 - comm.rank
+            comm.send(np.full(2**17, float(comm.rank)), peer, tag=1)
+            return comm.recv(peer, tag=1)
+
+        first, second = launch(2, program, timeout=30.0)
+        assert first.nbytes == 2**20 and (first == 1.0).all() and (second == 0.0).all()
+
+
+class TestForkedRanks:
+    def test_a_killed_rank_fails_the_run(self):
+        def program(comm):
+            if comm.rank == 1:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return comm.recv(1)
+
+        start = time.monotonic()
+        with pytest.raises(SpmdFailure) as excinfo:
+            fork_spmd(2, program, timeout=30.0)
+        assert time.monotonic() - start < 2.0
+        failures = excinfo.value.failures
+        assert type(failures[1]) is ChildProcessError and "-9" in str(failures[1])
+        assert isinstance(failures[0], ConnectionAbortedError)
+        assert multiprocessing.active_children() == []
+
+    def test_what_does_not_pickle_arrives_as_its_repr(self):
+        class Local(Exception):
+            pass
+
+        def program(comm):
+            if comm.rank == 0:
+                raise Local("unpicklable")
+            return lambda: None
+
+        with pytest.raises(SpmdFailure) as excinfo:
+            fork_spmd(2, program)
+        failures = excinfo.value.failures
+        assert type(failures[0]) is RuntimeError and "unpicklable" in str(failures[0])
+        assert "pickle" in str(failures[1])  # the lambda it returned
+        assert multiprocessing.active_children() == []
 
 
 class TestMailbox:

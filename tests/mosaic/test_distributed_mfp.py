@@ -1,11 +1,16 @@
-"""Distributed Mosaic Flow predictor (Algorithm 2) on the simulated cluster."""
+"""Distributed Mosaic Flow predictor (Algorithm 2): forked rank processes, with rank threads as the oracle."""
 
+import importlib
+import multiprocessing
+import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.distributed import ProcessGrid, ReduceOp, run_spmd
+from repro.distributed import ProcessGrid, ReduceOp, fork_spmd, run_spmd
+from repro.distributed import processes
+from repro.fd import solve as fd_solve
 from repro.fd import solve_laplace_from_loop
 from repro.models import SDNet
 from repro.mosaic import (
@@ -17,12 +22,15 @@ from repro.mosaic import (
 )
 from repro.mosaic.core import (
     PHASES,
+    PLAN_CACHE,
     accumulate,
     build_plan,
     initialize_lattice_field,
     overlap_average,
     timed,
 )
+from repro.mosaic import distributed as mosaic_distributed
+from repro.mosaic import solvers as mosaic_solvers
 from repro.mosaic.distributed import (
     DistributedMFPResult,
     HaloExchangePlan,
@@ -30,7 +38,11 @@ from repro.mosaic.distributed import (
     _owner_anchor,
 )
 from repro.mosaic.domain import CompositeDomain
+from repro.obs import disable_tracing, enable_tracing
+from repro.obs.memory import disable_memory_accounting, enable_memory_accounting
 from repro.pde import HARMONIC_FUNCTIONS
+
+engine_trace = importlib.import_module("repro.engine.trace")
 
 
 @pytest.fixture(scope="module")
@@ -410,20 +422,30 @@ class TestDistributedExecution:
         ({}, 2, "boundary loops must have shape"),
     ], ids=["interval-0", "interval-neg", "budget-0", "budget-neg", "loop-short", "loop-long"])
     def test_bad_inputs_rejected_before_ranks_start(
-        self, problem, run_kwargs, extra_points, message
+        self, problem, run_kwargs, extra_points, message, monkeypatch
     ):
         geo, grid, loop, reference = problem
-        built = []
+        built, forked = [], []
 
         def factory():
             built.append(1)
             return FDSubdomainSolver(geo.subdomain_grid(), method="direct")
 
+        def start(*args, **kwargs):
+            # A factory call in a forked rank would not reach ``built``.
+            forked.append(args)
+            return real_start(*args, **kwargs)
+
+        real_start = processes.start
+        monkeypatch.setattr(processes, "start", start)
         predictor = DistributedMosaicFlowPredictor(geo, factory)
         with pytest.raises(ValueError, match=message):
             predictor.run(2, np.resize(loop, len(loop) + extra_points),
                           **{"max_iterations": 4, **run_kwargs})
-        assert built == []
+        assert built == [] and forked == []
+        # The same call with good inputs forks one process per rank.
+        predictor.run(2, loop, max_iterations=2)
+        assert len(forked) == 2 and built == []
 
     def test_composite_geometry_rejected_at_construction(self):
         # The rank blocks split the bounding box's anchors, so an L-shape
@@ -433,3 +455,93 @@ class TestDistributedExecution:
             DistributedMosaicFlowPredictor(geo, solver_factory_for(geo))
         rectangle = MosaicGeometry.from_domain(CompositeDomain.rectangle(6, 4), 9)
         DistributedMosaicFlowPredictor(rectangle, solver_factory_for(rectangle))
+
+
+class TestForkedRanks:
+    """``run`` forks one process per rank; rank threads are its oracle."""
+
+    @pytest.mark.parametrize("backend", ["fd", "sdnet"])
+    @pytest.mark.parametrize("world_size", [2, 4])
+    @pytest.mark.parametrize("criteria", [
+        dict(max_iterations=40, tol=1e-3),
+        dict(max_iterations=40, tol=0.0, target_mae=0.02, check_interval=3),
+    ], ids=["tolerance", "reference"])
+    def test_process_ranks_equal_thread_ranks_bitwise(
+        self, problem, sdnet, backend, world_size, criteria
+    ):
+        geo, grid, loop, reference = problem
+        factory = solver_factory_for(geo) if backend == "fd" else (
+            lambda: SDNetSubdomainSolver(sdnet))
+        if "target_mae" in criteria:
+            criteria = dict(criteria, reference=reference)
+        predictor = DistributedMosaicFlowPredictor(geo, factory)
+        forked = predictor.run(world_size, loop, **criteria)
+        threads = run_spmd(world_size, predictor.run_rank, args=(loop,), kwargs=criteria)
+        assert multiprocessing.active_children() == []
+        assert forked[0].solution.tobytes() == threads[0].solution.tobytes()
+        for mine, theirs in zip(forked, threads, strict=True):
+            assert (mine.rank, mine.world_size) == (theirs.rank, theirs.world_size)
+            assert mine.iterations == theirs.iterations
+            assert mine.converged == theirs.converged
+            assert np.array(mine.deltas).tobytes() == np.array(theirs.deltas).tobytes()
+            assert mine.mae_history == theirs.mae_history
+            assert mine.comm_stats == theirs.comm_stats
+            assert set(mine.timings) == set(theirs.timings)
+
+    def test_rank_plans_are_built_once_per_world_size(self, problem):
+        geo, grid, loop, reference = problem
+        predictor = DistributedMosaicFlowPredictor(geo, solver_factory_for(geo))
+        plans = predictor._rank_plans(2)
+        assert predictor._rank_plans(2) is plans and predictor._rank_plans(4) is not plans
+        predictor.run(2, loop, max_iterations=2)
+        run_spmd(2, predictor.run_rank, args=(loop,), kwargs=dict(max_iterations=2))
+        assert predictor._rank_plans(2) is plans
+
+    def test_ranks_do_not_inherit_held_locks(self, problem):
+        # A model the parent never ran: each rank traces its programs and
+        # builds their plans, under tracing and memory accounting.
+        # A geometry equal to the fixture's but fresh, so the ranks compute
+        # its cached masks and boundary loop themselves.
+        _, grid, loop, reference = problem
+        geo = MosaicGeometry(subdomain_points=9, subdomain_extent=0.5, steps_x=6, steps_y=4)
+        model = SDNet(boundary_size=geo.subdomain_grid().boundary_size, hidden_size=8,
+                      trunk_layers=1, embedding_channels=(2,), rng=23)
+        predictor = DistributedMosaicFlowPredictor(geo, lambda: SDNetSubdomainSolver(model))
+        predictor._rank_plans(2)  # as ``run`` does before its fork
+        tracer, accountant = enable_tracing(), enable_memory_accounting()
+        locks = [
+            PLAN_CACHE._lock, mosaic_solvers._PROGRAMS_LOCK, fd_solve._operator_lock,
+            engine_trace._PATCH_LOCK, accountant._lock, tracer._lock,
+            mosaic_distributed._PLANS_LOCK,
+            # Python < 3.12: the lock a cached property computes under
+            *(prop.lock for cls in (MosaicGeometry, CompositeDomain)
+              for prop in vars(cls).values() if hasattr(prop, "lock")),
+        ]
+        held, release = threading.Event(), threading.Event()
+
+        def holder():
+            for lock in locks:
+                lock.acquire()
+            held.set()
+            release.wait(timeout=60)
+            for lock in reversed(locks):
+                lock.release()
+
+        # A rank stuck on an inherited lock fails the test instead of hanging it.
+        watchdog = threading.Timer(
+            60, lambda: [child.kill() for child in multiprocessing.active_children()])
+        thread = threading.Thread(target=holder)
+        thread.start()
+        try:
+            assert held.wait(timeout=30)
+            watchdog.start()
+            results = fork_spmd(2, predictor.run_rank, args=(loop,),
+                                kwargs=dict(max_iterations=4, tol=0.0), timeout=60)
+        finally:
+            watchdog.cancel()
+            release.set()
+            thread.join()
+            disable_tracing()
+            disable_memory_accounting()
+        assert [r.iterations for r in results] == [4, 4]
+        assert results[0].solution is not None

@@ -1,9 +1,12 @@
 """Mosaic interface-lattice geometry."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.mosaic import PHASE_OFFSETS, MosaicGeometry
+from repro.mosaic.domain import CompositeDomain
 
 
 class TestConstruction:
@@ -58,6 +61,22 @@ class TestConstruction:
         assert small_geometry.global_grid().hx == pytest.approx(
             small_geometry.subdomain_grid().hx
         )
+
+
+    def test_hash_is_the_field_hash_computed_once(self, monkeypatch):
+        domain_hashes = []
+        field_hash = CompositeDomain.__hash__
+        monkeypatch.setattr(CompositeDomain, "__hash__",
+                            lambda domain: domain_hashes.append(1) or field_hash(domain))
+        geo = MosaicGeometry(subdomain_points=9, subdomain_extent=0.5, steps_x=6, steps_y=4)
+        first = hash(geo)
+        assert hash(geo) == hash({geo: 0}.popitem()[0]) == first
+        assert len(domain_hashes) == 1
+        # The value the generated dataclass hash returns; a pickle carries
+        # the fields only and the copy hashes again, to the same value.
+        assert first == hash((9, 0.5, 6, 4, geo.domain))
+        twin = pickle.loads(pickle.dumps(geo))
+        assert "_hash" not in vars(twin) and hash(twin) == first and twin == geo
 
 
 class TestAnchorsAndPhases:

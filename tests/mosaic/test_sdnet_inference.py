@@ -362,8 +362,11 @@ class TestPlanAccountingOfDeadThreads:
             baseline = accountant.live_bytes(owner)
             distributed = DistributedMosaicFlowPredictor(
                 geometry, lambda: SDNetSubdomainSolver(model))
+            # Rank threads: ``run`` forks its ranks, whose plans live and
+            # die in the children.
             for _ in range(20):
-                distributed.run(2, loop, max_iterations=2, tol=0.0)
+                run_spmd(2, distributed.run_rank, args=(loop,),
+                         kwargs=dict(max_iterations=2, tol=0.0))
             programs = (inference_program(model, geometry.center_line_local_coordinates()),
                         inference_program(model, geometry.interior_local_coordinates()))
             built = [program.stats.plan_builds for program in programs]
