@@ -110,10 +110,10 @@ def main() -> None:
     print(f"final train loss          : {engine_history.train_loss[-1]:.6e}")
     assert identical_losses and identical_params, "engine must not change results"
 
-    program = engine_trainer.loss_fn._program_for(engine_trainer.model)
+    program = engine_trainer.loss_fn._program_for(engine_trainer.model, "pde")
     stats = program.stats.as_dict()
     print()
-    print("engine statistics:")
+    print("engine statistics (physics-loss program):")
     print(f"  traces            : {stats['traces']}")
     print(f"  bucket templates  : {stats['bucket_templates']}")
     print(f"  plan builds       : {stats['plan_builds']}")

@@ -19,7 +19,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy import special as _special
 
 from .tensor import Tensor, astensor, is_grad_enabled
 
@@ -30,6 +29,22 @@ __all__ = [
     "broadcast_to", "getitem", "scatter_add", "concatenate", "stack", "pad",
     "where_mask", "clip",
 ]
+
+#: ``scipy.special.erf`` once :func:`erf_ufunc` has imported it.  Importing
+#: ``scipy.special`` costs 35-60 ms and only a GELU evaluates erf, so a
+#: process that never builds one (an FD server) never loads it.
+_erf_ufunc = None
+
+
+def erf_ufunc():
+    """The ``scipy.special.erf`` ufunc, importing ``scipy.special`` on first call."""
+
+    global _erf_ufunc
+    if _erf_ufunc is None:
+        from scipy.special import erf as loaded
+
+        _erf_ufunc = loaded
+    return _erf_ufunc
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +186,7 @@ def erf(a) -> Tensor:
     def vjp(g: Tensor) -> Tensor:
         return mul(g, mul(coeff, exp(neg(mul(a, a)))))
 
-    return Tensor._from_op(_special.erf(a.data), [(a, vjp)], "erf")
+    return Tensor._from_op(erf_ufunc()(a.data), [(a, vjp)], "erf")
 
 
 def sin(a) -> Tensor:

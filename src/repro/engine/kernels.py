@@ -26,8 +26,8 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy import special as _special
 
+from ..autodiff.ops import erf_ufunc
 from ..autodiff.tensor import DEFAULT_DTYPE
 from .graph import Node
 
@@ -63,7 +63,7 @@ def _normalized_axes(axes, ndim: int) -> tuple:
 
 def _eval_gelu(x, attrs):
     t = x / attrs["div_const"]
-    t = _special.erf(t)
+    t = erf_ufunc()(t)
     t = attrs["add_const"] + t
     t = attrs["mul_const"] * t
     return x * t
@@ -81,7 +81,7 @@ def _eval_phi(x, attrs):
 
 def _eval_gelu_d1(x, attrs):
     big_phi = attrs["half_const"] * (
-        attrs["one_const"] + _special.erf(x / attrs["div_const"])
+        attrs["one_const"] + erf_ufunc()(x / attrs["div_const"])
     )
     return big_phi + x * _eval_phi(x, attrs)
 
@@ -110,7 +110,7 @@ _EVALUATORS: dict[str, Callable] = {
     "exp": lambda v, n: np.exp(v[0]),
     "log": lambda v, n: np.log(v[0]),
     "tanh": lambda v, n: np.tanh(v[0]),
-    "erf": lambda v, n: _special.erf(v[0]),
+    "erf": lambda v, n: erf_ufunc()(v[0]),
     "sin": lambda v, n: np.sin(v[0]),
     "cos": lambda v, n: np.cos(v[0]),
     "abs": lambda v, n: np.abs(v[0]),
@@ -186,7 +186,6 @@ _UFUNC_UNARY = {
     "exp": np.exp,
     "log": np.log,
     "tanh": np.tanh,
-    "erf": _special.erf,
     "sin": np.sin,
     "cos": np.cos,
     "abs": np.absolute,
@@ -243,6 +242,8 @@ def build_step(node: Node, src: list[int], dst: int, alloc) -> Step:
         return _binary_step(_UFUNC_BINARY[op], src, dst, alloc(node.shape, node.dtype))
     if op in _UFUNC_UNARY:
         return _unary_step(_UFUNC_UNARY[op], src, dst, alloc(node.shape, node.dtype))
+    if op == "erf":
+        return _unary_step(erf_ufunc(), src, dst, alloc(node.shape, node.dtype))
 
     if op == "maximum_zero":
         (a,) = src
@@ -371,13 +372,14 @@ def build_step(node: Node, src: list[int], dst: int, alloc) -> Step:
         div_const = node.attrs["div_const"]
         add_const = node.attrs["add_const"]
         mul_const = node.attrs["mul_const"]
+        erf = erf_ufunc()
         scratch = alloc(node.shape, node.dtype)
         buf = alloc(node.shape, node.dtype)
 
         def run_gelu(slots):
             value = slots[x]
             np.divide(value, div_const, out=scratch)
-            _special.erf(scratch, scratch)
+            erf(scratch, scratch)
             np.add(add_const, scratch, out=scratch)
             np.multiply(mul_const, scratch, out=scratch)
             np.multiply(value, scratch, out=buf)
@@ -404,13 +406,14 @@ def build_step(node: Node, src: list[int], dst: int, alloc) -> Step:
             div_const = node.attrs["div_const"]
             add_const = node.attrs["add_const"]
             mul_const = node.attrs["mul_const"]
+            erf = erf_ufunc()
             scratch = alloc(node.shape, node.dtype)
 
             def run_affine_act(slots):
                 np.matmul(slots[a], slots[b], out=pre)
                 np.add(pre, slots[bias], out=pre)
                 np.divide(pre, div_const, out=scratch)
-                _special.erf(scratch, scratch)
+                erf(scratch, scratch)
                 np.add(add_const, scratch, out=scratch)
                 np.multiply(mul_const, scratch, out=scratch)
                 np.multiply(pre, scratch, out=buf)
@@ -434,6 +437,7 @@ def build_step(node: Node, src: list[int], dst: int, alloc) -> Step:
         half_const = attrs["half_const"]
         neg_half = attrs["neg_half_const"]
         phi_const = attrs["phi_const"]
+        erf = erf_ufunc()
         big_phi = alloc(node.shape, node.dtype)
         buf = alloc(node.shape, node.dtype)
 
@@ -441,7 +445,7 @@ def build_step(node: Node, src: list[int], dst: int, alloc) -> Step:
             value = slots[x]
             # Phi(x) = half * (one + erf(x / sqrt2))
             np.divide(value, div_const, out=big_phi)
-            _special.erf(big_phi, big_phi)
+            erf(big_phi, big_phi)
             np.add(one_const, big_phi, out=big_phi)
             np.multiply(half_const, big_phi, out=big_phi)
             # x * phi(x) = x * (c_phi * exp(neg_half * x^2))

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import ndimage
 
 from ..procs import fresh_cached_property_locks
 
@@ -33,6 +32,14 @@ __all__ = ["CompositeDomain"]
 
 #: unit steps (row, col) of the four boundary directions: +x, +y, -x, -y
 _DIRECTIONS = ((0, 1), (1, 0), (0, -1), (-1, 0))
+
+
+def _run_labels(cells: np.ndarray) -> np.ndarray:
+    """Label each maximal run of set cells along the rows: 1, 2, ...; 0 elsewhere."""
+
+    starts = cells.copy()
+    starts[:, 1:] &= ~cells[:, :-1]
+    return np.cumsum(starts, axis=None).reshape(cells.shape) * cells
 
 
 @dataclass(frozen=True)
@@ -198,13 +205,29 @@ class CompositeDomain:
         return len(self.rects) == 1 or bool(self._cells.all())
 
     def _check_connected(self) -> None:
-        labels, count = ndimage.label(self._cells)  # edge (4-)connectivity
-        if count > 1:
-            first = np.argwhere(labels)[0]
-            reached = int(np.count_nonzero(labels == labels[tuple(first)]))
-            total = int(np.count_nonzero(labels))
+        # 4-neighbour flood fill from the first cell, a whole run at a time:
+        # each pass grows the reached set to every row run it touches, then
+        # to every column run, so a shape with few turns takes few passes.
+        cells = self._cells
+        row_runs = _run_labels(cells)
+        col_runs = _run_labels(cells.T).T
+        first = np.argwhere(cells)[0]
+        reached = np.zeros_like(cells)
+        reached[tuple(first)] = True
+        count = 1
+        while True:
+            for runs in (row_runs, col_runs):
+                touched = np.zeros(runs.max() + 1, dtype=bool)
+                touched[runs[reached]] = True
+                reached = touched[runs]
+            grown = int(np.count_nonzero(reached))
+            if grown == count:
+                break
+            count = grown
+        total = int(np.count_nonzero(cells))
+        if count < total:
             raise ValueError(
-                f"composite domain is not edge-connected: {total - reached} of "
+                f"composite domain is not edge-connected: {total - count} of "
                 f"{total} cells are unreachable from cell {tuple(first.tolist())}"
             )
 

@@ -40,6 +40,12 @@ def _Phi(x: Tensor) -> Tensor:
 class GELU(Module):
     """Exact (erf-based) Gaussian Error Linear Unit."""
 
+    def __init__(self):
+        super().__init__()
+        # Import scipy.special here, so children forked after the model is
+        # built inherit it instead of importing it on their first forward.
+        ops.erf_ufunc()
+
     def forward(self, x: Tensor) -> Tensor:
         return x * _Phi(x)
 

@@ -1124,6 +1124,7 @@ class Server:
             results = self._solve_mega_with_retries(compat_key, prepared, mega_span, slot)
             if results is None:
                 return  # waiters already resolved (failed or expired)
+            self.stats.record_lattice_run()
             if self.faults is not None:
                 # Worker-death site, mid-batch edge (mega): all sessions
                 # solved, nothing delivered yet.

@@ -51,6 +51,7 @@ class ServingStats:
         self._cache_hits = self.registry.counter("serving.cache_hits")
         self._dedup_hits = self.registry.counter("serving.dedup_hits")
         self._fused_runs = self.registry.counter("serving.fused_runs")
+        self._lattice_runs = self.registry.counter("serving.lattice_runs")
         self._solved_requests = self.registry.counter("serving.solved_requests")
         self._batch_sizes = self.registry.histogram("serving.batch_size", window=window)
         self._latencies = self.registry.histogram(
@@ -94,6 +95,11 @@ class ServingStats:
         self._fused_runs.inc()
         self._solved_requests.inc(num_unique)
         self._batch_sizes.observe(num_unique)
+
+    def record_lattice_run(self) -> None:
+        """One lattice run that answered, however many batches it carried."""
+
+        self._lattice_runs.inc()
 
     def record_latency(self, seconds: float) -> None:
         self._latencies.observe(float(seconds))
@@ -179,6 +185,12 @@ class ServingStats:
     @property
     def fused_runs(self) -> int:
         return self._fused_runs.value
+
+    @property
+    def lattice_runs(self) -> int:
+        """Solver lattice runs that answered; ``fused_runs`` counts their batches."""
+
+        return self._lattice_runs.value
 
     @property
     def solved_requests(self) -> int:
@@ -294,6 +306,7 @@ class ServingStats:
             "dedup_hits": self.dedup_hits,
             "cache_hit_rate": self.cache_hit_rate,
             "fused_runs": self.fused_runs,
+            "lattice_runs": self.lattice_runs,
             "solved_requests": self.solved_requests,
             "solver_runs_saved": self.solver_runs_saved,
             "retries": self.retries,

@@ -62,6 +62,47 @@ class TestConstruction:
         with pytest.raises(ValueError, match="not edge-connected"):
             CompositeDomain.from_rects([(0, 0, 2, 2), (2, 2, 2, 2)])
 
+    def test_disconnected_message_counts_cells_unreachable_from_the_first(self):
+        # The S-shaped part is reached through four turns; the lone cell is not.
+        cells = np.array(
+            [[1, 1, 1, 0, 1],
+             [0, 0, 1, 0, 0],
+             [1, 1, 1, 0, 0],
+             [1, 0, 0, 0, 0],
+             [1, 1, 1, 1, 0]], dtype=bool,
+        )
+        message = ("composite domain is not edge-connected: 1 of 13 cells are "
+                   "unreachable from cell (0, 0)")
+        with pytest.raises(ValueError) as error:
+            CompositeDomain.from_cells(cells)
+        assert str(error.value) == message
+
+    def test_connectivity_agrees_with_scipy_labelling(self):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        rng = np.random.default_rng(0)
+        for _ in range(400):
+            cells = rng.random(tuple(rng.integers(1, 8, 2))) < rng.uniform(0.4, 0.9)
+            if not cells.any():
+                continue
+            rows, cols = np.nonzero(cells)
+            cells = cells[rows.min(): rows.max() + 1, cols.min(): cols.max() + 1]
+            labels, count = ndimage.label(cells)
+            try:
+                CompositeDomain.from_cells(cells)
+                error = ""
+            except ValueError as exc:
+                error = str(exc)
+            if count == 1:
+                assert "not edge-connected" not in error
+                continue
+            first = np.argwhere(labels)[0]
+            reached = int(np.count_nonzero(labels == labels[tuple(first)]))
+            total = int(np.count_nonzero(labels))
+            assert error == (
+                f"composite domain is not edge-connected: {total - reached} of "
+                f"{total} cells are unreachable from cell {tuple(first.tolist())}"
+            )
+
     def test_rejects_holes(self):
         with pytest.raises(ValueError, match="holes"):
             CompositeDomain.from_rects(

@@ -305,8 +305,13 @@ class TestPipeContract:
         assert type(error.__cause__) is RuntimeError
         assert "_Unpicklable('solver state went bad')" in str(error.__cause__)
 
-    def test_health_lists_each_worker_and_its_exit_report(self, small_geometry):
-        with Server(async_workers=2) as server:
+    # One batch per request puts several batches in one lattice run, so
+    # the workers' lattice runs are fewer than the batches they answered.
+    @pytest.mark.parametrize(
+        "policy", [BatchPolicy(), BatchPolicy(max_batch_size=1)], ids=["default", "batch_of_one"]
+    )
+    def test_health_lists_each_worker_and_its_exit_report(self, small_geometry, policy):
+        with Server(async_workers=2, policy=policy) as server:
             futures = [server.submit_async(r) for r in _requests(small_geometry, 6)]
             for future in futures:
                 future.result(timeout=60)
@@ -314,7 +319,7 @@ class TestPipeContract:
             assert [w["name"] for w in live] == ["serving-solve-0", "serving-solve-1"]
             assert all(w["alive"] and w["peak_rss_mb"] > 0 for w in live)
             assert len({w["pid"] for w in live} | {os.getpid()}) == 3
-            assert sum(w["runs"] for w in live) == server.stats.fused_runs
+            assert sum(w["runs"] for w in live) == server.stats.lattice_runs
         stopped = server.health()["workers"]
         assert not any(w["alive"] for w in stopped)
         for worker in stopped:

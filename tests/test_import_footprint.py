@@ -7,8 +7,13 @@ tests check in a fresh interpreter that importing the library, or drawing a
 dataset and training on it, leaves ``scipy.stats`` unloaded; then that the
 draws are the same bytes as a direct ``scipy.stats.qmc.Sobol`` computation
 and raise no warning.
+
+``scipy.special`` (35-60 ms) is loaded only by a process that evaluates erf,
+which only a GELU does, and ``scipy.ndimage`` not at all: an FD server never
+loads either, and building an SDNet loads ``scipy.special``.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -76,6 +81,73 @@ def test_importing_leaves_scipy_stats_unloaded(program):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+SERVE_FD_BURST = IMPORT_EVERYTHING + IMPORT_BENCHMARK + """
+import numpy as np
+from repro.serving import Server
+mix = workloads.RequestMix()
+server = Server()
+for request in mix.requests(mix.draw(np.random.default_rng(0), 8)):
+    server.submit(request)
+assert len(server.drain()) == 8
+"""
+
+BUILD_SDNET = """
+from repro.models import SDNet
+SDNet(boundary_size=32, hidden_size=8, trunk_layers=1, rng=0)
+"""
+
+REPORT_SPECIAL_NDIMAGE = """
+import sys
+print(sorted(m for m in sys.modules if m.split(".")[:2] in (["scipy", "special"], ["scipy", "ndimage"])))
+"""
+
+
+def _loaded_after(program: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", program + REPORT_SPECIAL_NDIMAGE], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+def test_serving_fd_leaves_scipy_special_and_ndimage_unloaded():
+    assert _loaded_after(SERVE_FD_BURST) == "[]"
+
+
+def test_building_a_gelu_model_loads_scipy_special():
+    loaded = _loaded_after(BUILD_SDNET)
+    assert "'scipy.special'" in loaded and "ndimage" not in loaded
+
+
+def _module_scope_imports(tree: ast.Module):
+    """Import statements that run at import time (not inside a function)."""
+
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            pending.extend(ast.iter_child_nodes(node))
+
+
+def test_no_source_file_names_ndimage_or_imports_special_at_module_scope():
+    offenders = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        text = path.read_text()
+        if "ndimage" in text:
+            offenders.append(f"{path}: names scipy.ndimage")
+        for node in _module_scope_imports(ast.parse(text)):
+            names = [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{name}" for name in names]
+            if any(name.startswith("scipy.special") for name in names):
+                offenders.append(f"{path}:{node.lineno}: imports scipy.special")
+    assert offenders == []
 
 
 @pytest.mark.parametrize("seed", [0, 7])
